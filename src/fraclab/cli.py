@@ -50,6 +50,7 @@ from .analysis import (
 from .domain import (
     BoxGrid,
     SubDomain,
+    dilate,
     make_box,
     make_shape,
     parse_shape_spec,
@@ -82,9 +83,13 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("spectra", "positivity", "monotonicity", "extension", "sobolev", "sweep")
 
-# Dense operators keep full matrices and eigenbases; cap the box size so a
-# misconfigured run fails fast instead of exhausting memory.
-_MAX_OPERATOR_NODES = 5000
+# Caps on the dense objects a run builds, so a misconfigured run fails fast
+# instead of exhausting memory: the per-axis N x N sine basis of the box, the
+# |Omega| x |Omega| matrices and eigenbases of every mask factored densely,
+# and the N^dim x (layers + 1) lattice of the Dirichlet extension.
+_MAX_BASIS_NODES = 5000
+_MAX_MASK_NODES = 5000
+_MAX_EXTENSION_VALUES = 1 << 22
 _MAX_FFT_NODES = 1 << 22
 
 
@@ -266,15 +271,29 @@ def _versions() -> dict:
     return {"fraclab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
 
-def _build_domain(cfg: ExperimentConfig) -> tuple[BoxGrid, SubDomain]:
-    if cfg.box_nodes**cfg.dim > _MAX_OPERATOR_NODES:
+def _build_box(cfg: ExperimentConfig) -> BoxGrid:
+    if cfg.box_nodes > _MAX_BASIS_NODES:
         raise ConfigError(
-            f"box too large for dense operators: {cfg.box_nodes}^{cfg.dim} nodes "
-            f"> {_MAX_OPERATOR_NODES}; reduce box.nodes or use the sobolev experiment"
+            f"box.nodes: {cfg.box_nodes} nodes per axis > {_MAX_BASIS_NODES} for the dense "
+            "sine basis; reduce box.nodes or use the sobolev experiment"
         )
-    box = make_box(cfg.dim, cfg.box_halfwidth, cfg.box_nodes)
+    return make_box(cfg.dim, cfg.box_halfwidth, cfg.box_nodes)
+
+
+def _check_mask(domain: SubDomain, key: str) -> None:
+    if domain.node_count > _MAX_MASK_NODES:
+        raise ConfigError(
+            f"{key}: mask of {domain.node_count} nodes > {_MAX_MASK_NODES} for dense "
+            "operators; reduce box.nodes or the shape"
+        )
+
+
+def _build_domain(cfg: ExperimentConfig) -> tuple[BoxGrid, SubDomain]:
+    box = _build_box(cfg)
     name, params = parse_shape_spec(cfg.shape)
-    return box, make_shape(box, name, params)
+    domain = make_shape(box, name, params)
+    _check_mask(domain, "shape")
+    return box, domain
 
 
 def _ground_state(domain: SubDomain) -> np.ndarray:
@@ -338,7 +357,7 @@ def _run_positivity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[
 
 
 def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
-    box, _ = _build_domain(cfg)
+    box = _build_box(cfg)  # the random masks stay far below the mask cap
     rng = np.random.default_rng(cfg.seed)
     max_png = 6 if cfg.dim == 1 else 10
     rows, checks = [], []
@@ -366,6 +385,13 @@ def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], lis
 
 
 def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+    lattice = cfg.box_nodes**cfg.dim * (cfg.extension_layers + 1)
+    if lattice > _MAX_EXTENSION_VALUES:
+        raise ConfigError(
+            f"extension.layers: the Dirichlet extension lattice has box.nodes^dim * "
+            f"(extension.layers + 1) = {lattice} values > {_MAX_EXTENSION_VALUES}; "
+            "reduce extension.layers or box.nodes"
+        )
     _, domain = _build_domain(cfg)
     u = _ground_state(domain)
     rows, checks = [], []
@@ -434,6 +460,11 @@ def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Che
 
 def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
     _, domain = _build_domain(cfg)
+    try:
+        largest = dilate(domain, cfg.alpha_values[-1], max_halfwidth=domain.grid.halfwidth)
+    except ValueError as exc:
+        raise ConfigError(f"alpha.values: {exc}; reduce the largest factor") from exc
+    _check_mask(largest, "alpha.values")
     s = cfg.s_values[0]
     u = _ground_state(domain)
     table = dilation_sweep(u, domain, s, list(cfg.alpha_values))

@@ -28,7 +28,13 @@ import numpy as np
 
 from .analysis import extension_constant
 from .domain import SubDomain, extend_by_zero
-from .operators import _as_subdomain, _mask_eigenbasis, dirichlet_operator, navier_operator
+from .operators import (
+    _box_analysis,
+    _box_synthesis,
+    _mask_eigenbasis,
+    dirichlet_operator,
+    navier_operator,
+)
 
 __all__ = [
     "ExtensionMesh",
@@ -221,15 +227,13 @@ def solve_extension(
 
     if variant == "navier":
         eigen = _mask_eigenbasis(domain)
-        datum = vals
+        lam, q = eigen.eigenvalues, eigen.eigenvectors
+        c0 = q.T @ vals
     else:
-        eigen = _mask_eigenbasis(_as_subdomain(domain.grid))
-        datum = extend_by_zero(vals, domain).values
-    q = eigen.eigenvectors
-    c0 = q.T @ datum
-    coef, energies = _solve_modes(eigen.eigenvalues, c0, mesh, s)
-    _residual_check(eigen.eigenvalues, coef, mesh, s)
-    w = q @ coef
+        lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
+    coef, energies = _solve_modes(lam, c0, mesh, s)
+    _residual_check(lam, coef, mesh, s)
+    w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid)
     hdim = domain.grid.h ** domain.grid.dim
     energy = float(hdim * energies.sum())
     return ExtensionSolution(variant=variant, s=float(s), domain=domain,

@@ -155,7 +155,12 @@ def _rectangle_runs(domain: SubDomain) -> list[np.ndarray] | None:
 
 
 def _mask_eigenbasis(domain: SubDomain) -> EigenDecomposition:
-    """Eigenbasis of the restricted Laplacian; closed form for rectangles."""
+    """Sorted |Omega| x |Omega| eigenbasis of Omega's own Laplacian A_Omega.
+
+    Closed form (Kronecker product of 1D sine bases) for rectangle masks,
+    LAPACK otherwise.  The restricted operator never needs the box's basis
+    in this form; see :func:`_restricted_power`.
+    """
     h = domain.grid.h
     runs = _rectangle_runs(domain)
     if runs is None:
@@ -252,6 +257,69 @@ def _embedded_indices(domain: SubDomain, box: BoxGrid) -> np.ndarray:
     return emb[domain.mask]
 
 
+# Values per block of restricted rows (16 MB): bounds the working set of
+# _restricted_power while keeping its products large enough for BLAS.
+_ROWS_BLOCK_VALUES = 1 << 21
+
+
+def _restricted_power(idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
+    """P B^s P^T for the box nodes ``idx``, from the cached 1D sine basis.
+
+    The box eigenvectors are the products q[i, a] q[j, b] of the 1D basis,
+    with eigenvalues lam_a + lam_b, so in 2D Omega's rows of the box basis
+    are formed a block of first-axis modes a at a time, scaled by
+    (lam_a + lam_b)^(s/2), and summed as R R^T: the work is |Omega|^2 N^2
+    and the working set |Omega|^2 plus one block, never the N^2 x N^2 box
+    basis.  The sum does not depend on the order of the modes, so nothing
+    is sorted.
+    """
+    n = box.nodes_per_axis
+    lam, q = _interval_eigenbasis(n, box.h)
+    if box.dim == 1:
+        rows = q[idx]
+        return (rows * lam**s) @ rows.T
+    i, j = np.divmod(idx, n)
+    qi, qj = q[i], q[j]
+    half_power = (lam[:, None] + lam[None, :]) ** (0.5 * s)
+    step = max(1, _ROWS_BLOCK_VALUES // (idx.size * n))
+    out = np.zeros((idx.size, idx.size))
+    for a in range(0, n, step):
+        block = qi[:, a : a + step, None] * (qj[:, None, :] * half_power[a : a + step])
+        rows = block.reshape(idx.size, -1)
+        out += rows @ rows.T
+    return out
+
+
+def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Box-mode eigenvalues and coefficients of a datum on the whole box.
+
+    The box eigenvectors are products of the cached 1D sine basis q1, so the
+    coefficients are q1^T X q1 with X the datum on the N x N lattice: O(N^3)
+    instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits
+    at flat index a N + b with eigenvalue lam_a + lam_b, unsorted.
+    """
+    lam1, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
+    if grid.dim == 1:
+        return lam1, q.T @ datum
+    n = grid.nodes_per_axis
+    lam = (lam1[:, None] + lam1[None, :]).ravel()
+    return lam, (q.T @ datum.reshape(n, n) @ q).ravel()
+
+
+def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Box nodal values from box-mode coefficients, one y-layer at a time.
+
+    Each layer k is q1 C_k q1^T on the N x N lattice, contracted one axis at
+    a time: O(N^3) per layer.
+    """
+    _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
+    if grid.dim == 1:
+        return q @ coef
+    n = grid.nodes_per_axis
+    first = np.tensordot(q, coef.reshape(n, n, -1), axes=(1, 0))  # [i, b, k]
+    return (q @ first).reshape(n * n, -1)
+
+
 def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
     """Restricted fractional Laplacian: P B^s P^T with B the box Laplacian.
 
@@ -272,9 +340,7 @@ def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator
         matrix = sym_matrix(_laplacian_matrix(sd))
         eigen = _mask_eigenbasis(sd)
     else:
-        box_eigen = _mask_eigenbasis(_as_subdomain(box))
-        rows = box_eigen.eigenvectors[idx]
-        matrix = sym_matrix((rows * box_eigen.eigenvalues**s) @ rows.T)
+        matrix = sym_matrix(_restricted_power(idx, box, s))
         eigen = eigendecompose(matrix)
     return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=sd, s=s)
 

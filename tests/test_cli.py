@@ -178,6 +178,34 @@ def test_main_kind_mismatch_is_usage_error(tmp_path):
 
 
 def test_resource_guard_reports_hint():
-    text = "seed = 1\ndim = 2\nbox.nodes = 100\n"
+    # the default square:0.5 holds 76^2 = 5776 nodes of a 300^2 box
+    text = "seed = 1\ndim = 2\nbox.nodes = 300\n"
     with pytest.raises(ConfigError, match="reduce box.nodes"):
         run(parse_config(text), kind="spectra")
+
+
+@pytest.mark.parametrize("kind, text, field", [
+    ("spectra", "dim = 1\nbox.nodes = 6000\n", "box.nodes"),
+    ("monotonicity", "dim = 2\nbox.nodes = 6000\n", "box.nodes"),
+    ("positivity", "dim = 2\nbox.nodes = 300\n", "shape"),
+    ("extension", "dim = 2\nbox.nodes = 64\nextension.layers = 1100\n", "extension.layers"),
+    ("sweep", "dim = 2\nbox.nodes = 100\nalpha.values = 1,3\n", "alpha.values"),
+    ("sweep", "dim = 2\nbox.nodes = 24\nalpha.values = 1,8\n", "alpha.values"),
+])
+def test_resource_guard_names_the_field(tmp_path, capsys, kind, text, field):
+    path = tmp_path / "big.cfg"
+    path.write_text("seed = 1\n" + text)
+    assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"error: {field}:" in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{kind}.*"))
+
+
+def test_box_beyond_the_old_dense_basis_cap_runs(tmp_path, capsys):
+    # 128^2 = 16384 box nodes: the restricted operator never forms the box basis
+    path = tmp_path / "big_box.cfg"
+    path.write_text("seed = 3\ndim = 2\nshape = square:0.1\nbox.nodes = 128\ntrials = 2\n")
+    for kind in ("monotonicity", "spectra"):
+        assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        verdicts = [line.split()[0] for line in lines if not line.startswith("wrote")]
+        assert len(verdicts) == 3 and set(verdicts) == {"PASS"}
