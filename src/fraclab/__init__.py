@@ -45,8 +45,6 @@ from .extension import (
 from .linalg import (
     EigenDecomposition,
     eigendecompose,
-    quadratic_form,
-    solve_spd,
     spectral_power,
     sym_matrix,
 )
@@ -60,7 +58,6 @@ from .operators import (
     fourier_form,
     monotonicity_check,
     navier_operator,
-    positivity_check,
 )
 
 __all__ = [
@@ -68,12 +65,10 @@ __all__ = [
     "BoxGrid", "SubDomain", "GridFunction",
     "make_box", "make_shape", "parse_shape_spec",
     "extend_by_zero", "restrict", "dilate",
-    "EigenDecomposition", "sym_matrix", "eigendecompose",
-    "spectral_power", "quadratic_form", "solve_spd",
+    "EigenDecomposition", "sym_matrix", "eigendecompose", "spectral_power",
     "SymOperator", "SpectrumComparison",
     "assemble_laplacian", "navier_operator", "dirichlet_operator",
-    "fourier_form", "difference_operator", "compare_spectra",
-    "positivity_check", "monotonicity_check",
+    "fourier_form", "difference_operator", "compare_spectra", "monotonicity_check",
     "ExtensionMesh", "ExtensionSolution", "graded_mesh", "default_grading",
     "solve_extension", "energy_identity_check", "trace_limit",
     "extension_ordering_check",

@@ -226,11 +226,10 @@ def dilation_sweep(
             dil = dilate(domain, alpha, max_halfwidth=box.halfwidth)
         except ValueError as exc:
             raise ValueError(f"grid/box capacity exceeded at alpha={alpha}: {exc}") from exc
-        dil_idx = dil.indices
-        if not np.all(np.isin(base_idx, dil_idx)):
+        if not dil.mask[base_idx].all():
             raise ValueError(f"dilate by alpha={alpha} does not contain the base domain")
         v = np.zeros(dil.node_count)
-        v[np.searchsorted(dil_idx, base_idx)] = vals
+        v[np.searchsorted(dil.indices, base_idx)] = vals
         q_nav = navier_operator(dil, s).form(v)
         rows.append(SweepRow(alpha=alpha, q_navier=q_nav, q_dirichlet=q_dir, ratio=q_nav / q_dir))
     return rows

@@ -38,6 +38,7 @@ from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # numpy imports it lazily; load it at start-up, not inside a run
 import scipy
 
 from . import __version__
@@ -125,37 +126,22 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
-_KEY_TO_FIELD = {
-    "kind": "kind",
-    "seed": "seed",
-    "dim": "dim",
-    "shape": "shape",
-    "box.halfwidth": "box_halfwidth",
-    "box.nodes": "box_nodes",
-    "s.values": "s_values",
-    "alpha.values": "alpha_values",
-    "trials": "trials",
-    "extension.layers": "extension_layers",
-    "extension.height": "extension_height",
-    "extension.grading": "extension_grading",
-    "sobolev.pad": "sobolev_pad",
-    "tol.margin": "tol_margin",
-    "tol.coincidence": "tol_coincidence",
-    "tol.positivity": "tol_positivity",
-    "tol.chain": "tol_chain",
-    "tol.energy_gap": "tol_energy_gap",
-    "tol.sobolev_gap": "tol_sobolev_gap",
-    "tol.ratio_final": "tol_ratio_final",
-    "out.dir": "out_dir",
-}
+def _parse_list(value: str) -> tuple[float, ...]:
+    parsed = tuple(float(tok) for tok in value.split(",") if tok.strip())
+    if not parsed:
+        raise ValueError("empty list")
+    return parsed
 
-_INT_KEYS = {"seed", "dim", "box.nodes", "trials", "extension.layers", "sobolev.pad"}
-_FLOAT_KEYS = {
-    "box.halfwidth", "extension.height", "extension.grading",
-    "tol.margin", "tol.coincidence", "tol.positivity", "tol.chain",
-    "tol.energy_gap", "tol.sobolev_gap", "tol.ratio_final",
-}
-_LIST_KEYS = {"s.values", "alpha.values"}
+
+# Value parser for each ExperimentConfig annotation, as text: the annotations
+# are postponed (``from __future__ import annotations``).
+_PARSERS = {"str": str, "str | None": str, "int": int, "int | None": int, "float": float,
+            "tuple[float, ...]": _parse_list}
+
+# Config key -> (field name, parser); the key is the field name with its
+# first "_" read as ".", e.g. box_nodes -> box.nodes, tol_energy_gap -> tol.energy_gap.
+_FIELDS = {f.name.replace("_", ".", 1): (f.name, _PARSERS[f.type])
+           for f in dc_fields(ExperimentConfig)}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -172,28 +158,18 @@ def parse_config(text: str) -> ExperimentConfig:
             continue
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in _KEY_TO_FIELD:
+        if key not in _FIELDS:
             problems.append(f"line {lineno}: unknown key {key!r}")
             continue
         if key in seen:
             problems.append(f"line {lineno}: duplicate key {key!r}")
             continue
         seen.add(key)
+        name, parse = _FIELDS[key]
         try:
-            if key in _INT_KEYS:
-                parsed = int(value)
-            elif key in _FLOAT_KEYS:
-                parsed = float(value)
-            elif key in _LIST_KEYS:
-                parsed = tuple(float(tok) for tok in value.split(",") if tok.strip())
-                if not parsed:
-                    raise ValueError("empty list")
-            else:
-                parsed = value
+            setattr(cfg, name, parse(value))
         except ValueError as exc:
             problems.append(f"{key}: cannot parse {value!r} ({exc})")
-            continue
-        setattr(cfg, _KEY_TO_FIELD[key], parsed)
 
     if cfg.kind is not None and cfg.kind not in EXPERIMENT_KINDS:
         problems.append(f"kind: {cfg.kind!r} is not one of {EXPERIMENT_KINDS}")

@@ -102,6 +102,20 @@ class BoxGrid:
             return axis
         return (axis[:, None] * other.nodes_per_axis + axis[None, :]).ravel()
 
+    def neighbors(self, f: int) -> list[int]:
+        """Flat indices of node ``f``'s neighbours in the grid graph.
+
+        The order is fixed, f-n, f+n, f-1, f+1 in 2D and f-1, f+1 in 1D, with
+        off-grid nodes dropped; random mask growth draws from this list, so
+        the order is part of every seeded result.
+        """
+        n = self.nodes_per_axis
+        if self.dim == 1:
+            return [g for g in (f - 1, f + 1) if 0 <= g < n]
+        i, j = divmod(f, n)
+        steps = ((i > 0, -n), (i < n - 1, n), (j > 0, -1), (j < n - 1, 1))
+        return [f + d for inside, d in steps if inside]
+
 
 @dataclass(frozen=True)
 class SubDomain:
@@ -160,12 +174,6 @@ class GridFunction:
         v = v.copy()
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
-
-    def supported_in(self, domain: SubDomain) -> bool:
-        """True if the function vanishes on every node outside the mask."""
-        if domain.grid != self.grid:
-            raise ValueError("grid mismatch between function and domain")
-        return not np.any(self.values[~domain.mask])
 
 
 def make_box(dim: int, halfwidth: float, nodes_per_axis: int) -> BoxGrid:
@@ -231,27 +239,11 @@ def parse_shape_spec(spec: str) -> tuple[str, tuple[float, ...]]:
 
 def _check_connected(grid: BoxGrid, mask: np.ndarray) -> None:
     """Warn (not raise) if the mask is disconnected as a grid graph."""
-    idx = np.flatnonzero(mask)
-    n = grid.nodes_per_axis
-    members = set(int(i) for i in idx)
-    seen = {int(idx[0])}
-    queue = deque([int(idx[0])])
+    members = set(np.flatnonzero(mask).tolist())
+    seen = {min(members)}
+    queue = deque(seen)
     while queue:
-        f = queue.popleft()
-        if grid.dim == 1:
-            neighbors = (f - 1, f + 1)
-        else:
-            i, j = divmod(f, n)
-            neighbors = []
-            if i > 0:
-                neighbors.append(f - n)
-            if i < n - 1:
-                neighbors.append(f + n)
-            if j > 0:
-                neighbors.append(f - 1)
-            if j < n - 1:
-                neighbors.append(f + 1)
-        for g in neighbors:
+        for g in grid.neighbors(queue.popleft()):
             if g in members and g not in seen:
                 seen.add(g)
                 queue.append(g)
@@ -362,33 +354,19 @@ def dilate(domain: SubDomain, alpha: float, max_halfwidth: float | None = None) 
     return SubDomain(grid=target, mask=mask, shape="custom", params=())
 
 
-def random_connected_mask(grid: BoxGrid, size: int, rng: np.random.Generator) -> SubDomain:
-    """Random connected mask of the requested node count, grown by BFS."""
-    if not 1 <= size <= grid.size:
-        raise ValueError(f"mask size {size} out of range [1, {grid.size}]")
-    n = grid.nodes_per_axis
-    mask = np.zeros(grid.size, dtype=bool)
-    start = int(rng.integers(grid.size))
-    mask[start] = True
-    cells = [start]
+def _grow(grid: BoxGrid, mask: np.ndarray, cells: list[int], size: int,
+          rng: np.random.Generator) -> SubDomain:
+    """Grow the connected ``mask`` to ``size`` nodes, one random neighbour at a time.
+
+    ``cells`` lists the mask's nodes; each attempt draws one of them, then one
+    of its grid neighbours, and adds that neighbour if it is new.  Both the
+    order of ``cells`` and that of :meth:`BoxGrid.neighbors` fix which nodes a
+    seed yields.  Growth stops after 100 * size attempts.
+    """
     attempts = 0
-    while np.count_nonzero(mask) < size and attempts < 100 * size:
+    while len(cells) < size and attempts < 100 * size:
         attempts += 1
-        f = cells[int(rng.integers(len(cells)))]
-        if grid.dim == 1:
-            options = [f - 1, f + 1]
-            valid = [g for g in options if 0 <= g < n]
-        else:
-            i, j = divmod(f, n)
-            valid = []
-            if i > 0:
-                valid.append(f - n)
-            if i < n - 1:
-                valid.append(f + n)
-            if j > 0:
-                valid.append(f - 1)
-            if j < n - 1:
-                valid.append(f + 1)
+        valid = grid.neighbors(cells[int(rng.integers(len(cells)))])
         g = valid[int(rng.integers(len(valid)))]
         if not mask[g]:
             mask[g] = True
@@ -396,36 +374,25 @@ def random_connected_mask(grid: BoxGrid, size: int, rng: np.random.Generator) ->
     return SubDomain(grid=grid, mask=mask, shape="custom", params=())
 
 
+def random_connected_mask(grid: BoxGrid, size: int, rng: np.random.Generator) -> SubDomain:
+    """Random connected mask of the requested node count, grown from a random node."""
+    if not 1 <= size <= grid.size:
+        raise ValueError(f"mask size {size} out of range [1, {grid.size}]")
+    start = int(rng.integers(grid.size))
+    mask = np.zeros(grid.size, dtype=bool)
+    mask[start] = True
+    return _grow(grid, mask, [start], size, rng)
+
+
 def random_nested_masks(
     grid: BoxGrid, inner_size: int, outer_size: int, rng: np.random.Generator
 ) -> tuple[SubDomain, SubDomain]:
-    """A random connected pair Omega inside Omega' with the given node counts."""
+    """A random connected pair Omega inside Omega' with the given node counts.
+
+    Omega' is Omega grown further, drawing from Omega's nodes in index order.
+    """
     if inner_size > outer_size:
         raise ValueError("inner mask cannot be larger than the outer mask")
     inner = random_connected_mask(grid, inner_size, rng)
-    mask = inner.mask.copy()
-    n = grid.nodes_per_axis
-    cells = list(np.flatnonzero(mask))
-    attempts = 0
-    while np.count_nonzero(mask) < outer_size and attempts < 100 * outer_size:
-        attempts += 1
-        f = cells[int(rng.integers(len(cells)))]
-        if grid.dim == 1:
-            valid = [g for g in (f - 1, f + 1) if 0 <= g < n]
-        else:
-            i, j = divmod(f, n)
-            valid = []
-            if i > 0:
-                valid.append(f - n)
-            if i < n - 1:
-                valid.append(f + n)
-            if j > 0:
-                valid.append(f - 1)
-            if j < n - 1:
-                valid.append(f + 1)
-        g = valid[int(rng.integers(len(valid)))]
-        if not mask[g]:
-            mask[g] = True
-            cells.append(g)
-    outer = SubDomain(grid=grid, mask=mask, shape="custom", params=())
+    outer = _grow(grid, inner.mask.copy(), inner.indices.tolist(), outer_size, rng)
     return inner, outer

@@ -121,10 +121,6 @@ class ExtensionSolution:
             raise ValueError(f"energy must be finite and nonnegative, got {self.energy}")
         self.values.flags.writeable = False
 
-    @property
-    def boundary_values(self) -> np.ndarray:
-        return self.values[:, 0]
-
 
 def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Exact integrals of y^(1-2s) against 1, the left hat and the right hat

@@ -1,5 +1,5 @@
-"""Dense symmetric linear algebra: eigendecompositions, spectral matrix
-functions, quadratic forms and SPD solves.
+"""Dense symmetric linear algebra: validated symmetric matrices, checked
+eigendecompositions and spectral matrix powers.
 
 Symmetric matrices are plain float64 ndarrays that have passed through
 :func:`sym_matrix`, which enforces exact symmetry and marks the storage
@@ -12,15 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "EigenDecomposition",
     "sym_matrix",
     "eigendecompose",
     "spectral_power",
-    "quadratic_form",
-    "solve_spd",
 ]
 
 # Gross asymmetry beyond this relative level is a construction bug, not noise.
@@ -72,11 +69,6 @@ class EigenDecomposition:
     def n(self) -> int:
         return self.eigenvalues.size
 
-    def reconstruct(self) -> np.ndarray:
-        """Return Q diag(lambda) Q^T."""
-        q = self.eigenvectors
-        return (q * self.eigenvalues) @ q.T
-
 
 def eigendecompose(matrix: np.ndarray, tol: float = 1e-10) -> EigenDecomposition:
     """Full eigendecomposition of a symmetric matrix (LAPACK ``eigh``).
@@ -121,39 +113,3 @@ def spectral_power(eigen: EigenDecomposition, s: float) -> np.ndarray:
     q = eigen.eigenvectors
     return sym_matrix((q * eigen.eigenvalues**s) @ q.T)
 
-
-def quadratic_form(matrix: np.ndarray, u: np.ndarray) -> float:
-    """The scalar u^T M u."""
-    m = np.asarray(matrix, dtype=float)
-    v = np.asarray(u, dtype=float)
-    if v.ndim != 1 or m.shape != (v.size, v.size):
-        raise ValueError(f"dimension mismatch: matrix {m.shape}, vector {v.shape}")
-    return float(v @ (m @ v))
-
-
-def solve_spd(matrix: np.ndarray, b: np.ndarray, tol: float = 1e-12) -> np.ndarray:
-    """Solve M x = b for symmetric positive definite M via Cholesky.
-
-    One step of iterative refinement is applied if needed; the final
-    residual must satisfy ``||Mx - b|| <= tol * ||b||``.
-    """
-    m = sym_matrix(matrix)
-    rhs = np.asarray(b, dtype=float)
-    if rhs.shape != (m.shape[0],):
-        raise ValueError(f"dimension mismatch: matrix {m.shape}, rhs {rhs.shape}")
-    try:
-        factor = scipy.linalg.cho_factor(m, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(f"matrix is not positive definite: {exc}") from exc
-    x = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
-    bnorm = np.linalg.norm(rhs)
-    if bnorm == 0.0:
-        return np.zeros_like(rhs)
-    res = rhs - m @ x
-    if np.linalg.norm(res) > tol * bnorm:
-        x = x + scipy.linalg.cho_solve(factor, res, check_finite=False)
-        res = rhs - m @ x
-    resnorm = float(np.linalg.norm(res))
-    if resnorm > tol * bnorm:
-        raise RuntimeError(f"SPD solve residual {resnorm:.3e} exceeds {tol:.1e} * ||b||")
-    return x

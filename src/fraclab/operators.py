@@ -16,8 +16,7 @@ tested sharply.  An FFT-based periodic multiplier form provides an
 independent cross-check of the restricted form.
 
 Quadratic forms returned by :meth:`SymOperator.form` carry the h^dim volume
-weight, so they discretize integrals; raw matrix forms are available through
-``linalg.quadratic_form``.
+weight, so they discretize integrals.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "fourier_form",
     "difference_operator",
     "compare_spectra",
-    "positivity_check",
     "monotonicity_check",
 ]
 
@@ -136,22 +134,15 @@ def _rectangle_runs(domain: SubDomain) -> list[np.ndarray] | None:
     """Per-axis contiguous index runs, if the mask is an axis-aligned rectangle.
 
     The Laplacian restricted to such a mask is the tensor product of
-    second-difference matrices, so its eigenbasis is closed form.
+    second-difference matrices, so its eigenbasis is closed form.  The mask
+    lies inside its bounding box, so it is that box when the node counts agree.
     """
-    n = domain.grid.nodes_per_axis
-    if domain.grid.dim == 1:
-        idx = domain.indices
-        if idx[-1] - idx[0] + 1 == idx.size:
-            return [idx]
+    grid = domain.grid
+    nonzero = np.nonzero(domain.mask.reshape((grid.nodes_per_axis,) * grid.dim))
+    runs = [np.arange(axis.min(), axis.max() + 1) for axis in nonzero]
+    if np.prod([run.size for run in runs]) != domain.node_count:
         return None
-    m2 = domain.mask.reshape(n, n)
-    rows = np.flatnonzero(m2.any(axis=1))
-    cols = np.flatnonzero(m2.any(axis=0))
-    if rows[-1] - rows[0] + 1 != rows.size or cols[-1] - cols[0] + 1 != cols.size:
-        return None
-    if not np.array_equal(m2, np.outer(np.isin(np.arange(n), rows), np.isin(np.arange(n), cols))):
-        return None
-    return [rows, cols]
+    return runs
 
 
 def _mask_eigenbasis(domain: SubDomain) -> EigenDecomposition:
@@ -193,25 +184,10 @@ def _laplacian_matrix(domain: SubDomain) -> np.ndarray:
     pos[idx] = np.arange(idx.size)
     a = np.zeros((idx.size, idx.size))
     np.fill_diagonal(a, 2.0 * grid.dim / h2)
-    n = grid.nodes_per_axis
-    for f_i, f in enumerate(idx):
-        if grid.dim == 1:
-            neighbors = [g for g in (f - 1, f + 1) if 0 <= g < n]
-        else:
-            i, j = divmod(int(f), n)
-            neighbors = []
-            if i > 0:
-                neighbors.append(f - n)
-            if i < n - 1:
-                neighbors.append(f + n)
-            if j > 0:
-                neighbors.append(f - 1)
-            if j < n - 1:
-                neighbors.append(f + 1)
-        for g in neighbors:
-            g_i = pos[g]
-            if g_i >= 0:
-                a[f_i, g_i] = -1.0 / h2
+    for f_i, f in enumerate(idx.tolist()):
+        for g in grid.neighbors(f):
+            if pos[g] >= 0:
+                a[f_i, pos[g]] = -1.0 / h2
     return a
 
 
@@ -370,23 +346,6 @@ def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumCompar
     )
 
 
-def positivity_check(
-    domain: SubDomain, box: BoxGrid, s: float, u: np.ndarray
-) -> tuple[float, int]:
-    """Minimum entry (and its index) of the gap operator applied to u >= 0.
-
-    The continuum theory predicts a nonnegative result for nonnegative
-    input; the discrete analogue is checked empirically, entry by entry.
-    """
-    v = np.asarray(u, dtype=float)
-    if np.any(v < 0):
-        raise ValueError("input vector must be entrywise nonnegative")
-    diff = difference_operator(domain, box, s)
-    out = diff.apply(v)
-    witness = int(np.argmin(out))
-    return float(out[witness]), witness
-
-
 def monotonicity_check(
     inner: SubDomain, outer: SubDomain, box: BoxGrid, s: float, u: np.ndarray
 ) -> tuple[float, float, float]:
@@ -396,16 +355,15 @@ def monotonicity_check(
     triple is nondecreasing left to right, exactly at matrix level.
     """
     idx_inner = _embedded_indices(inner, box)
-    idx_outer = _embedded_indices(outer, box)
-    if not np.all(np.isin(idx_inner, idx_outer)):
+    outer_on_box = outer if outer.grid == box else outer.on_grid(box)
+    if not outer_on_box.mask[idx_inner].all():
         raise ValueError("masks are not nested: inner domain must lie inside the outer one")
     v = np.asarray(u, dtype=float)
     if v.shape != (inner.node_count,):
         raise ValueError(f"expected {inner.node_count} values on the inner mask")
     q_inner = navier_operator(inner, s).form(v)
-    outer_on_box = outer if outer.grid == box else outer.on_grid(box)
     v_outer = np.zeros(outer_on_box.node_count)
-    v_outer[np.searchsorted(idx_outer, idx_inner)] = v
+    v_outer[np.searchsorted(outer_on_box.indices, idx_inner)] = v
     q_outer = navier_operator(outer_on_box, s).form(v_outer)
     q_restricted = dirichlet_operator(inner, box, s).form(v)
     return q_restricted, q_outer, q_inner

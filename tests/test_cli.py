@@ -1,12 +1,19 @@
 """Config parsing, experiment runs, report writing, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import fraclab
 from fraclab.cli import (
     Check,
     ConfigError,
+    ExperimentConfig,
     ExperimentReport,
     main,
     parse_config,
@@ -61,6 +68,66 @@ def test_parse_rejects_duplicates_and_garbage_lines():
         parse_config("seed = 1\nseed = 2")
     with pytest.raises(ConfigError, match="key = value"):
         parse_config("seed 1")
+
+
+# One non-default value per ExperimentConfig field, under its dotted key.
+EVERY_KEY = """
+kind = sweep
+seed = 3
+dim = 2
+shape = disk:0.4
+box.halfwidth = 2.0
+box.nodes = 30
+s.values = 0.3,0.6
+alpha.values = 1,3
+trials = 7
+extension.layers = 16
+extension.height = 3.5
+extension.grading = 2.5
+sobolev.pad = 3
+tol.margin = 2e-9
+tol.coincidence = 3e-10
+tol.positivity = 4e-8
+tol.chain = 5e-10
+tol.energy_gap = 0.04
+tol.sobolev_gap = 0.2
+tol.ratio_final = 1.1
+out.dir = results
+"""
+
+
+def test_every_field_is_set_through_its_dotted_key():
+    expected = ExperimentConfig(
+        kind="sweep", seed=3, dim=2, shape="disk:0.4", box_halfwidth=2.0, box_nodes=30,
+        s_values=(0.3, 0.6), alpha_values=(1.0, 3.0), trials=7, extension_layers=16,
+        extension_height=3.5, extension_grading=2.5, sobolev_pad=3, tol_margin=2e-9,
+        tol_coincidence=3e-10, tol_positivity=4e-8, tol_chain=5e-10, tol_energy_gap=0.04,
+        tol_sobolev_gap=0.2, tol_ratio_final=1.1, out_dir="results",
+    )
+    default = ExperimentConfig()
+    assert all(getattr(expected, f.name) != getattr(default, f.name) for f in fields(default))
+    assert parse_config(EVERY_KEY) == expected
+
+
+@pytest.mark.parametrize("line, message", [
+    ("box.nodes = 1.5", "box.nodes: cannot parse '1.5' (invalid literal for int()"),
+    ("tol.chain = tiny", "tol.chain: cannot parse 'tiny' (could not convert"),
+    ("s.values = ,", "s.values: cannot parse ',' (empty list)"),
+])
+def test_parse_reports_unparsable_values(line, message):
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"seed = 1\n{line}")
+    assert message in str(err.value)
+
+
+def test_cli_import_leaves_out_heavy_scipy_modules():
+    # every CLI start pays for what fraclab.cli imports
+    src = Path(fraclab.__file__).resolve().parents[1]
+    code = ("import sys, fraclab.cli; "
+            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout.strip() == "[]"
 
 
 def test_config_echo_round_trips_into_report():

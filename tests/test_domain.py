@@ -109,7 +109,7 @@ def test_restrict_then_extend_identity_on_supported():
     v = extend_by_zero(rng.standard_normal(om.node_count), om)
     again = extend_by_zero(restrict(v, om), om)
     assert np.array_equal(again.values, v.values)
-    assert v.supported_in(om)
+    assert not np.any(v.values[~om.mask])
 
 
 def test_extend_by_zero_on_full_box_is_identity():
@@ -219,6 +219,50 @@ def test_random_nested_masks_nest():
     assert inner.node_count == 4
     assert outer.node_count == 9
     assert np.all(outer.mask[inner.mask])
+
+
+# Indices drawn from default_rng(2024): one random_connected_mask, then one
+# random_nested_masks pair from the same generator.  They pin the neighbour
+# order of BoxGrid.neighbors and the order in which growth draws mask nodes.
+GOLDEN_MASKS = [
+    ((1, 40, 9, 5, 14), [4, 5, 6, 7, 8, 9, 10, 11, 12], [17, 18, 19, 20, 21],
+     [12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25]),
+    ((2, 12, 9, 5, 14), [20, 21, 22, 33, 34, 35, 45, 46, 47], [128, 129, 140, 141, 142],
+     [104, 116, 117, 125, 128, 129, 130, 137, 138, 139, 140, 141, 142, 143]),
+    ((2, 4, 9, 5, 14), [1, 2, 3, 5, 6, 7, 9, 10, 11], [1, 2, 3, 5, 6],
+     [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 15]),
+]
+
+
+@pytest.mark.parametrize("case, single, inner, outer", GOLDEN_MASKS)
+def test_random_masks_are_pinned_by_the_seed(case, single, inner, outer):
+    dim, n, single_size, inner_size, outer_size = case
+    g = make_box(dim, 1.0, n)
+    rng = np.random.default_rng(2024)
+    assert random_connected_mask(g, single_size, rng).indices.tolist() == single
+    pair = random_nested_masks(g, inner_size, outer_size, rng)
+    assert [om.indices.tolist() for om in pair] == [inner, outer]
+
+
+@pytest.mark.parametrize("f, expected", [
+    (0, [4, 1]),             # corner: no row above, no column left
+    (3, [7, 2]),             # corner at the end of the first row
+    (15, [11, 14]),          # last corner
+    (2, [6, 1, 3]),          # top edge
+    (8, [4, 12, 9]),         # left edge
+    (7, [3, 11, 6]),         # right edge
+    (5, [1, 9, 4, 6]),       # interior: f-n, f+n, f-1, f+1
+])
+def test_neighbors_2d_order_and_bounds(f, expected):
+    assert make_box(2, 1.0, 4).neighbors(f) == expected
+
+
+def test_neighbors_1d_order_and_ends():
+    g = make_box(1, 1.0, 5)
+    assert g.neighbors(0) == [1]
+    assert g.neighbors(4) == [3]
+    assert g.neighbors(2) == [1, 3]
+    assert make_box(1, 1.0, 1).neighbors(0) == []
 
 
 def test_grid_embedding_requires_alignment():

@@ -13,7 +13,6 @@ from fraclab.operators import (
     fourier_form,
     monotonicity_check,
     navier_operator,
-    positivity_check,
 )
 from fraclab.domain import GridFunction, extend_by_zero
 
@@ -296,8 +295,8 @@ def test_compare_spectra_full_sweep_positive_margins(dim):
 def test_positivity_zero_input():
     box = make_box(1, 1.0, 32)
     om = centered_interval(box, 8)
-    mn, _ = positivity_check(om, box, 0.5, np.zeros(om.node_count))
-    assert mn == 0.0
+    out = difference_operator(om, box, 0.5).apply(np.zeros(om.node_count))
+    assert out.min() == 0.0
 
 
 def test_positivity_single_node_indicator():
@@ -305,26 +304,17 @@ def test_positivity_single_node_indicator():
     om = centered_interval(box, 8)
     u = np.zeros(om.node_count)
     u[3] = 1.0
-    mn, witness = positivity_check(om, box, 0.5, u)
-    assert mn >= -1e-10
-    assert 0 <= witness < om.node_count
+    out = difference_operator(om, box, 0.5).apply(u)
+    assert out.shape == (om.node_count,)
+    assert out.min() >= -1e-10
 
 
 def test_positivity_ground_state():
     box = make_box(1, 1.0, 64)
     om = centered_interval(box, 8)
     u = np.abs(assemble_laplacian(om).eigen.eigenvectors[:, 0])
-    mn, _ = positivity_check(om, box, 0.25, u)
-    assert mn > 0.0
-
-
-def test_positivity_rejects_negative_entries():
-    box = make_box(1, 1.0, 32)
-    om = centered_interval(box, 8)
-    u = np.zeros(om.node_count)
-    u[0] = -1e-3
-    with pytest.raises(ValueError):
-        positivity_check(om, box, 0.5, u)
+    out = difference_operator(om, box, 0.25).apply(u)
+    assert out.min() > 0.0
 
 
 # -------------------------------------------------------- monotonicity check
