@@ -209,7 +209,9 @@ def dilation_sweep(
 
     ``u`` lives on Omega's nodes and is zero-extended into each dilate; all
     dilates must fit on Omega's existing box (the common lattice), otherwise
-    the sweep raises.  Ratios are >= 1 up to roundoff and decrease toward 1.
+    the sweep raises.  Ratios are >= 1 up to roundoff and decrease toward 1,
+    strictly only while the lattice resolves each dilate, so two factors that
+    give the same mask raise.
     """
     alphas = [float(a) for a in alphas]
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
@@ -221,6 +223,7 @@ def dilation_sweep(
     q_dir = dirichlet_operator(domain, box, s).form(vals)
     rows = []
     base_idx = domain.indices
+    previous = None
     for alpha in alphas:
         try:
             dil = dilate(domain, alpha, max_halfwidth=box.halfwidth)
@@ -228,6 +231,10 @@ def dilation_sweep(
             raise ValueError(f"grid/box capacity exceeded at alpha={alpha}: {exc}") from exc
         if not dil.mask[base_idx].all():
             raise ValueError(f"dilate by alpha={alpha} does not contain the base domain")
+        if previous is not None and np.array_equal(dil.mask, previous.mask):
+            raise ValueError(f"alpha={rows[-1].alpha:g} and alpha={alpha:g} give the same "
+                             f"{dil.node_count}-node mask on this lattice; refine the grid")
+        previous = dil
         v = np.zeros(dil.node_count)
         v[np.searchsorted(dil.indices, base_idx)] = vals
         q_nav = navier_operator(dil, s).form(v)

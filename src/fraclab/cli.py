@@ -336,6 +336,9 @@ def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], lis
     box = _build_box(cfg)  # the random masks stay far below the mask cap
     rng = np.random.default_rng(cfg.seed)
     max_png = 6 if cfg.dim == 1 else 10
+    if box.size < 2 * max_png + 1:
+        raise ConfigError(f"box.nodes: the random outer masks take up to {2 * max_png + 1} "
+                          f"nodes, more than the box's {box.size}; raise box.nodes")
     rows, checks = [], []
     for s in cfg.s_values:
         worst = np.inf
@@ -443,7 +446,10 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check
     _check_mask(largest, "alpha.values")
     s = cfg.s_values[0]
     u = _ground_state(domain)
-    table = dilation_sweep(u, domain, s, list(cfg.alpha_values))
+    try:
+        table = dilation_sweep(u, domain, s, list(cfg.alpha_values))
+    except ValueError as exc:
+        raise ConfigError(f"alpha.values: {exc}") from exc
     rows = [[r.alpha, r.q_navier, r.q_dirichlet, r.ratio] for r in table]
     ratios = np.array([r.ratio for r in table])
     checks = [

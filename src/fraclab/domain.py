@@ -3,8 +3,9 @@
 A :class:`BoxGrid` is a uniform tensor grid of interior nodes on the open
 box (-L, L)^dim with step h = 2L/(N+1); it stands in for the whole space
 once L is large.  A :class:`SubDomain` marks the nodes lying strictly
-inside a shape (interval, square, L-shape, disk, or a custom mask), and a
-:class:`GridFunction` carries nodal values on the full grid.  Functions
+inside a shape (interval, square, L-shape, disk, or a custom mask) and
+owns Omega's Laplacian A_Omega and its eigenbasis, built once on first use;
+a :class:`GridFunction` carries nodal values on the full grid.  Functions
 "supported in Omega" vanish on every node outside the mask; zero-extension
 and restriction convert between the two representations.
 
@@ -18,8 +19,11 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
+
+from .linalg import EigenDecomposition, eigendecompose, sym_matrix
 
 __all__ = [
     "BoxGrid",
@@ -117,9 +121,30 @@ class BoxGrid:
         return [f + d for inside, d in steps if inside]
 
 
-@dataclass(frozen=True)
+@lru_cache(maxsize=64)
+def _interval_eigenbasis(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form spectrum of the m-node second-difference matrix.
+
+    lambda_j = (2 - 2 cos(j pi/(m+1)))/h^2 with discrete sine eigenvectors;
+    exact up to rounding, no iterative eigensolve needed.
+    """
+    j = np.arange(1, m + 1, dtype=float)
+    lam = (2.0 - 2.0 * np.cos(j * np.pi / (m + 1))) / h**2
+    i = np.arange(1, m + 1, dtype=float)[:, None]
+    q = np.sqrt(2.0 / (m + 1)) * np.sin(i * j[None, :] * np.pi / (m + 1))
+    lam.flags.writeable = False
+    q.flags.writeable = False
+    return lam, q
+
+
+@dataclass(frozen=True, eq=False)
 class SubDomain:
-    """Node mask identifying a domain Omega inside a box grid."""
+    """Node mask identifying a domain Omega inside a box grid.
+
+    Omega's Laplacian and its eigenbasis are computed on first use and kept
+    with the instance, which is immutable; equality and hashing therefore go
+    by identity, not by mask contents.
+    """
 
     grid: BoxGrid
     mask: np.ndarray
@@ -156,6 +181,52 @@ class SubDomain:
         mask = np.zeros(other.size, dtype=bool)
         mask[idx[self.mask]] = True
         return SubDomain(grid=other, mask=mask, shape=self.shape, params=self.params)
+
+    @cached_property
+    def laplacian(self) -> np.ndarray:
+        """A_Omega, the second-order central-difference Laplacian on the mask.
+
+        Row stencil (-1, 2, -1)/h^2 in 1D, the five-point stencil in 2D, with
+        homogeneous exterior values; equals the box matrix compressed to the
+        mask.  Symmetric and read-only.
+        """
+        grid = self.grid
+        h2 = grid.h**2
+        idx = self.indices
+        pos = np.full(grid.size, -1, dtype=int)
+        pos[idx] = np.arange(idx.size)
+        a = np.zeros((idx.size, idx.size))
+        np.fill_diagonal(a, 2.0 * grid.dim / h2)
+        for f_i, f in enumerate(idx.tolist()):
+            for g in grid.neighbors(f):
+                if pos[g] >= 0:
+                    a[f_i, pos[g]] = -1.0 / h2
+        return sym_matrix(a)
+
+    @cached_property
+    def eigen(self) -> EigenDecomposition:
+        """Ascending eigenbasis of :attr:`laplacian`, shared by every exponent.
+
+        A mask that fills its bounding box is a rectangle, whose Laplacian is
+        the tensor product of second-difference matrices, so its basis is the
+        Kronecker product of closed-form 1D sine bases; other masks go to
+        LAPACK.
+        """
+        grid = self.grid
+        nonzero = np.nonzero(self.mask.reshape((grid.nodes_per_axis,) * grid.dim))
+        sides = [int(axis.max() - axis.min() + 1) for axis in nonzero]
+        if np.prod(sides) != self.node_count:
+            return eigendecompose(self.laplacian)
+        if grid.dim == 1:
+            lam, q = _interval_eigenbasis(sides[0], grid.h)
+        else:
+            lam_r, q_r = _interval_eigenbasis(sides[0], grid.h)
+            lam_c, q_c = _interval_eigenbasis(sides[1], grid.h)
+            lam = (lam_r[:, None] + lam_c[None, :]).ravel()
+            order = np.argsort(lam, kind="stable")
+            lam, q = lam[order], np.kron(q_r, q_c)[:, order]
+        return EigenDecomposition(eigenvalues=np.ascontiguousarray(lam),
+                                  eigenvectors=np.ascontiguousarray(q))
 
 
 @dataclass(frozen=True)
@@ -361,10 +432,13 @@ def _grow(grid: BoxGrid, mask: np.ndarray, cells: list[int], size: int,
     ``cells`` lists the mask's nodes; each attempt draws one of them, then one
     of its grid neighbours, and adds that neighbour if it is new.  Both the
     order of ``cells`` and that of :meth:`BoxGrid.neighbors` fix which nodes a
-    seed yields.  Growth stops after 100 * size attempts.
+    seed yields.  Raises if 100 * size attempts leave the mask short.
     """
     attempts = 0
-    while len(cells) < size and attempts < 100 * size:
+    while len(cells) < size:
+        if attempts == 100 * size:
+            raise RuntimeError(f"mask growth stalled at {len(cells)} of {size} nodes "
+                               f"after {attempts} attempts")
         attempts += 1
         valid = grid.neighbors(cells[int(rng.integers(len(cells)))])
         g = valid[int(rng.integers(len(valid)))]
@@ -393,6 +467,8 @@ def random_nested_masks(
     """
     if inner_size > outer_size:
         raise ValueError("inner mask cannot be larger than the outer mask")
+    if outer_size > grid.size:
+        raise ValueError(f"outer mask size {outer_size} exceeds the grid's {grid.size} nodes")
     inner = random_connected_mask(grid, inner_size, rng)
     outer = _grow(grid, inner.mask.copy(), inner.indices.tolist(), outer_size, rng)
     return inner, outer

@@ -28,13 +28,7 @@ import numpy as np
 
 from .analysis import extension_constant
 from .domain import SubDomain, extend_by_zero
-from .operators import (
-    _box_analysis,
-    _box_synthesis,
-    _mask_eigenbasis,
-    dirichlet_operator,
-    navier_operator,
-)
+from .operators import _box_analysis, _box_synthesis, dirichlet_operator, navier_operator
 
 __all__ = [
     "ExtensionMesh",
@@ -141,8 +135,9 @@ def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float)
 
     Each eigenmode with in-plane eigenvalue lam_j minimizes
     sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
-    subject to c_0 given and c_M = 0.  Returns the (n_modes, M+1) coefficient
-    lattice and the per-mode energies.
+    subject to c_0 given and c_M = 0, for M >= 4 layers as solve_extension
+    requires.  Returns the (n_modes, M+1) coefficient lattice and the
+    per-mode energies.
     """
     y = mesh.y
     m = mesh.layers
@@ -150,28 +145,24 @@ def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float)
     d = np.diff(y)
     k = mu / d**2
     nm = lam.size
-    if m == 1:
-        coef = np.concatenate([c0[:, None], np.zeros((nm, 1))], axis=1)
-    else:
-        diag = k[:-1] + k[1:] + np.outer(lam, w_right[:-1] + w_left[1:])
-        off = -k[1:-1]
-        rhs = np.zeros((nm, m - 1))
-        rhs[:, 0] = k[0] * c0
-        cp = np.zeros((nm, max(m - 2, 0)))
-        dp = np.zeros((nm, m - 1))
-        dp[:, 0] = rhs[:, 0] / diag[:, 0]
-        if m > 2:
-            cp[:, 0] = off[0] / diag[:, 0]
-        for i in range(1, m - 1):
-            den = diag[:, i] - off[i - 1] * cp[:, i - 1]
-            if i < m - 2:
-                cp[:, i] = off[i] / den
-            dp[:, i] = (rhs[:, i] - off[i - 1] * dp[:, i - 1]) / den
-        sol = np.zeros((nm, m - 1))
-        sol[:, -1] = dp[:, -1]
-        for i in range(m - 3, -1, -1):
-            sol[:, i] = dp[:, i] - cp[:, i] * sol[:, i + 1]
-        coef = np.concatenate([c0[:, None], sol, np.zeros((nm, 1))], axis=1)
+    diag = k[:-1] + k[1:] + np.outer(lam, w_right[:-1] + w_left[1:])
+    off = -k[1:-1]
+    rhs = np.zeros((nm, m - 1))
+    rhs[:, 0] = k[0] * c0
+    cp = np.zeros((nm, m - 2))
+    dp = np.zeros((nm, m - 1))
+    dp[:, 0] = rhs[:, 0] / diag[:, 0]
+    cp[:, 0] = off[0] / diag[:, 0]
+    for i in range(1, m - 1):
+        den = diag[:, i] - off[i - 1] * cp[:, i - 1]
+        if i < m - 2:
+            cp[:, i] = off[i] / den
+        dp[:, i] = (rhs[:, i] - off[i - 1] * dp[:, i - 1]) / den
+    sol = np.zeros((nm, m - 1))
+    sol[:, -1] = dp[:, -1]
+    for i in range(m - 3, -1, -1):
+        sol[:, i] = dp[:, i] - cp[:, i] * sol[:, i + 1]
+    coef = np.concatenate([c0[:, None], sol, np.zeros((nm, 1))], axis=1)
     steps = np.diff(coef, axis=1)
     energies = (steps**2) @ k + lam * ((coef[:, :-1] ** 2) @ w_left + (coef[:, 1:] ** 2) @ w_right)
     return coef, energies
@@ -179,9 +170,6 @@ def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float)
 
 def _residual_check(lam, coef, mesh, s, tol=1e-10):
     """Verify the tridiagonal systems were solved to the advertised residual."""
-    m = mesh.layers
-    if m == 1:
-        return
     mu, w_left, w_right = _cell_weights(mesh.y, s)
     k = mu / np.diff(mesh.y) ** 2
     diag = k[:-1] + k[1:] + np.outer(lam, w_right[:-1] + w_left[1:])
@@ -222,8 +210,7 @@ def solve_extension(
         raise ValueError("boundary values must be finite")
 
     if variant == "navier":
-        eigen = _mask_eigenbasis(domain)
-        lam, q = eigen.eigenvalues, eigen.eigenvectors
+        lam, q = domain.eigen.eigenvalues, domain.eigen.eigenvectors
         c0 = q.T @ vals
     else:
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)

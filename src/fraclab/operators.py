@@ -22,11 +22,10 @@ weight, so they discretize integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain
+from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenbasis
 from .linalg import EigenDecomposition, eigendecompose, spectral_power, sym_matrix
 
 __all__ = [
@@ -108,94 +107,16 @@ class SpectrumComparison:
         return list(zip(self.navier.tolist(), self.dirichlet.tolist()))
 
 
-@lru_cache(maxsize=64)
-def _interval_eigenbasis(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form spectrum of the m-node second-difference matrix.
-
-    lambda_j = (2 - 2 cos(j pi/(m+1)))/h^2 with discrete sine eigenvectors;
-    exact up to rounding, no iterative eigensolve needed.
-    """
-    j = np.arange(1, m + 1, dtype=float)
-    lam = (2.0 - 2.0 * np.cos(j * np.pi / (m + 1))) / h**2
-    i = np.arange(1, m + 1, dtype=float)[:, None]
-    q = np.sqrt(2.0 / (m + 1)) * np.sin(i * j[None, :] * np.pi / (m + 1))
-    lam.flags.writeable = False
-    q.flags.writeable = False
-    return lam, q
-
-
 def _as_subdomain(domain: SubDomain | BoxGrid) -> SubDomain:
     if isinstance(domain, BoxGrid):
         return SubDomain(grid=domain, mask=np.ones(domain.size, dtype=bool), shape="box")
     return domain
 
 
-def _rectangle_runs(domain: SubDomain) -> list[np.ndarray] | None:
-    """Per-axis contiguous index runs, if the mask is an axis-aligned rectangle.
-
-    The Laplacian restricted to such a mask is the tensor product of
-    second-difference matrices, so its eigenbasis is closed form.  The mask
-    lies inside its bounding box, so it is that box when the node counts agree.
-    """
-    grid = domain.grid
-    nonzero = np.nonzero(domain.mask.reshape((grid.nodes_per_axis,) * grid.dim))
-    runs = [np.arange(axis.min(), axis.max() + 1) for axis in nonzero]
-    if np.prod([run.size for run in runs]) != domain.node_count:
-        return None
-    return runs
-
-
-def _mask_eigenbasis(domain: SubDomain) -> EigenDecomposition:
-    """Sorted |Omega| x |Omega| eigenbasis of Omega's own Laplacian A_Omega.
-
-    Closed form (Kronecker product of 1D sine bases) for rectangle masks,
-    LAPACK otherwise.  The restricted operator never needs the box's basis
-    in this form; see :func:`_restricted_power`.
-    """
-    h = domain.grid.h
-    runs = _rectangle_runs(domain)
-    if runs is None:
-        return eigendecompose(_laplacian_matrix(domain))
-    if domain.grid.dim == 1:
-        lam, q = _interval_eigenbasis(runs[0].size, h)
-        order = np.arange(lam.size)
-    else:
-        lam_r, q_r = _interval_eigenbasis(runs[0].size, h)
-        lam_c, q_c = _interval_eigenbasis(runs[1].size, h)
-        lam = (lam_r[:, None] + lam_c[None, :]).ravel()
-        q = np.kron(q_r, q_c)
-        order = np.argsort(lam, kind="stable")
-        lam = lam[order]
-        q = q[:, order]
-    return EigenDecomposition(eigenvalues=np.ascontiguousarray(lam),
-                              eigenvectors=np.ascontiguousarray(q))
-
-
-def _laplacian_matrix(domain: SubDomain) -> np.ndarray:
-    """Second-order central-difference Laplacian on the masked nodes.
-
-    Row stencil (-1, 2, -1)/h^2 in 1D, the five-point stencil in 2D, with
-    homogeneous exterior values; equals the box matrix compressed to the mask.
-    """
-    grid = domain.grid
-    h2 = grid.h**2
-    idx = domain.indices
-    pos = np.full(grid.size, -1, dtype=int)
-    pos[idx] = np.arange(idx.size)
-    a = np.zeros((idx.size, idx.size))
-    np.fill_diagonal(a, 2.0 * grid.dim / h2)
-    for f_i, f in enumerate(idx.tolist()):
-        for g in grid.neighbors(f):
-            if pos[g] >= 0:
-                a[f_i, pos[g]] = -1.0 / h2
-    return a
-
-
 def assemble_laplacian(domain: SubDomain | BoxGrid) -> SymOperator:
     """Discrete Dirichlet Laplacian of the (sub)domain as a positive definite operator."""
     sd = _as_subdomain(domain)
-    matrix = sym_matrix(_laplacian_matrix(sd))
-    return SymOperator(matrix=matrix, eigen=_mask_eigenbasis(sd), kind="laplacian", domain=sd, s=None)
+    return SymOperator(matrix=sd.laplacian, eigen=sd.eigen, kind="laplacian", domain=sd, s=None)
 
 
 def _check_s(s: float) -> float:
@@ -213,9 +134,9 @@ def navier_operator(domain: SubDomain | BoxGrid, s: float) -> SymOperator:
     """
     s = _check_s(s)
     sd = _as_subdomain(domain)
-    eigen = _mask_eigenbasis(sd)
+    eigen = sd.eigen
     if s == 1.0:
-        matrix = sym_matrix(_laplacian_matrix(sd))
+        matrix = sd.laplacian
     else:
         matrix = spectral_power(eigen, s)
     powered = EigenDecomposition(
@@ -313,8 +234,8 @@ def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator
         # the power of the stencil restricts exactly, so reuse the mask basis
         # and the assembled matrix; coincidence with the spectral operator is
         # then bitwise, not merely within roundoff
-        matrix = sym_matrix(_laplacian_matrix(sd))
-        eigen = _mask_eigenbasis(sd)
+        matrix = sd.laplacian
+        eigen = sd.eigen
     else:
         matrix = sym_matrix(_restricted_power(idx, box, s))
         eigen = eigendecompose(matrix)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import fraclab
+from fraclab import cli, domain, extension, linalg, operators
 from fraclab.cli import (
     Check,
     ConfigError,
@@ -20,6 +21,7 @@ from fraclab.cli import (
     run,
     write_report,
 )
+from fraclab.domain import make_shape
 
 MINIMAL = """
 kind = spectra
@@ -258,6 +260,7 @@ def test_resource_guard_reports_hint():
     ("extension", "dim = 2\nbox.nodes = 64\nextension.layers = 1100\n", "extension.layers"),
     ("sweep", "dim = 2\nbox.nodes = 100\nalpha.values = 1,3\n", "alpha.values"),
     ("sweep", "dim = 2\nbox.nodes = 24\nalpha.values = 1,8\n", "alpha.values"),
+    ("monotonicity", "dim = 1\nbox.nodes = 12\n", "box.nodes"),
 ])
 def test_resource_guard_names_the_field(tmp_path, capsys, kind, text, field):
     path = tmp_path / "big.cfg"
@@ -276,3 +279,38 @@ def test_box_beyond_the_old_dense_basis_cap_runs(tmp_path, capsys):
         lines = capsys.readouterr().out.splitlines()
         verdicts = [line.split()[0] for line in lines if not line.startswith("wrote")]
         assert len(verdicts) == 3 and set(verdicts) == {"PASS"}
+
+
+def test_sweep_the_lattice_cannot_resolve_is_refused(tmp_path, capsys):
+    # at box.nodes = 24, dilating square:0.25 by 1 and by 1.5 gives one 16-node mask
+    path = tmp_path / "tied.cfg"
+    path.write_text("seed = 8\ndim = 2\nshape = square:0.25\nalpha.values = 1,1.5,2,3\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha.values: alpha=1 and alpha=1.5 give the same")
+    assert not list(tmp_path.glob("sweep.*"))
+
+
+def test_extension_factors_the_domain_laplacian_once(monkeypatch):
+    calls = []
+    original = linalg.eigendecompose
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return original(matrix, *args, **kwargs)
+
+    for module in (linalg, domain, operators, extension, cli):
+        if getattr(module, "eigendecompose", None) is original:
+            monkeypatch.setattr(module, "eigendecompose", counting)
+    built = []
+
+    def recording_make_shape(*args):
+        built.append(make_shape(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_shape", recording_make_shape)
+    cfg = parse_config("seed = 6\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,0.75\n")
+    run(cfg, kind="extension")
+    (disk,) = built
+    assert calls == [disk.node_count]
+    assert disk.eigen is disk.eigen

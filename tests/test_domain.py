@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fraclab.domain import (
+    _grow,
     dilate,
     extend_by_zero,
     make_box,
@@ -221,6 +222,17 @@ def test_random_nested_masks_nest():
     assert np.all(outer.mask[inner.mask])
 
 
+def test_random_nested_masks_refuse_an_outer_mask_larger_than_the_grid():
+    with pytest.raises(ValueError, match="outer mask size 9 exceeds the grid's 5 nodes"):
+        random_nested_masks(make_box(1, 1.0, 5), 2, 9, np.random.default_rng(0))
+
+
+def test_mask_growth_raises_when_it_stalls():
+    g = make_box(1, 1.0, 5)
+    with pytest.raises(RuntimeError, match="stalled at 5 of 6 nodes after 600 attempts"):
+        _grow(g, np.ones(5, dtype=bool), list(range(5)), 6, np.random.default_rng(0))
+
+
 # Indices drawn from default_rng(2024): one random_connected_mask, then one
 # random_nested_masks pair from the same generator.  They pin the neighbour
 # order of BoxGrid.neighbors and the order in which growth draws mask nodes.
@@ -263,6 +275,29 @@ def test_neighbors_1d_order_and_ends():
     assert g.neighbors(4) == [3]
     assert g.neighbors(2) == [1, 3]
     assert make_box(1, 1.0, 1).neighbors(0) == []
+
+
+def test_subdomain_equality_and_hash_go_by_identity():
+    g = make_box(2, 1.0, 8)
+    d = make_shape(g, "disk", (0.5,))
+    twin = make_shape(g, "disk", (0.5,))
+    assert d == d and d != twin
+    assert hash(d) == hash(d) and len({d, twin}) == 2
+
+
+@pytest.mark.parametrize("dim, n, shape, params", [
+    (1, 16, "interval", (-0.3, 0.5)),   # closed form, 1D
+    (2, 12, "square", (0.9,)),          # closed form, Kronecker product
+    (2, 12, "lshape", (1.2,)),          # LAPACK
+])
+def test_subdomain_eigenbasis_diagonalizes_its_laplacian(dim, n, shape, params):
+    d = make_shape(make_box(dim, 1.0, n), shape, params)
+    a, e = d.laplacian, d.eigen
+    q, lam = e.eigenvectors, e.eigenvalues
+    assert np.all(np.diff(lam) >= 0)
+    assert np.max(np.abs(q.T @ q - np.eye(d.node_count))) < 1e-12
+    assert np.max(np.abs((q * lam) @ q.T - a)) < 1e-12 * np.max(np.abs(a))
+    assert d.laplacian is a and d.eigen is e
 
 
 def test_grid_embedding_requires_alignment():
