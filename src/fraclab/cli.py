@@ -62,6 +62,7 @@ from .extension import (
     energy_identity_check,
     extension_ordering_check,
     graded_mesh,
+    solve_extension,
 )
 from .operators import (
     assemble_laplacian,
@@ -290,7 +291,7 @@ def _domain_diameter(domain: SubDomain) -> float:
 def _mesh_for(cfg: ExperimentConfig, domain: SubDomain, s: float):
     height = cfg.extension_height or 8.0 * _domain_diameter(domain)
     gamma = cfg.extension_grading or default_grading(s)
-    return height, graded_mesh(cfg.extension_layers, height, gamma)
+    return graded_mesh(cfg.extension_layers, height, gamma)
 
 
 def _run_spectra(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
@@ -377,9 +378,11 @@ def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[C
     for s in cfg.s_values:
         if s >= 1.0:
             raise ConfigError("extension experiment needs s strictly inside (0, 1)")
-        height, mesh = _mesh_for(cfg, domain, s)
-        ident = energy_identity_check(u, domain, "navier", s, height, mesh)
-        order = extension_ordering_check(u, domain, s, height, mesh)
+        mesh = _mesh_for(cfg, domain, s)
+        navier = solve_extension(u, domain, "navier", s, mesh)
+        ident = energy_identity_check(navier)
+        order = extension_ordering_check(navier, solve_extension(u, domain, "dirichlet", s, mesh))
+        del navier  # free this exponent's lattice before the next exponent's solves
         rows.append([s, ident.form_value, ident.energy_value, ident.rel_gap,
                      order.lattice_min, order.interior_min])
         checks.append(Check(name=f"energy_identity[s={s:g}]", margin=ident.rel_gap,

@@ -95,16 +95,18 @@ def graded_mesh(layers: int, height: float, gamma: float) -> ExtensionMesh:
 class ExtensionSolution:
     """Solution lattice of one extension solve and its weighted energy.
 
+    ``datum`` is the trace u on Omega's nodes exactly as given.
     ``values[i, k]`` is w at the i-th in-plane node and y-layer k; the rows
     are Omega's nodes for the navier variant and the whole box for the
-    dirichlet variant.  ``values[:, 0]`` is the boundary datum and
-    ``values[:, -1]`` is zero (truncation).
+    dirichlet variant.  ``values[:, 0]`` reproduces the datum to roundoff
+    and ``values[:, -1]`` is zero (truncation).
     """
 
     variant: str
     s: float
     domain: SubDomain
     mesh: ExtensionMesh
+    datum: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
     energy: float
 
@@ -113,6 +115,7 @@ class ExtensionSolution:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.energy >= 0.0 and math.isfinite(self.energy)):
             raise ValueError(f"energy must be finite and nonnegative, got {self.energy}")
+        self.datum.flags.writeable = False
         self.values.flags.writeable = False
 
 
@@ -185,15 +188,13 @@ def solve_extension(
     domain: SubDomain,
     variant: str,
     s: float,
-    height: float,
     mesh: ExtensionMesh,
 ) -> ExtensionSolution:
     """Minimize the weighted extension energy with trace u and w(., Y) = 0.
 
-    ``u`` holds values on Omega's nodes.  The navier variant solves on
-    Omega's nodes with zero lateral values; the dirichlet variant
-    zero-extends u and solves over the whole box.  ``height`` must agree
-    with the mesh truncation.
+    ``u`` holds values on Omega's nodes and Y is the mesh height.  The
+    navier variant solves on Omega's nodes with zero lateral values; the
+    dirichlet variant zero-extends u and solves over the whole box.
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -201,9 +202,7 @@ def solve_extension(
         raise ValueError(f"exponent must lie in (0, 1), got {s}")
     if mesh.layers < 4:
         raise ValueError(f"mesh too coarse: {mesh.layers} layers < 4")
-    if abs(mesh.height - height) > 1e-12 * max(1.0, height):
-        raise ValueError(f"height {height} disagrees with mesh truncation {mesh.height}")
-    vals = np.asarray(u, dtype=float)
+    vals = np.array(u, dtype=float)
     if vals.shape != (domain.node_count,):
         raise ValueError(f"expected {domain.node_count} boundary values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
@@ -219,8 +218,8 @@ def solve_extension(
     w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid)
     hdim = domain.grid.h ** domain.grid.dim
     energy = float(hdim * energies.sum())
-    return ExtensionSolution(variant=variant, s=float(s), domain=domain,
-                             mesh=mesh, values=w, energy=max(energy, 0.0))
+    return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
+                             datum=vals, values=w, energy=max(energy, 0.0))
 
 
 class IdentityCheck(NamedTuple):
@@ -229,52 +228,39 @@ class IdentityCheck(NamedTuple):
     rel_gap: float
 
 
-def energy_identity_check(
-    u: np.ndarray,
-    domain: SubDomain,
-    variant: str,
-    s: float,
-    height: float,
-    mesh: ExtensionMesh,
-) -> IdentityCheck:
+def energy_identity_check(sol: ExtensionSolution) -> IdentityCheck:
     """Compare the fractional quadratic form with (C_s/2s) times the extension energy.
 
-    The two sides agree in the continuum; discretely the relative gap is the
-    y-mesh error and must shrink under simultaneous refinement.
+    The form is that of ``sol.variant`` at ``sol.s`` on ``sol.domain``,
+    evaluated at the solution's datum.  The two sides agree in the
+    continuum; discretely the relative gap is the y-mesh error and must
+    shrink under simultaneous refinement.
     """
-    sol = solve_extension(u, domain, variant, s, height, mesh)
-    if variant == "navier":
-        form = navier_operator(domain, s).form(np.asarray(u, dtype=float))
+    s, domain = sol.s, sol.domain
+    if sol.variant == "navier":
+        form = navier_operator(domain, s).form(sol.datum)
     else:
-        box = domain.grid
-        form = dirichlet_operator(domain, box, s).form(np.asarray(u, dtype=float))
+        form = dirichlet_operator(domain, domain.grid, s).form(sol.datum)
     rhs = extension_constant(s) / (2.0 * s) * sol.energy
     denom = max(abs(form), 1e-300)
     return IdentityCheck(form_value=form, energy_value=rhs, rel_gap=abs(form - rhs) / denom)
 
 
-def trace_limit(
-    sol: ExtensionSolution, u: np.ndarray, s: float, fit_layers: int = 4
-) -> np.ndarray:
-    """Recover the fractional operator applied to u from the y -> 0 layer.
+def trace_limit(sol: ExtensionSolution, fit_layers: int = 4) -> np.ndarray:
+    """Recover the fractional operator applied to the datum from the y -> 0 layer.
 
     Fits w(x, y) ~ u(x) + c(x) y^(2s) by least squares over the first
     ``fit_layers`` y-layers and returns -C_s c(x) on Omega's nodes.  Fewer
     than 3 usable layers make the one-parameter fit meaningless and raise.
     """
-    if abs(s - sol.s) > 1e-12:
-        raise ValueError(f"exponent {s} disagrees with the solution's {sol.s}")
     usable = min(fit_layers, sol.mesh.layers - 1)
     if usable < 3:
         raise ValueError(f"trace fit ill-conditioned: only {usable} usable layers (< 3)")
-    vals = np.asarray(u, dtype=float)
-    if vals.shape != (sol.domain.node_count,):
-        raise ValueError(f"expected {sol.domain.node_count} values of the boundary datum")
     w = sol.values if sol.variant == "navier" else sol.values[sol.domain.indices]
     yk = sol.mesh.y[1 : usable + 1]
-    basis = yk ** (2.0 * s)
-    coeff = ((w[:, 1 : usable + 1] - vals[:, None]) @ basis) / np.sum(basis**2)
-    return -extension_constant(s) * coeff
+    basis = yk ** (2.0 * sol.s)
+    coeff = ((w[:, 1 : usable + 1] - sol.datum[:, None]) @ basis) / np.sum(basis**2)
+    return -extension_constant(sol.s) * coeff
 
 
 class OrderingCheck(NamedTuple):
@@ -283,26 +269,31 @@ class OrderingCheck(NamedTuple):
 
 
 def extension_ordering_check(
-    u: np.ndarray,
-    domain: SubDomain,
-    s: float,
-    height: float,
-    mesh: ExtensionMesh,
+    navier: ExtensionSolution, dirichlet: ExtensionSolution
 ) -> OrderingCheck:
-    """Pointwise ordering of the two extensions for a nonnegative trace.
+    """Pointwise ordering of the two extensions of one nonnegative trace.
 
-    Solves both variants for u >= 0 and returns the minimum of
+    Takes a navier and a dirichlet solution of the same domain, exponent,
+    mesh and datum u >= 0, and returns the minimum of
     W = w_dirichlet - w_navier over Omega's closed y-lattice and over the
     interior layers 0 < y < Y.  The discrete maximum principle makes W >= 0,
     with strict sign inside whenever u is not identically zero, up to solver
     roundoff.
     """
-    vals = np.asarray(u, dtype=float)
-    if np.any(vals < 0):
+    if (navier.variant, dirichlet.variant) != ("navier", "dirichlet"):
+        raise ValueError(f"expected a navier and a dirichlet solution, in that order, "
+                         f"got {navier.variant!r} and {dirichlet.variant!r}")
+    if navier.domain is not dirichlet.domain:
+        raise ValueError("the two solutions belong to different domains")
+    if navier.s != dirichlet.s:
+        raise ValueError(f"the two solutions have exponents {navier.s} and {dirichlet.s}")
+    if not np.array_equal(navier.mesh.y, dirichlet.mesh.y):
+        raise ValueError("the two solutions were solved on different y-meshes")
+    if not np.array_equal(navier.datum, dirichlet.datum):
+        raise ValueError("the two solutions have different data")
+    if np.any(navier.datum < 0):
         raise ValueError("boundary datum must be entrywise nonnegative")
-    sol_n = solve_extension(vals, domain, "navier", s, height, mesh)
-    sol_d = solve_extension(vals, domain, "dirichlet", s, height, mesh)
-    w_diff = sol_d.values[domain.indices] - sol_n.values
+    w_diff = dirichlet.values[navier.domain.indices] - navier.values
     return OrderingCheck(
         lattice_min=float(w_diff.min()),
         interior_min=float(w_diff[:, 1:-1].min()),

@@ -33,6 +33,7 @@ from fraclab.extension import (
     energy_identity_check,
     extension_ordering_check,
     graded_mesh,
+    solve_extension,
 )
 from fraclab.operators import (
     assemble_laplacian,
@@ -183,7 +184,7 @@ def test_criterion_6_extension_energy_identity():
     values = {}
     for layers in (32, 128):
         mesh = graded_mesh(layers, 8.0, default_grading(0.5))
-        chk = energy_identity_check(u, omega, "navier", 0.5, 8.0, mesh)
+        chk = energy_identity_check(solve_extension(u, omega, "navier", 0.5, mesh))
         gaps[layers] = chk.rel_gap
         values[layers] = chk
     chk = values[128]
@@ -211,7 +212,8 @@ def test_criterion_7_extension_ordering():
     worst_interior = np.inf
     for s in (0.25, 0.5, 0.75):
         mesh = graded_mesh(64, height, default_grading(s))
-        chk = extension_ordering_check(u, omega, s, height, mesh)
+        chk = extension_ordering_check(solve_extension(u, omega, "navier", s, mesh),
+                                       solve_extension(u, omega, "dirichlet", s, mesh))
         worst_lattice = min(worst_lattice, chk.lattice_min)
         worst_interior = min(worst_interior, chk.interior_min)
     elapsed = time.perf_counter() - start

@@ -94,7 +94,7 @@ def test_dirichlet_extension_matches_dense_box_basis(name, s):
     _, dom = _case(name)
     mesh = graded_mesh(32, 8.0, 2.0)
     u = np.random.default_rng(7).random(dom.node_count)
-    sol = solve_extension(u, dom, "dirichlet", s, 8.0, mesh)
+    sol = solve_extension(u, dom, "dirichlet", s, mesh)
     values, energy = _dense_dirichlet_extension(u, dom, s, mesh)
     assert sol.values.shape == values.shape
     assert _rel(sol.values, values) <= REL_TOL

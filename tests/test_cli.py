@@ -314,3 +314,20 @@ def test_extension_factors_the_domain_laplacian_once(monkeypatch):
     (disk,) = built
     assert calls == [disk.node_count]
     assert disk.eigen is disk.eigen
+
+
+def test_extension_solves_each_variant_once_per_exponent(monkeypatch):
+    calls = []
+    original = extension.solve_extension
+
+    def counting(u, domain, variant, s, *args, **kwargs):
+        calls.append((variant, s))
+        return original(u, domain, variant, s, *args, **kwargs)
+
+    for module in (linalg, domain, operators, extension, cli):
+        if getattr(module, "solve_extension", None) is original:
+            monkeypatch.setattr(module, "solve_extension", counting)
+    cfg = parse_config("seed = 6\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,0.75\n")
+    run(cfg, kind="extension")
+    expected = [(v, s) for v in ("navier", "dirichlet") for s in (0.25, 0.5, 0.75)]
+    assert sorted(calls) == sorted(expected)

@@ -41,6 +41,11 @@ def embedded_interval():
     return box, dom, u, height
 
 
+def _both_variants(u, dom, s, mesh):
+    """The navier and the dirichlet solution for one datum, in that order."""
+    return tuple(solve_extension(u, dom, variant, s, mesh) for variant in ("navier", "dirichlet"))
+
+
 def test_mesh_validation():
     m = graded_mesh(16, 4.0, 2.0)
     assert m.layers == 16
@@ -66,7 +71,7 @@ def test_default_grading():
 def test_solve_extension_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(16, 8.0, 2.0)
-    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, 8.0, mesh)
+    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
     assert np.all(sol.values == 0.0)
     assert sol.energy == 0.0
 
@@ -76,15 +81,13 @@ def test_solve_extension_rejects_bad_input(unit_interval):
     mesh = graded_mesh(16, 8.0, 2.0)
     u = np.ones(dom.node_count)
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "robin", 0.5, 8.0, mesh)
+        solve_extension(u, dom, "robin", 0.5, mesh)
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "navier", 1.5, 8.0, mesh)
+        solve_extension(u, dom, "navier", 1.5, mesh)
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "navier", 0.5, 4.0, mesh)  # height mismatch
+        solve_extension(u, dom, "navier", 0.5, graded_mesh(3, 8.0, 2.0))
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "navier", 0.5, 8.0, graded_mesh(3, 8.0, 2.0))
-    with pytest.raises(ValueError):
-        solve_extension(np.ones(3), dom, "navier", 0.5, 8.0, mesh)
+        solve_extension(np.ones(3), dom, "navier", 0.5, mesh)
 
 
 def test_half_exponent_closed_form_solution(unit_interval):
@@ -93,7 +96,7 @@ def test_half_exponent_closed_form_solution(unit_interval):
     dom, x = unit_interval
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
-    sol = solve_extension(u, dom, "navier", 0.5, 8.0, mesh)
+    sol = solve_extension(u, dom, "navier", 0.5, mesh)
     sel = (mesh.y > 0.05) & (mesh.y < 1.5)
     exact = np.outer(np.sin(np.pi * x), np.exp(-np.pi * mesh.y[sel]))
     rel = np.linalg.norm(sol.values[:, sel] - exact) / np.linalg.norm(exact)
@@ -108,7 +111,7 @@ def test_half_exponent_energy_converges_to_closed_form(unit_interval):
     errors = []
     for layers in (32, 64, 128):
         mesh = graded_mesh(layers, 8.0, 2.0)
-        sol = solve_extension(u, dom, "navier", 0.5, 8.0, mesh)
+        sol = solve_extension(u, dom, "navier", 0.5, mesh)
         errors.append(abs(sol.energy - target))
     assert errors[-1] <= 0.01 * target
     assert errors[0] > errors[1] > errors[2]
@@ -118,7 +121,7 @@ def test_energy_identity_half_exponent(unit_interval):
     dom, x = unit_interval
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
-    chk = energy_identity_check(u, dom, "navier", 0.5, 8.0, mesh)
+    chk = energy_identity_check(solve_extension(u, dom, "navier", 0.5, mesh))
     # C_s/(2s) = 1 at s = 1/2: both sides approximate pi/2
     assert chk.form_value == pytest.approx(np.pi / 2.0, rel=1e-4)
     assert chk.energy_value == pytest.approx(np.pi / 2.0, rel=1e-2)
@@ -128,7 +131,8 @@ def test_energy_identity_half_exponent(unit_interval):
 def test_energy_identity_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(16, 8.0, 2.0)
-    chk = energy_identity_check(np.zeros(dom.node_count), dom, "navier", 0.5, 8.0, mesh)
+    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
+    chk = energy_identity_check(sol)
     assert chk.form_value == 0.0
     assert chk.energy_value == 0.0
 
@@ -139,7 +143,7 @@ def test_energy_identity_quarter_exponent_self_convergence(unit_interval):
     gaps = {}
     for layers in (64, 128):
         mesh = graded_mesh(layers, 8.0, 2.0)
-        gaps[layers] = energy_identity_check(u, dom, "navier", 0.25, 8.0, mesh).rel_gap
+        gaps[layers] = energy_identity_check(solve_extension(u, dom, "navier", 0.25, mesh)).rel_gap
     assert gaps[64] <= 0.05
     assert gaps[128] < gaps[64]
 
@@ -147,15 +151,15 @@ def test_energy_identity_quarter_exponent_self_convergence(unit_interval):
 def test_energy_identity_dirichlet_variant(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(96, height, 2.0)
-    chk = energy_identity_check(u, dom, "dirichlet", 0.5, height, mesh)
+    chk = energy_identity_check(solve_extension(u, dom, "dirichlet", 0.5, mesh))
     assert chk.rel_gap <= 0.05
 
 
 def test_trace_limit_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(32, 8.0, 2.0)
-    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, 8.0, mesh)
-    assert np.allclose(trace_limit(sol, np.zeros(dom.node_count), 0.5), 0.0)
+    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
+    assert np.allclose(trace_limit(sol), 0.0)
 
 
 def test_trace_limit_half_exponent_closed_form(unit_interval):
@@ -163,8 +167,8 @@ def test_trace_limit_half_exponent_closed_form(unit_interval):
     dom, x = unit_interval
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
-    sol = solve_extension(u, dom, "navier", 0.5, 8.0, mesh)
-    got = trace_limit(sol, u, 0.5)
+    sol = solve_extension(u, dom, "navier", 0.5, mesh)
+    got = trace_limit(sol)
     target = np.pi * np.sin(np.pi * x)
     assert np.linalg.norm(got - target) / np.linalg.norm(target) <= 0.05
 
@@ -173,10 +177,10 @@ def test_trace_limit_half_exponent_closed_form(unit_interval):
 def test_trace_limit_matches_matrix_operators(embedded_interval, s):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(96, height, default_grading(s))
-    sol_d = solve_extension(u, dom, "dirichlet", s, height, mesh)
-    sol_n = solve_extension(u, dom, "navier", s, height, mesh)
-    trace_d = trace_limit(sol_d, u, s)
-    trace_n = trace_limit(sol_n, u, s)
+    sol_d = solve_extension(u, dom, "dirichlet", s, mesh)
+    sol_n = solve_extension(u, dom, "navier", s, mesh)
+    trace_d = trace_limit(sol_d)
+    trace_n = trace_limit(sol_n)
     ref_d = dirichlet_operator(dom, box, s).apply(u)
     ref_n = navier_operator(dom, s).apply(u)
     assert np.linalg.norm(trace_d - ref_d) / np.linalg.norm(ref_d) <= 0.10
@@ -191,18 +195,16 @@ def test_trace_limit_needs_three_layers(unit_interval):
     dom, x = unit_interval
     mesh = graded_mesh(8, 8.0, 2.0)
     u = np.sin(np.pi * x)
-    sol = solve_extension(u, dom, "navier", 0.5, 8.0, mesh)
+    sol = solve_extension(u, dom, "navier", 0.5, mesh)
     with pytest.raises(ValueError):
-        trace_limit(sol, u, 0.5, fit_layers=2)
-    with pytest.raises(ValueError):
-        trace_limit(sol, u, 0.25)  # exponent mismatch
+        trace_limit(sol, fit_layers=2)
 
 
 def test_discrete_maximum_principle(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(48, height, 2.0)
     for variant in ("navier", "dirichlet"):
-        sol = solve_extension(u, dom, variant, 0.5, height, mesh)
+        sol = solve_extension(u, dom, variant, 0.5, mesh)
         assert sol.values.min() >= -1e-12
 
 
@@ -212,15 +214,15 @@ def test_energy_monotonicity_between_variants(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(48, height, 2.0)
     for s in (0.25, 0.5, 0.75):
-        e_n = solve_extension(u, dom, "navier", s, height, mesh).energy
-        e_d = solve_extension(u, dom, "dirichlet", s, height, mesh).energy
+        e_n = solve_extension(u, dom, "navier", s, mesh).energy
+        e_d = solve_extension(u, dom, "dirichlet", s, mesh).energy
         assert e_n >= e_d - 1e-12
 
 
 def test_extension_ordering_zero_datum(embedded_interval):
     box, dom, _, height = embedded_interval
     mesh = graded_mesh(16, height, 2.0)
-    chk = extension_ordering_check(np.zeros(dom.node_count), dom, 0.5, height, mesh)
+    chk = extension_ordering_check(*_both_variants(np.zeros(dom.node_count), dom, 0.5, mesh))
     assert chk.lattice_min == 0.0
     assert chk.interior_min == 0.0
 
@@ -229,7 +231,7 @@ def test_extension_ordering_zero_datum(embedded_interval):
 def test_extension_ordering_ground_state(embedded_interval, s):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(64, height, default_grading(s))
-    chk = extension_ordering_check(u, dom, s, height, mesh)
+    chk = extension_ordering_check(*_both_variants(u, dom, s, mesh))
     assert chk.lattice_min >= -1e-8
     assert chk.interior_min > 0.0
 
@@ -239,8 +241,37 @@ def test_extension_ordering_rejects_signed_datum(embedded_interval):
     mesh = graded_mesh(16, height, 2.0)
     bad = u.copy()
     bad[0] = -1.0
+    solutions = _both_variants(bad, dom, 0.5, mesh)
     with pytest.raises(ValueError):
-        extension_ordering_check(bad, dom, 0.5, height, mesh)
+        extension_ordering_check(*solutions)
+
+
+def test_extension_ordering_refuses_mismatched_solutions(embedded_interval):
+    box, dom, u, height = embedded_interval
+    mesh = graded_mesh(16, height, 2.0)
+    navier, dirichlet = _both_variants(u, dom, 0.5, mesh)
+    other_s = solve_extension(u, dom, "dirichlet", 0.25, mesh)
+    other_mesh = solve_extension(u, dom, "dirichlet", 0.5, graded_mesh(16, 2.0 * height, 2.0))
+    other_datum = solve_extension(2.0 * u, dom, "dirichlet", 0.5, mesh)
+    twin = make_shape(box, "interval", (-8 * box.h, 8 * box.h))  # same mask, another domain
+    other_domain = solve_extension(u, twin, "dirichlet", 0.5, mesh)
+    for pair in [(dirichlet, navier), (navier, other_s), (navier, other_mesh),
+                 (navier, other_datum), (navier, other_domain)]:
+        with pytest.raises(ValueError):
+            extension_ordering_check(*pair)
+
+
+def test_solution_keeps_its_datum_read_only(unit_interval):
+    dom, x = unit_interval
+    u = np.sin(np.pi * x)
+    sol = solve_extension(u, dom, "navier", 0.5, graded_mesh(16, 8.0, 2.0))
+    assert np.array_equal(sol.datum, u)
+    assert not sol.datum.flags.writeable
+    with pytest.raises(ValueError):
+        sol.datum[0] = 1.0
+    given = u.copy()
+    u[0] = 1.0  # the solution holds a copy, not the caller's array
+    assert np.array_equal(sol.datum, given)
 
 
 def test_extension_constant_values():
