@@ -45,6 +45,7 @@ from .extension import (
 from .linalg import (
     EigenDecomposition,
     eigendecompose,
+    eigenvalues,
     spectral_power,
     sym_matrix,
 )
@@ -65,7 +66,7 @@ __all__ = [
     "BoxGrid", "SubDomain", "GridFunction",
     "make_box", "make_shape", "parse_shape_spec",
     "extend_by_zero", "restrict", "dilate",
-    "EigenDecomposition", "sym_matrix", "eigendecompose", "spectral_power",
+    "EigenDecomposition", "sym_matrix", "eigendecompose", "eigenvalues", "spectral_power",
     "SymOperator", "SpectrumComparison",
     "assemble_laplacian", "navier_operator", "dirichlet_operator",
     "fourier_form", "difference_operator", "compare_spectra", "monotonicity_check",

@@ -416,6 +416,10 @@ def _sobolev_quotient(dim: int, halfwidth: float, nodes: int, pad: int, s: float
 
 
 def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+    n, pad = cfg.box_nodes, cfg.sobolev_pad
+    if (pad - 1) * (n + 1) % 2:  # the FFT box's lattice would miss the sampling nodes
+        raise ConfigError(f"box.nodes: {n} does not align with the FFT box of sobolev.pad = {pad}; "
+                          f"the nearest aligned values are box.nodes = {n - 1} and {n + 1}")
     rows, checks = [], []
     for s in cfg.s_values:
         if cfg.dim <= 2.0 * s:

@@ -1,5 +1,5 @@
 """Dense symmetric linear algebra: validated symmetric matrices, checked
-eigendecompositions and spectral matrix powers.
+eigensolves, with or without eigenvectors, and spectral matrix powers.
 
 Symmetric matrices are plain float64 ndarrays that have passed through
 :func:`sym_matrix`, which enforces exact symmetry and marks the storage
@@ -17,6 +17,7 @@ __all__ = [
     "EigenDecomposition",
     "sym_matrix",
     "eigendecompose",
+    "eigenvalues",
     "spectral_power",
 ]
 
@@ -96,6 +97,27 @@ def eigendecompose(matrix: np.ndarray, tol: float = 1e-10) -> EigenDecomposition
     if recon > recon_tol:
         raise RuntimeError(f"eigendecomposition residual {recon:.3e} exceeds {recon_tol:.1e}")
     return EigenDecomposition(eigenvalues=w, eigenvectors=q)
+
+
+def eigenvalues(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Ascending eigenvalues of a :func:`sym_matrix` output, without eigenvectors.
+
+    The spectrum must reproduce the trace and the squared Frobenius norm to
+    ``tol`` relative to ``n max|M|`` and ``||M||_F^2``; roundoff leaves 1e-13.
+    """
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("matrix is not exactly symmetric; pass it through sym_matrix")
+    try:
+        w = np.linalg.eigvalsh(matrix)
+    except np.linalg.LinAlgError as exc:
+        raise RuntimeError(f"eigenvalue solve did not converge: {exc}") from exc
+    frob = float(np.vdot(matrix, matrix))
+    checks = {"trace": (abs(np.sum(w) - np.trace(matrix)), tol * len(w) * np.max(np.abs(matrix))),
+              "squared Frobenius norm": (abs(w @ w - frob), tol * frob)}
+    for name, (gap, bound) in checks.items():
+        if not gap <= bound:
+            raise RuntimeError(f"eigenvalues miss the {name} by {gap:.3e} > {bound:.1e}")
+    return w
 
 
 def spectral_power(eigen: EigenDecomposition, s: float) -> np.ndarray:

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenbasis
-from .linalg import EigenDecomposition, eigendecompose, spectral_power, sym_matrix
+from .linalg import EigenDecomposition, eigendecompose, eigenvalues, spectral_power, sym_matrix
 
 __all__ = [
     "SymOperator",
@@ -43,7 +43,12 @@ __all__ = [
 _KINDS = ("laplacian", "navier", "dirichlet", "difference")
 
 
-@dataclass(frozen=True)
+def _require_positive_definite(kind: str, least: float) -> None:
+    if least <= 0:
+        raise ValueError(f"{kind} operator must be positive definite; min eigenvalue = {least:.3e}")
+
+
+@dataclass(frozen=True, eq=False)
 class SymOperator:
     """Symmetric operator matrix with its eigendecomposition computed eagerly.
 
@@ -61,11 +66,8 @@ class SymOperator:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind != "difference" and self.eigen.eigenvalues[0] <= 0:
-            raise ValueError(
-                f"{self.kind} operator must be positive definite; "
-                f"min eigenvalue = {self.eigen.eigenvalues[0]:.3e}"
-            )
+        if self.kind != "difference":
+            _require_positive_definite(self.kind, self.eigen.eigenvalues[0])
 
     @property
     def n(self) -> int:
@@ -134,15 +136,9 @@ def navier_operator(domain: SubDomain | BoxGrid, s: float) -> SymOperator:
     """
     s = _check_s(s)
     sd = _as_subdomain(domain)
-    eigen = sd.eigen
-    if s == 1.0:
-        matrix = sd.laplacian
-    else:
-        matrix = spectral_power(eigen, s)
-    powered = EigenDecomposition(
-        eigenvalues=np.ascontiguousarray(eigen.eigenvalues**s),
-        eigenvectors=eigen.eigenvectors,
-    )
+    matrix = sd.laplacian if s == 1.0 else spectral_power(sd.eigen, s)
+    powered = EigenDecomposition(eigenvalues=np.ascontiguousarray(sd.eigen.eigenvalues**s),
+                                 eigenvectors=sd.eigen.eigenvectors)
     return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=sd, s=s)
 
 
@@ -160,21 +156,21 @@ _ROWS_BLOCK_VALUES = 1 << 21
 
 
 def _restricted_power(idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
-    """P B^s P^T for the box nodes ``idx``, from the cached 1D sine basis.
+    """P B^s P^T for the box nodes ``idx`` as a sym_matrix, from the 1D sine basis.
 
-    The box eigenvectors are the products q[i, a] q[j, b] of the 1D basis,
-    with eigenvalues lam_a + lam_b, so in 2D Omega's rows of the box basis
-    are formed a block of first-axis modes a at a time, scaled by
-    (lam_a + lam_b)^(s/2), and summed as R R^T: the work is |Omega|^2 N^2
-    and the working set |Omega|^2 plus one block, never the N^2 x N^2 box
-    basis.  The sum does not depend on the order of the modes, so nothing
-    is sorted.
+    Omega's rows R of the box basis, scaled by the eigenvalues to the power
+    s/2, give the symmetric product R R^T (a BLAS syrk).  In 1D R = q[idx]
+    lam^(s/2); in 2D the box eigenvectors are q[i, a] q[j, b], with
+    eigenvalues lam_a + lam_b, and R is formed a block of first-axis modes a
+    at a time: the work is |Omega|^2 N^2 and the working set |Omega|^2 plus
+    one block, never the N^2 x N^2 box basis.  The sum does not depend on
+    the order of the modes, so nothing is sorted.
     """
     n = box.nodes_per_axis
     lam, q = _interval_eigenbasis(n, box.h)
     if box.dim == 1:
-        rows = q[idx]
-        return (rows * lam**s) @ rows.T
+        rows = q[idx] * lam ** (0.5 * s)
+        return sym_matrix(rows @ rows.T)
     i, j = np.divmod(idx, n)
     qi, qj = q[i], q[j]
     half_power = (lam[:, None] + lam[None, :]) ** (0.5 * s)
@@ -184,7 +180,7 @@ def _restricted_power(idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
         block = qi[:, a : a + step, None] * (qj[:, None, :] * half_power[a : a + step])
         rows = block.reshape(idx.size, -1)
         out += rows @ rows.T
-    return out
+    return sym_matrix(out)
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -217,28 +213,26 @@ def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return (q @ first).reshape(n * n, -1)
 
 
-def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
-    """Restricted fractional Laplacian: P B^s P^T with B the box Laplacian.
-
-    Omega must live on (or embed into) the box lattice.  At s = 1 the power
-    of the stencil restricts exactly, so the Laplacian matrix of Omega is
-    returned directly.
-    """
-    s = _check_s(s)
+def _on_box(domain: SubDomain, box: BoxGrid) -> tuple[SubDomain, np.ndarray]:
+    """Omega on the box lattice, and the box indices of its nodes."""
     try:
         idx = _embedded_indices(domain, box)
     except ValueError as exc:
         raise ValueError(f"domain is not embedded in the box grid: {exc}") from exc
-    sd = domain if domain.grid == box else domain.on_grid(box)
-    if s == 1.0:
-        # the power of the stencil restricts exactly, so reuse the mask basis
-        # and the assembled matrix; coincidence with the spectral operator is
-        # then bitwise, not merely within roundoff
-        matrix = sd.laplacian
-        eigen = sd.eigen
-    else:
-        matrix = sym_matrix(_restricted_power(idx, box, s))
-        eigen = eigendecompose(matrix)
+    return (domain if domain.grid == box else domain.on_grid(box)), idx
+
+
+def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
+    """Restricted fractional Laplacian: P B^s P^T with B the box Laplacian.
+
+    Omega must live on (or embed into) the box lattice.  At s = 1 the power
+    of the stencil restricts exactly, so Omega's Laplacian matrix and cached
+    basis are returned, and coincidence with the spectral operator is bitwise.
+    """
+    s = _check_s(s)
+    sd, idx = _on_box(domain, box)
+    matrix = sd.laplacian if s == 1.0 else _restricted_power(idx, box, s)
+    eigen = sd.eigen if s == 1.0 else eigendecompose(matrix)
     return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=sd, s=s)
 
 
@@ -257,14 +251,18 @@ def difference_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperato
 
 
 def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumComparison:
-    """Ascending eigenvalues of both fractional operators and their margins."""
-    nav = navier_operator(domain, s)
-    dir_ = dirichlet_operator(domain, box, s)
-    return SpectrumComparison(
-        s=float(s),
-        navier=np.sort(nav.eigen.eigenvalues),
-        dirichlet=np.sort(dir_.eigen.eigenvalues),
-    )
+    """Ascending eigenvalues of both fractional operators and their margins.
+
+    Neither operator is built: the spectral eigenvalues are Omega's cached
+    ones to the power s, the restricted ones those of P B^s P^T alone.
+    """
+    s = _check_s(s)
+    sd, idx = _on_box(domain, box)
+    dirichlet = sd.eigen.eigenvalues if s == 1.0 else eigenvalues(_restricted_power(idx, box, s))
+    _require_positive_definite("dirichlet", dirichlet[0])
+    # no-op sorts, kept: dropping them raised the peak RSS through heap layout
+    return SpectrumComparison(s=s, navier=np.sort(domain.eigen.eigenvalues**s),
+                              dirichlet=np.sort(dirichlet))
 
 
 def monotonicity_check(

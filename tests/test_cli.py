@@ -316,6 +316,39 @@ def test_extension_factors_the_domain_laplacian_once(monkeypatch):
     assert disk.eigen is disk.eigen
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("seed = 3\ns.values = 0.1,0.5,1\n", []),  # the interval's basis is closed form
+    ("seed = 1\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,0.75,1\n",
+     ["eigendecompose"]),  # the disk's cached basis, read at every exponent
+])
+def test_spectra_builds_no_operator_and_no_eigenvectors(monkeypatch, text, expected):
+    calls = []
+    for name in ("eigendecompose", "spectral_power"):
+        original = getattr(linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in (linalg, domain, operators, extension, cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    assert run(parse_config(text), kind="spectra").all_passed
+    assert calls == expected
+
+
+@pytest.mark.parametrize("text", ["dim = 2\n", "dim = 1\nbox.nodes = 24\n"])
+def test_sobolev_refuses_a_box_off_the_fft_lattice(tmp_path, capsys, text):
+    # the FFT box aligns only when (sobolev.pad - 1) * (box.nodes + 1) is even
+    path = tmp_path / "misaligned.cfg"
+    path.write_text("seed = 7\ns.values = 0.25\n" + text)
+    assert main(["sobolev", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: box.nodes: 24 ")
+    assert "sobolev.pad = 2" in err and "box.nodes = 23 and 25" in err
+    assert not list(tmp_path.glob("sobolev.*"))
+
+
 def test_extension_solves_each_variant_once_per_exponent(monkeypatch):
     calls = []
     original = extension.solve_extension

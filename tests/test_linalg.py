@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fraclab.linalg import eigendecompose, spectral_power, sym_matrix
+from fraclab.linalg import eigendecompose, eigenvalues, spectral_power, sym_matrix
 
 
 def test_eigendecompose_identity():
@@ -40,6 +40,28 @@ def test_reconstruction_residual_random_symmetric(n):
     q = e.eigenvectors
     assert np.max(np.abs((q * e.eigenvalues) @ q.T - m)) <= 1e-8 * scale
     assert np.max(np.abs(e.eigenvectors.T @ e.eigenvectors - np.eye(n))) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [1, 5, 50, 400])
+def test_eigenvalues_agree_with_the_decomposition(n):
+    rng = np.random.default_rng(n)
+    m = rng.standard_normal((n, n))
+    m = sym_matrix(m + m.T)
+    w = eigenvalues(m)
+    assert np.all(np.diff(w) >= 0)
+    assert np.allclose(w, eigendecompose(m).eigenvalues, rtol=0, atol=1e-12 * np.max(np.abs(w)))
+
+
+def test_eigenvalues_refuse_an_asymmetric_matrix_and_a_failed_solve(monkeypatch):
+    with pytest.raises(ValueError, match="sym_matrix"):
+        eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def failing(matrix):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        eigenvalues(sym_matrix(np.eye(3)))
 
 
 def test_spectral_power_one_reconstructs():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fraclab.domain import make_box, make_shape, random_connected_mask, random_nested_masks
+from fraclab import linalg, operators
 from fraclab.linalg import eigendecompose
 from fraclab.operators import (
     assemble_laplacian,
@@ -288,6 +289,54 @@ def test_compare_spectra_full_sweep_positive_margins(dim):
         comp = compare_spectra(om, box, float(s))
         smallest = min(smallest, float(np.min(comp.margins)))
     assert smallest > 1e-9
+
+
+SPECTRA_CASES = [(1, 127, "interval", (-0.25, 0.25)), (2, 24, "square", (0.5,)),
+                 (2, 24, "disk", (0.5,)), (2, 24, "lshape", (1.0,))]
+
+
+@pytest.mark.parametrize("dim, nodes, shape, params", SPECTRA_CASES)
+@pytest.mark.parametrize("s", [0.05, 0.25, 0.5, 0.75, 0.95, 1.0])
+def test_compare_spectra_matches_the_dense_operators(dim, nodes, shape, params, s):
+    # the eager operators, with their eigenvectors, are the oracle
+    box = make_box(dim, 1.0, nodes)
+    om = make_shape(box, shape, params)
+    comp = compare_spectra(om, box, s)
+    assert np.array_equal(comp.navier, navier_operator(om, s).eigen.eigenvalues)
+    dense = dirichlet_operator(om, box, s).eigen.eigenvalues
+    assert np.max(np.abs(comp.dirichlet - dense) / dense) <= 1e-11
+
+
+@pytest.mark.parametrize("dim, nodes, shape, params", SPECTRA_CASES)
+def test_eigenvalues_check_catches_a_shifted_eigenvalue(monkeypatch, dim, nodes, shape, params):
+    box = make_box(dim, 1.0, nodes)
+    om = make_shape(box, shape, params)
+    exact = linalg.np.linalg.eigvalsh
+
+    def shifted(matrix):
+        w = exact(matrix)
+        w[-1] *= 1.0 + 1e-6
+        return w
+
+    monkeypatch.setattr(linalg.np.linalg, "eigvalsh", shifted)
+    with pytest.raises(RuntimeError, match="eigenvalues miss the"):
+        compare_spectra(om, box, 0.5)
+
+
+def test_compare_spectra_refuses_an_indefinite_restricted_operator(monkeypatch):
+    box = make_box(1, 1.0, 32)
+    om = centered_interval(box, 8)
+    monkeypatch.setattr(operators, "eigenvalues", lambda matrix: np.linalg.eigvalsh(matrix) - 1e6)
+    with pytest.raises(ValueError, match="dirichlet operator must be positive definite"):
+        compare_spectra(om, box, 0.5)
+
+
+def test_operator_equality_and_hash_go_by_identity():
+    box = make_box(2, 1.0, 8)
+    om = make_shape(box, "disk", (0.5,))
+    op, twin = navier_operator(om, 0.5), navier_operator(om, 0.5)
+    assert op == op and op != twin
+    assert hash(op) == hash(op) and len({op, twin}) == 2
 
 
 # ----------------------------------------------------------- positivity check
