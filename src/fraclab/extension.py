@@ -139,44 +139,45 @@ def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float)
     Each eigenmode with in-plane eigenvalue lam_j minimizes
     sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
     subject to c_0 given and c_M = 0, for M >= 4 layers as solve_extension
-    requires.  Returns the (n_modes, M+1) coefficient lattice and the
-    per-mode energies.
+    requires.  The sweep and its residual check work layer-major, on
+    (M+1, n_modes) arrays, so each step reads and writes one contiguous row
+    of modes.  Returns the mode-major (n_modes, M+1) coefficient lattice and
+    the per-mode energies.
     """
     y = mesh.y
     m = mesh.layers
     mu, w_left, w_right = _cell_weights(y, s)
-    d = np.diff(y)
-    k = mu / d**2
+    k = mu / np.diff(y) ** 2
     nm = lam.size
-    diag = k[:-1] + k[1:] + np.outer(lam, w_right[:-1] + w_left[1:])
+    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam)
     off = -k[1:-1]
-    rhs = np.zeros((nm, m - 1))
-    rhs[:, 0] = k[0] * c0
-    cp = np.zeros((nm, m - 2))
-    dp = np.zeros((nm, m - 1))
-    dp[:, 0] = rhs[:, 0] / diag[:, 0]
-    cp[:, 0] = off[0] / diag[:, 0]
+    coef = np.zeros((m + 1, nm))
+    coef[0] = c0
+    dp = coef[1:-1]  # forward values, overwritten in place by the solution
+    cp = np.empty((m - 2, nm))
+    den, tmp = np.empty(nm), np.empty(nm)
+    np.divide(k[0] * c0, diag[0], out=dp[0])
+    np.divide(off[0], diag[0], out=cp[0])
     for i in range(1, m - 1):
-        den = diag[:, i] - off[i - 1] * cp[:, i - 1]
+        np.subtract(diag[i], np.multiply(off[i - 1], cp[i - 1], out=den), out=den)
         if i < m - 2:
-            cp[:, i] = off[i] / den
-        dp[:, i] = (rhs[:, i] - off[i - 1] * dp[:, i - 1]) / den
-    sol = np.zeros((nm, m - 1))
-    sol[:, -1] = dp[:, -1]
+            np.divide(off[i], den, out=cp[i])
+        np.subtract(0.0, np.multiply(off[i - 1], dp[i - 1], out=tmp), out=tmp)
+        np.divide(tmp, den, out=dp[i])
     for i in range(m - 3, -1, -1):
-        sol[:, i] = dp[:, i] - cp[:, i] * sol[:, i + 1]
-    coef = np.concatenate([c0[:, None], sol, np.zeros((nm, 1))], axis=1)
+        np.subtract(dp[i], np.multiply(cp[i], dp[i + 1], out=tmp), out=dp[i])
+    del cp, dp  # dp views coef: the transpose below then frees the layer-major lattice
+    _residual_check(diag, k, coef)
+    del diag
+    coef = np.ascontiguousarray(coef.T)
     steps = np.diff(coef, axis=1)
     energies = (steps**2) @ k + lam * ((coef[:, :-1] ** 2) @ w_left + (coef[:, 1:] ** 2) @ w_right)
     return coef, energies
 
 
-def _residual_check(lam, coef, mesh, s, tol=1e-10):
-    """Verify the tridiagonal systems were solved to the advertised residual."""
-    mu, w_left, w_right = _cell_weights(mesh.y, s)
-    k = mu / np.diff(mesh.y) ** 2
-    diag = k[:-1] + k[1:] + np.outer(lam, w_right[:-1] + w_left[1:])
-    res = diag * coef[:, 1:-1] - k[:-1] * coef[:, :-2] - k[1:] * coef[:, 2:]
+def _residual_check(diag, k, coef, tol=1e-10):
+    """Verify the layer-major sweep solved its tridiagonal systems to the advertised residual."""
+    res = diag * coef[1:-1] - k[:-1, None] * coef[:-2] - k[1:, None] * coef[2:]
     scale = max(float(np.max(np.abs(diag)) * np.max(np.abs(coef), initial=0.0)), 1.0)
     err = float(np.max(np.abs(res)))
     if err > tol * scale:
@@ -214,7 +215,6 @@ def solve_extension(
     else:
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
     coef, energies = _solve_modes(lam, c0, mesh, s)
-    _residual_check(lam, coef, mesh, s)
     w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid)
     hdim = domain.grid.h ** domain.grid.dim
     energy = float(hdim * energies.sum())

@@ -200,10 +200,10 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
 
 
 def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Box nodal values from box-mode coefficients, one y-layer at a time.
+    """Box nodal values from box-mode coefficients, all y-layers at once.
 
-    Each layer k is q1 C_k q1^T on the N x N lattice, contracted one axis at
-    a time: O(N^3) per layer.
+    Layer k is q1 C_k q1^T on the N x N lattice; one tensordot and one
+    batched matmul form every layer: O(N^3) per layer.
     """
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
     if grid.dim == 1:

@@ -1,12 +1,18 @@
 """Extension-solver checks: closed forms, energy identity, ordering, traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from fraclab import extension
 from fraclab.analysis import extension_constant
-from fraclab.domain import make_box, make_shape
+from fraclab.domain import extend_by_zero, make_box, make_shape
 from fraclab.extension import (
     ExtensionMesh,
+    _cell_weights,
+    _residual_check,
+    _solve_modes,
     default_grading,
     energy_identity_check,
     extension_ordering_check,
@@ -15,6 +21,8 @@ from fraclab.extension import (
     trace_limit,
 )
 from fraclab.operators import (
+    _box_analysis,
+    _box_synthesis,
     assemble_laplacian,
     difference_operator,
     dirichlet_operator,
@@ -278,3 +286,151 @@ def test_extension_constant_values():
     assert extension_constant(0.5) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         extension_constant(1.0)
+
+
+def _mode_major_sweep(lam, c0, mesh, s):
+    """The mode-major Thomas sweep the layer-major one replaced, kept as its oracle."""
+    y = mesh.y
+    m = mesh.layers
+    mu, w_left, w_right = _cell_weights(y, s)
+    d = np.diff(y)
+    k = mu / d**2
+    nm = lam.size
+    diag = k[:-1] + k[1:] + np.outer(lam, w_right[:-1] + w_left[1:])
+    off = -k[1:-1]
+    rhs = np.zeros((nm, m - 1))
+    rhs[:, 0] = k[0] * c0
+    cp = np.zeros((nm, m - 2))
+    dp = np.zeros((nm, m - 1))
+    dp[:, 0] = rhs[:, 0] / diag[:, 0]
+    cp[:, 0] = off[0] / diag[:, 0]
+    for i in range(1, m - 1):
+        den = diag[:, i] - off[i - 1] * cp[:, i - 1]
+        if i < m - 2:
+            cp[:, i] = off[i] / den
+        dp[:, i] = (rhs[:, i] - off[i - 1] * dp[:, i - 1]) / den
+    sol = np.zeros((nm, m - 1))
+    sol[:, -1] = dp[:, -1]
+    for i in range(m - 3, -1, -1):
+        sol[:, i] = dp[:, i] - cp[:, i] * sol[:, i + 1]
+    coef = np.concatenate([c0[:, None], sol, np.zeros((nm, 1))], axis=1)
+    steps = np.diff(coef, axis=1)
+    energies = (steps**2) @ k + lam * ((coef[:, :-1] ** 2) @ w_left + (coef[:, 1:] ** 2) @ w_right)
+    return coef, energies
+
+
+SWEEP_CASES = {
+    "interval": (1, 63, "interval", (-0.25, 0.25)),
+    "disk": (2, 16, "disk", (0.5,)),
+}
+
+
+def _modes(name, variant):
+    """Domain, datum, in-plane eigenvalues and datum coefficients of one case."""
+    dim, nodes, shape, params = SWEEP_CASES[name]
+    dom = make_shape(make_box(dim, 1.0, nodes), shape, params)
+    u = np.random.default_rng(7).random(dom.node_count)
+    if variant == "navier":
+        lam, c0 = dom.eigen.eigenvalues, dom.eigen.eigenvectors.T @ u
+    else:
+        lam, c0 = _box_analysis(extend_by_zero(u, dom).values, dom.grid)
+    return dom, u, lam, c0
+
+
+@pytest.mark.parametrize("layers", [4, 5, 64, 1024])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_layer_major_sweep_is_bitwise_the_mode_major_sweep(name, variant, s, layers):
+    dom, u, lam, c0 = _modes(name, variant)
+    mesh = graded_mesh(layers, 4.0, default_grading(s))
+    coef, energies = _solve_modes(lam, c0, mesh, s)
+    ref_coef, ref_energies = _mode_major_sweep(lam, c0, mesh, s)
+    assert coef.shape == (lam.size, layers + 1) and coef.flags.c_contiguous
+    assert np.array_equal(coef, ref_coef)
+    assert np.array_equal(energies, ref_energies)
+    if variant == "navier":
+        ref_values = dom.eigen.eigenvectors @ ref_coef
+    else:
+        ref_values = _box_synthesis(ref_coef, dom.grid)
+    sol = solve_extension(u, dom, variant, s, mesh)
+    assert np.array_equal(sol.values, ref_values)
+    assert sol.energy == max(float(dom.grid.h**dom.grid.dim * ref_energies.sum()), 0.0)
+
+
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+@pytest.mark.parametrize("name", sorted(SWEEP_CASES))
+def test_four_layer_sweep_matches_a_dense_solve(name, variant):
+    # stationarity of the mode energy in c_1..c_{M-1}, assembled row by row
+    _, _, lam, c0 = _modes(name, variant)
+    s = 0.3
+    mesh = graded_mesh(4, 4.0, default_grading(s))
+    mu, w_left, w_right = _cell_weights(mesh.y, s)
+    k = mu / np.diff(mesh.y) ** 2
+    j = int(np.argmax(np.abs(c0)))
+    system = np.zeros((3, 3))
+    for r, i in enumerate(range(1, 4)):
+        system[r, r] = k[i - 1] + k[i] + lam[j] * (w_right[i - 1] + w_left[i])
+        if r > 0:
+            system[r, r - 1] = -k[i - 1]
+        if r < 2:
+            system[r, r + 1] = -k[i]
+    rhs = np.array([k[0] * c0[j], 0.0, 0.0])
+    coef, _ = _solve_modes(lam, c0, mesh, s)
+    expected = np.linalg.solve(system, rhs)
+    assert np.allclose(coef[j, 1:4], expected, rtol=1e-13, atol=0.0)
+    assert coef[j, 0] == c0[j] and coef[j, 4] == 0.0
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+def test_residual_check_catches_a_perturbed_coefficient(variant, s):
+    _, _, lam, c0 = _modes("disk", variant)
+    mesh = graded_mesh(64, 4.0, default_grading(s))
+    mu, w_left, w_right = _cell_weights(mesh.y, s)
+    k = mu / np.diff(mesh.y) ** 2
+    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam)
+    coef = np.ascontiguousarray(_mode_major_sweep(lam, c0, mesh, s)[0].T)
+    _residual_check(diag, k, coef)
+    # row r of diag is interior layer r + 1; moving c there moves its residual by diag * delta
+    r, j = np.unravel_index(np.argmax(np.abs(diag)), diag.shape)
+    tol = 1e-10
+    delta = 200.0 * tol * max(np.abs(diag).max() * np.abs(coef).max(), 1.0) / abs(diag[r, j])
+    bad = coef.copy()
+    bad[r + 1, j] += delta
+    scale = max(np.abs(diag).max() * np.abs(bad).max(), 1.0)
+    assert abs(diag[r, j]) * delta >= 100.0 * tol * scale
+    with pytest.raises(RuntimeError, match="residual"):
+        _residual_check(diag, k, bad)
+
+
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+def test_every_solve_checks_its_residual(monkeypatch, variant):
+    dom, u, lam, _ = _modes("disk", variant)
+    mesh = graded_mesh(16, 4.0, 2.0)
+    seen = []
+
+    def spy(diag, k, coef, **kwargs):
+        seen.append((diag.shape, coef.shape))
+        return _residual_check(diag, k, coef, **kwargs)
+
+    monkeypatch.setattr(extension, "_residual_check", spy)
+    solve_extension(u, dom, variant, 0.5, mesh)
+    assert seen == [((mesh.layers - 1, lam.size), (mesh.layers + 1, lam.size))]
+
+
+def test_dirichlet_solve_peak_memory_stays_within_six_lattices():
+    # one lattice is the N^2 x (M+1) float64 solution the solve returns
+    box = make_box(2, 1.0, 40)
+    dom = make_shape(box, "disk", (0.5,))
+    mesh = graded_mesh(1024, 8.0, 2.0)
+    u = np.ones(dom.node_count)
+    lattice = box.size * (mesh.layers + 1) * 8
+    solve_extension(u, dom, "dirichlet", 0.5, mesh)  # warms the cached sine basis; dropped
+    tracemalloc.start()
+    try:
+        solve_extension(u, dom, "dirichlet", 0.5, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * lattice, f"peak {peak / lattice:.2f} lattices"
