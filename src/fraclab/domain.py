@@ -121,15 +121,21 @@ class BoxGrid:
         return [f + d for inside, d in steps if inside]
 
 
+def _interval_eigenvalues(m: int, h: float) -> np.ndarray:
+    """lambda_j = (2 - 2 cos(j pi/(m+1)))/h^2, j = 1..m: the m-node second difference's spectrum."""
+    j = np.arange(1, m + 1, dtype=float)
+    return (2.0 - 2.0 * np.cos(j * np.pi / (m + 1))) / h**2
+
+
 @lru_cache(maxsize=64)
 def _interval_eigenbasis(m: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form spectrum of the m-node second-difference matrix.
 
-    lambda_j = (2 - 2 cos(j pi/(m+1)))/h^2 with discrete sine eigenvectors;
-    exact up to rounding, no iterative eigensolve needed.
+    :func:`_interval_eigenvalues` with discrete sine eigenvectors; exact up
+    to rounding, no iterative eigensolve needed.
     """
     j = np.arange(1, m + 1, dtype=float)
-    lam = (2.0 - 2.0 * np.cos(j * np.pi / (m + 1))) / h**2
+    lam = _interval_eigenvalues(m, h)
     i = np.arange(1, m + 1, dtype=float)[:, None]
     q = np.sqrt(2.0 / (m + 1)) * np.sin(i * j[None, :] * np.pi / (m + 1))
     lam.flags.writeable = False

@@ -18,6 +18,7 @@ __all__ = [
     "sym_matrix",
     "eigendecompose",
     "eigenvalues",
+    "check_spectrum",
     "spectral_power",
 ]
 
@@ -46,6 +47,14 @@ def sym_matrix(entries: np.ndarray) -> np.ndarray:
     out = 0.5 * (m + m.T)
     out.flags.writeable = False
     return out
+
+
+def _is_sym_matrix(m) -> bool:
+    """Whether ``m`` keeps the :func:`sym_matrix` contract: a read-only, finite,
+    exactly symmetric square float64 array."""
+    return (isinstance(m, np.ndarray) and m.dtype == np.float64 and m.ndim == 2
+            and m.shape[0] == m.shape[1] > 0 and not m.flags.writeable
+            and np.array_equal(m, m.T) and bool(np.isfinite(m).all()))
 
 
 @dataclass(frozen=True)
@@ -77,11 +86,12 @@ def eigendecompose(matrix: np.ndarray, tol: float = 1e-10) -> EigenDecomposition
     Verifies orthogonality of the basis (``max|Q^T Q - I| <= tol``) and the
     reconstruction residual (``max|Q L Q^T - M| <= max(tol, 1e-8) * max|M|``)
     and raises with the offending residual if the backend failed to converge
-    to those tolerances.
+    to those tolerances.  A :func:`sym_matrix` output is used as it is; any
+    other input is validated through it first.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = sym_matrix(matrix)
+    m = matrix if _is_sym_matrix(matrix) else sym_matrix(matrix)
     try:
         w, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -111,13 +121,24 @@ def eigenvalues(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
         w = np.linalg.eigvalsh(matrix)
     except np.linalg.LinAlgError as exc:
         raise RuntimeError(f"eigenvalue solve did not converge: {exc}") from exc
-    frob = float(np.vdot(matrix, matrix))
-    checks = {"trace": (abs(np.sum(w) - np.trace(matrix)), tol * len(w) * np.max(np.abs(matrix))),
+    check_spectrum(w, float(np.trace(matrix)), float(np.vdot(matrix, matrix)),
+                   float(np.max(np.abs(matrix))), tol)
+    return w
+
+
+def check_spectrum(w: np.ndarray, trace: float, frob: float, scale: float,
+                   tol: float = 1e-10) -> None:
+    """Raise unless eigenvalues ``w`` reproduce a symmetric matrix's invariants.
+
+    ``trace`` and ``frob`` are the matrix's trace and squared Frobenius norm,
+    ``scale`` its largest entry in magnitude; ``sum(w)`` must meet the trace
+    to ``tol len(w) scale`` and ``w @ w`` the norm to ``tol frob``.
+    """
+    checks = {"trace": (abs(np.sum(w) - trace), tol * len(w) * scale),
               "squared Frobenius norm": (abs(w @ w - frob), tol * frob)}
     for name, (gap, bound) in checks.items():
         if not gap <= bound:
             raise RuntimeError(f"eigenvalues miss the {name} by {gap:.3e} > {bound:.1e}")
-    return w
 
 
 def spectral_power(eigen: EigenDecomposition, s: float) -> np.ndarray:

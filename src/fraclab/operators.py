@@ -8,6 +8,10 @@ subdomain Omega of a box grid:
 * the *restricted* ("Dirichlet") operator P B^s P^T, the s-th power of the
   ambient box Laplacian B compressed back to Omega by the restriction P.
 
+The sine basis diagonalizes the box, so B^s is Toeplitz minus Hankel with
+the cosine transform of lambda^s as its symbol (the discrete form of
+int |xi|^(2s) |u_hat|^2); P B^s P^T is gathered from that per-(box, s) kernel.
+
 Because A_Omega = P B P^T exactly (the five-point stencil restricted to the
 mask), operator concavity of t -> t^s makes the spectral form dominate the
 restricted one at the matrix level, so domination, eigenvalue ordering and
@@ -22,11 +26,13 @@ weight, so they discretize integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenbasis
-from .linalg import EigenDecomposition, eigendecompose, eigenvalues, spectral_power, sym_matrix
+from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenbasis, _interval_eigenvalues
+from .linalg import (EigenDecomposition, check_spectrum, eigendecompose, eigenvalues,
+                     spectral_power, sym_matrix)
 
 __all__ = [
     "SymOperator",
@@ -85,7 +91,11 @@ class SymOperator:
         v = np.asarray(u, dtype=float)
         if v.shape != (self.n,):
             raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
-        return self.domain.grid.h ** self.domain.grid.dim * float(v @ (self.matrix @ v))
+        return _form(self.matrix, v, self.domain.grid)
+
+
+def _form(matrix: np.ndarray, v: np.ndarray, grid: BoxGrid) -> float:
+    return grid.h**grid.dim * float(v @ (matrix @ v))
 
 
 @dataclass(frozen=True)
@@ -142,45 +152,110 @@ def navier_operator(domain: SubDomain | BoxGrid, s: float) -> SymOperator:
     return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=sd, s=s)
 
 
-def _embedded_indices(domain: SubDomain, box: BoxGrid) -> np.ndarray:
-    """Flat indices of Omega's nodes inside the box grid (must be aligned)."""
-    if domain.grid == box:
-        return domain.indices
-    emb = domain.grid.embed_indices(box)
-    return emb[domain.mask]
+@lru_cache(maxsize=4)
+def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
+    """The symbol of B^s: the cosine transform of the box spectrum to the power s.
+
+    In 1D B^s[x, y] = c[|x - y|] - c[x + y + 2] with
+    c[k] = sum_j lam_j^s cos(k j pi/(N+1))/(N+1); in 2D the spectrum
+    lam_a + lam_b gives a two-index K (see :func:`_restricted_entries`).
+    One real FFT per axis of the 1D eigenvalues, k = 0..N+1: Hankel indices
+    k > N+1 read 2(N+1) - k, so B^s is exactly centrosymmetric.  Read-only.
+    """
+    lam = _interval_eigenvalues(box.nodes_per_axis, box.h)
+    if box.dim == 1:
+        kernel = _cosine_sums(lam**s, 0)
+    else:
+        kernel = _cosine_sums(_cosine_sums((lam[:, None] + lam[None, :]) ** s, 1), 0)
+    kernel.flags.writeable = False
+    return kernel
 
 
-# Values per block of restricted rows (16 MB): bounds the working set of
-# _restricted_power while keeping its products large enough for BLAS.
-_ROWS_BLOCK_VALUES = 1 << 21
+def _cosine_sums(f: np.ndarray, axis: int) -> np.ndarray:
+    """sum_j f_j cos(k j pi/(n+1))/(n+1) along ``axis``, k = 0..n+1, from the
+    real FFT of the even extension (0, f, 0, reversed f) of length 2(n+1)."""
+    zero = np.zeros_like(np.take(f, [0], axis=axis))
+    even = np.concatenate([zero, f, zero, np.flip(f, axis=axis)], axis=axis)
+    return np.fft.rfft(even, axis=axis).real / even.shape[axis]
 
 
-def _restricted_power(idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
-    """P B^s P^T for the box nodes ``idx`` as a sym_matrix, from the 1D sine basis.
+def _lags(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 on an n-node axis."""
+    toeplitz = np.abs(rows[:, None] - cols[None, :])
+    hankel = n + 1 - np.abs(rows[:, None] + cols[None, :] + 1 - n)
+    return toeplitz, hankel
 
-    Omega's rows R of the box basis, scaled by the eigenvalues to the power
-    s/2, give the symmetric product R R^T (a BLAS syrk).  In 1D R = q[idx]
-    lam^(s/2); in 2D the box eigenvectors are q[i, a] q[j, b], with
-    eigenvalues lam_a + lam_b, and R is formed a block of first-axis modes a
-    at a time: the work is |Omega|^2 N^2 and the working set |Omega|^2 plus
-    one block, never the N^2 x N^2 box basis.  The sum does not depend on
-    the order of the modes, so nothing is sorted.
+
+def _restricted_entries(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+                        box: BoxGrid) -> np.ndarray:
+    """Entries of B^s between the box nodes ``rows`` and ``cols``, gathered from the kernel.
+
+    In 2D, node (i, j) at flat index i N + j, the entry is
+    K[di, dj] - K[hi, dj] - K[di, hj] + K[hi, hj] for the Toeplitz (d) and
+    Hankel (h) lags of each axis.  It is symmetric in the two nodes, so
+    rows = cols gives an exactly symmetric matrix.
     """
     n = box.nodes_per_axis
-    lam, q = _interval_eigenbasis(n, box.h)
     if box.dim == 1:
-        rows = q[idx] * lam ** (0.5 * s)
-        return sym_matrix(rows @ rows.T)
-    i, j = np.divmod(idx, n)
-    qi, qj = q[i], q[j]
-    half_power = (lam[:, None] + lam[None, :]) ** (0.5 * s)
-    step = max(1, _ROWS_BLOCK_VALUES // (idx.size * n))
-    out = np.zeros((idx.size, idx.size))
-    for a in range(0, n, step):
-        block = qi[:, a : a + step, None] * (qj[:, None, :] * half_power[a : a + step])
-        rows = block.reshape(idx.size, -1)
-        out += rows @ rows.T
-    return sym_matrix(out)
+        d, h = _lags(rows, cols, n)
+        return kernel[d] - kernel[h]
+    (ri, rj), (ci, cj) = np.divmod(rows, n), np.divmod(cols, n)
+    di, hi = _lags(ri, ci, n)
+    dj, hj = _lags(rj, cj, n)
+    return kernel[di, dj] - kernel[hi, dj] - kernel[di, hj] + kernel[hi, hj]
+
+
+def _restricted_matrix(sd: SubDomain, idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
+    """P B^s P^T for Omega on the box (``idx`` its box indices) as a sym_matrix.
+
+    At s = 1 the power of the stencil restricts exactly, so Omega's own
+    Laplacian matrix is returned and coincidence stays bitwise.
+    """
+    if s == 1.0:
+        return sd.laplacian
+    return sym_matrix(_restricted_entries(_restricted_kernel(box, s), idx, idx, box))
+
+
+def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
+                       s: float) -> tuple[list[np.ndarray], tuple[float, float, float]]:
+    """P B^s P^T split by the first-axis reflection, with its trace, ||.||_F^2 and max|entry|.
+
+    When the reflection i -> N-1-i maps Omega onto itself, M is exactly
+    centrosymmetric and splits into an even and an odd block of about
+    |Omega|/2, gathered from the kernel.  With L the nodes below the mirror
+    line, F those on it (last in ``even``) and pi the reflection,
+
+        even = W (M[L+F, L+F] + M[L+F, pi(L+F)]) W,  W = 1 on L, 1/sqrt(2) on F,
+        odd  = M[L, L] - M[L, pi L].
+
+    Any other mask gives one block, M itself.  The invariants are read off
+    the rows of L + F, each row of L standing for its mirror row too, apart
+    from how the blocks are assembled, so the merged spectrum is checked
+    against the whole M.
+    """
+    kernel = _restricted_kernel(box, s)
+    n = box.nodes_per_axis
+    stride = n ** (box.dim - 1)  # flat step along the first axis
+    twice = 2 * (idx // stride) - (n - 1)  # twice the first-axis offset from the mirror line
+    mirror = idx - twice * stride
+    if not np.array_equal(np.sort(mirror), idx):
+        whole = sym_matrix(_restricted_entries(kernel, idx, idx, box))
+        return [whole], (float(np.trace(whole)), float(np.vdot(whole, whole)),
+                         float(np.max(np.abs(whole))))
+    low, fixed = twice < 0, twice == 0
+    rows = np.concatenate([idx[low], idx[fixed]])
+    k = np.count_nonzero(low)
+    near = _restricted_entries(kernel, rows, rows, box)
+    far = _restricted_entries(kernel, rows, np.concatenate([mirror[low], idx[fixed]]), box)
+    paired = np.arange(rows.size) < k
+    w = np.where(paired, 1.0, np.sqrt(0.5))
+    blocks = [sym_matrix((near + far) * np.outer(w, w))]
+    if k:
+        blocks.append(sym_matrix(near[:k, :k] - far[:k, :k]))
+    copies = np.where(paired, 2.0, 1.0)
+    squares = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
+    scale = max(np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))
+    return blocks, (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -214,24 +289,28 @@ def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
 
 
 def _on_box(domain: SubDomain, box: BoxGrid) -> tuple[SubDomain, np.ndarray]:
-    """Omega on the box lattice, and the box indices of its nodes."""
+    """Omega on the box lattice (which must be aligned with it), and the box indices of its nodes."""
+    if domain.grid == box:
+        return domain, domain.indices
     try:
-        idx = _embedded_indices(domain, box)
+        sd = domain.on_grid(box)
     except ValueError as exc:
         raise ValueError(f"domain is not embedded in the box grid: {exc}") from exc
-    return (domain if domain.grid == box else domain.on_grid(box)), idx
+    return sd, sd.indices
 
 
 def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
     """Restricted fractional Laplacian: P B^s P^T with B the box Laplacian.
 
-    Omega must live on (or embed into) the box lattice.  At s = 1 the power
-    of the stencil restricts exactly, so Omega's Laplacian matrix and cached
-    basis are returned, and coincidence with the spectral operator is bitwise.
+    Omega must live on (or embed into) the box lattice.  The matrix is
+    gathered from the box's closed-form kernel (:func:`_restricted_kernel`).
+    At s = 1 the power of the stencil restricts exactly, so Omega's Laplacian
+    matrix and cached basis are returned, and coincidence with the spectral
+    operator is bitwise.
     """
     s = _check_s(s)
     sd, idx = _on_box(domain, box)
-    matrix = sd.laplacian if s == 1.0 else _restricted_power(idx, box, s)
+    matrix = _restricted_matrix(sd, idx, box, s)
     eigen = sd.eigen if s == 1.0 else eigendecompose(matrix)
     return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=sd, s=s)
 
@@ -241,25 +320,35 @@ def difference_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperato
 
     Positive semidefinite up to roundoff for 0 < s <= 1; its smallest
     eigenvalue decays geometrically with the mask thickness, so the strict
-    sign is only resolvable in double precision for modest masks.
+    sign is only resolvable in double precision for modest masks.  Only the
+    difference is eigendecomposed; the restricted matrix comes from the kernel.
     """
     nav = navier_operator(domain, s)
-    dir_ = dirichlet_operator(domain, box, s)
-    matrix = sym_matrix(nav.matrix - dir_.matrix)
+    sd, idx = _on_box(domain, box)
+    matrix = sym_matrix(nav.matrix - _restricted_matrix(sd, idx, box, nav.s))
     return SymOperator(matrix=matrix, eigen=eigendecompose(matrix), kind="difference",
-                       domain=dir_.domain, s=s)
+                       domain=sd, s=nav.s)
 
 
 def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumComparison:
     """Ascending eigenvalues of both fractional operators and their margins.
 
     Neither operator is built: the spectral eigenvalues are Omega's cached
-    ones to the power s, the restricted ones those of P B^s P^T alone.
+    ones to the power s, the restricted ones those of the reflection blocks
+    of P B^s P^T (:func:`_restricted_blocks`), each solved and checked on its
+    own, then merged and checked against the whole matrix's trace and
+    Frobenius norm.
     """
     s = _check_s(s)
     sd, idx = _on_box(domain, box)
-    dirichlet = sd.eigen.eigenvalues if s == 1.0 else eigenvalues(_restricted_power(idx, box, s))
+    if s == 1.0:
+        dirichlet = sd.eigen.eigenvalues
+    else:
+        blocks, invariants = _restricted_blocks(idx, box, s)
+        dirichlet = np.sort(np.concatenate([eigenvalues(block) for block in blocks]))
     _require_positive_definite("dirichlet", dirichlet[0])
+    if s != 1.0:
+        check_spectrum(dirichlet, *invariants)
     # no-op sorts, kept: dropping them raised the peak RSS through heap layout
     return SpectrumComparison(s=s, navier=np.sort(domain.eigen.eigenvalues**s),
                               dirichlet=np.sort(dirichlet))
@@ -271,9 +360,10 @@ def monotonicity_check(
     """The chain (restricted form, spectral form on Omega', spectral form on Omega).
 
     For u supported in Omega and Omega inside Omega' inside the box, the
-    triple is nondecreasing left to right, exactly at matrix level.
+    triple is nondecreasing left to right, exactly at matrix level.  Only
+    the restricted matrix is formed for the restricted form, from the kernel.
     """
-    idx_inner = _embedded_indices(inner, box)
+    inner_on_box, idx_inner = _on_box(inner, box)
     outer_on_box = outer if outer.grid == box else outer.on_grid(box)
     if not outer_on_box.mask[idx_inner].all():
         raise ValueError("masks are not nested: inner domain must lie inside the outer one")
@@ -284,7 +374,7 @@ def monotonicity_check(
     v_outer = np.zeros(outer_on_box.node_count)
     v_outer[np.searchsorted(outer_on_box.indices, idx_inner)] = v
     q_outer = navier_operator(outer_on_box, s).form(v_outer)
-    q_restricted = dirichlet_operator(inner, box, s).form(v)
+    q_restricted = _form(_restricted_matrix(inner_on_box, idx_inner, box, s), v, box)
     return q_restricted, q_outer, q_inner
 
 

@@ -1,9 +1,10 @@
 """The restricted operator and the Dirichlet extension against the dense box basis.
 
-Both are built from the per-axis sine basis of the box.  The oracle here is
-the path they replace: the N^dim x N^dim box eigenbasis formed as the
-Kronecker product of the 1D bases and sorted by eigenvalue.  Only the
-summation order differs, so the two must agree to roundoff.
+The restricted operator is gathered from the closed-form kernel of B^s and
+the extension is built from the per-axis sine basis of the box.  The oracle
+here is the dense path: the N^dim x N^dim box eigenbasis formed as the
+Kronecker product of the 1D bases and sorted by eigenvalue.  The two must
+agree to roundoff; in 1D the kernel also meets a long-double sine sum.
 """
 
 import numpy as np
@@ -66,16 +67,6 @@ def test_restricted_operator_matches_dense_box_basis(name, s):
     assert _rel(new, _dense_restricted(dom.indices, box, s)) <= REL_TOL
 
 
-@pytest.mark.parametrize("modes_per_block", [1, 5])
-def test_restricted_operator_in_blocks_matches_dense_box_basis(monkeypatch, modes_per_block):
-    box, dom = _case("disk")  # 24 first-axis modes: blocks of 5 leave a short last block
-    monkeypatch.setattr(operators, "_ROWS_BLOCK_VALUES",
-                        modes_per_block * dom.node_count * box.nodes_per_axis)
-    for s in S_GRID:
-        new = dirichlet_operator(dom, box, s).matrix
-        assert _rel(new, _dense_restricted(dom.indices, box, s)) <= REL_TOL
-
-
 @pytest.mark.parametrize("dim, shape, params", [(1, "interval", (-0.5, 0.25)),
                                                 (2, "disk", (0.5,))])
 def test_restricted_operator_on_an_embedded_grid_matches_dense_box_basis(dim, shape, params):
@@ -86,6 +77,42 @@ def test_restricted_operator_on_an_embedded_grid_matches_dense_box_basis(dim, sh
     for s in S_GRID:
         new = dirichlet_operator(dom, box, s).matrix
         assert _rel(new, _dense_restricted(idx, box, s)) <= REL_TOL
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than double here")
+@pytest.mark.parametrize("s", (0.02,) + S_GRID)
+def test_kernel_matches_a_long_double_sine_sum(s):
+    box = make_box(1, 1.0, 255)
+    dom = make_shape(box, "interval", (-0.5, 0.5))
+    n = box.nodes_per_axis
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    j = np.arange(1, n + 1, dtype=np.longdouble)
+    lam = (2 - 2 * np.cos(j * pi / (n + 1))) * ((n + 1) / np.longdouble(2)) ** 2  # h = 2/(n+1)
+    q = np.sqrt(np.longdouble(2) / (n + 1)) * np.sin((dom.indices[:, None] + 1) * j * pi / (n + 1))
+    ref = (q * lam ** np.longdouble(s)) @ q.T
+    new = dirichlet_operator(dom, box, s).matrix
+    assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+MIRRORED = [(1, 63, "interval", (-0.5, 0.5)), (1, 64, "interval", (-0.5, 0.5)),
+            (2, 24, "disk", (0.5,)), (2, 25, "disk", (0.5,)), (2, 25, "square", (0.5,))]
+
+
+@pytest.mark.parametrize("s", S_GRID)
+@pytest.mark.parametrize("dim, nodes, shape, params",
+                         MIRRORED + [(1, 63, "interval", (-0.5, 0.25)), (2, 25, "lshape", (1.2,))])
+def test_kernel_matrix_is_exactly_symmetric_and_centrosymmetric(dim, nodes, shape, params, s):
+    box = make_box(dim, 1.0, nodes)
+    idx = make_shape(box, shape, params).indices
+    m = operators._restricted_entries(operators._restricted_kernel(box, s), idx, idx, box)
+    assert np.array_equal(m, m.T)
+    if (dim, nodes, shape, params) in MIRRORED:  # mirror masks: reflecting the first axis
+        stride = nodes ** (dim - 1)
+        mirror = idx + (nodes - 1 - 2 * (idx // stride)) * stride
+        perm = np.searchsorted(idx, mirror)
+        assert np.array_equal(idx[perm], mirror)
+        assert np.array_equal(m[np.ix_(perm, perm)], m)
 
 
 @pytest.mark.parametrize("s", S_GRID)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fraclab.linalg import eigendecompose, eigenvalues, spectral_power, sym_matrix
+from fraclab import linalg
+from fraclab.linalg import check_spectrum, eigendecompose, eigenvalues, spectral_power, sym_matrix
 
 
 def test_eigendecompose_identity():
@@ -28,6 +29,40 @@ def test_eigendecompose_rejects_asymmetric_and_nonfinite():
         eigendecompose(np.array([[np.inf, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         eigendecompose(np.eye(2), tol=-1.0)
+
+
+def test_eigendecompose_takes_a_sym_matrix_output_without_validating_it_again(monkeypatch):
+    calls = []
+    original = linalg.sym_matrix
+
+    def counting(entries):
+        calls.append(1)
+        return original(entries)
+
+    frozen = sym_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    monkeypatch.setattr(linalg, "sym_matrix", counting)
+    assert np.allclose(eigendecompose(frozen).eigenvalues, [1.0, 3.0], atol=1e-12)
+    assert calls == []
+    eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))  # writeable: validated
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("entries", [[[1.0, 2.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
+                                     [[np.nan, 0.0], [0.0, 1.0]]])
+def test_eigendecompose_validates_a_frozen_matrix_outside_the_contract(entries):
+    m = np.array(entries)
+    m.flags.writeable = False
+    with pytest.raises(ValueError):
+        eigendecompose(m)
+
+
+def test_check_spectrum_wants_the_trace_and_the_frobenius_norm():
+    m = sym_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
+    check_spectrum(np.array([1.0, 3.0]), 4.0, 10.0, 2.0)
+    with pytest.raises(RuntimeError, match="eigenvalues miss the trace"):
+        check_spectrum(np.array([3.0]), 4.0, 10.0, 2.0)
+    with pytest.raises(RuntimeError, match="eigenvalues miss the squared Frobenius norm"):
+        check_spectrum(np.array([0.0, 4.0]), float(np.trace(m)), float(np.vdot(m, m)), 2.0)
 
 
 @pytest.mark.parametrize("n", [5, 50, 400])

@@ -323,6 +323,74 @@ def test_eigenvalues_check_catches_a_shifted_eigenvalue(monkeypatch, dim, nodes,
         compare_spectra(om, box, 0.5)
 
 
+SPLIT_S = [0.02, 0.1, 0.5, 0.9]
+
+
+def _split_spectrum_error(om, box, s):
+    whole = np.linalg.eigvalsh(dirichlet_operator(om, box, s).matrix)
+    return np.max(np.abs(compare_spectra(om, box, s).dirichlet - whole)) / whole[-1]
+
+
+@pytest.mark.parametrize("s", SPLIT_S)
+@pytest.mark.parametrize("dim, nodes, shape, params, blocks", [
+    (1, 63, "interval", (-0.5, 0.5), 2),  # odd N: the centre node is its own mirror
+    (1, 64, "interval", (-0.5, 0.5), 2),  # even N: every node has a distinct mirror
+    (1, 63, "interval", (-0.5, 0.25), 1),
+    (2, 24, "disk", (0.5,), 2),
+    (2, 25, "disk", (0.5,), 2),
+    (2, 25, "lshape", (1.2,), 1),
+])
+def test_split_spectrum_matches_the_whole_matrix(dim, nodes, shape, params, blocks, s):
+    box = make_box(dim, 1.0, nodes)
+    om = make_shape(box, shape, params)
+    assert len(operators._restricted_blocks(om.indices, box, s)[0]) == blocks
+    assert _split_spectrum_error(om, box, s) <= 1e-13
+
+
+@pytest.mark.parametrize("s", SPLIT_S)
+@pytest.mark.parametrize("dim, shape, params, blocks", [(1, "interval", (-0.5, 0.5), 2),
+                                                        (1, "interval", (-0.5, 0.25), 1),
+                                                        (2, "disk", (0.5,), 2),
+                                                        (2, "lshape", (1.2,), 1)])
+def test_split_spectrum_on_an_embedded_grid_matches_the_whole_matrix(dim, shape, params, blocks, s):
+    small = make_box(dim, 0.75, 11)
+    om = make_shape(small, shape, params)
+    box = make_box(dim, 0.75 + 4 * small.h, 19)
+    idx = small.embed_indices(box)[om.mask]
+    assert len(operators._restricted_blocks(idx, box, s)[0]) == blocks
+    assert _split_spectrum_error(om, box, s) <= 1e-13
+
+
+def _drop_the_odd_block(blocks):
+    return blocks[:1]
+
+
+def _unscale_a_fixed_node(blocks):
+    even = blocks[0]  # fixed nodes come last; their 1/sqrt(2) weight is undone
+    even[-1, :] *= np.sqrt(2.0)
+    even[:, -1] *= np.sqrt(2.0)
+    return blocks
+
+
+@pytest.mark.parametrize("mutate", [_drop_the_odd_block, _unscale_a_fixed_node])
+@pytest.mark.parametrize("dim, nodes, shape, params", [(1, 63, "interval", (-0.5, 0.5)),
+                                                       (2, 25, "disk", (0.5,))])
+def test_a_mis_assembled_split_misses_the_whole_matrix_invariants(monkeypatch, mutate, dim,
+                                                                  nodes, shape, params):
+    box = make_box(dim, 1.0, nodes)
+    om = make_shape(box, shape, params)
+    compare_spectra(om, box, 0.5)
+    original = operators._restricted_blocks
+
+    def mutated(idx, box, s):
+        blocks, invariants = original(idx, box, s)
+        return mutate([np.array(block) for block in blocks]), invariants
+
+    monkeypatch.setattr(operators, "_restricted_blocks", mutated)
+    with pytest.raises(RuntimeError, match="eigenvalues miss the trace"):
+        compare_spectra(om, box, 0.5)
+
+
 def test_compare_spectra_refuses_an_indefinite_restricted_operator(monkeypatch):
     box = make_box(1, 1.0, 32)
     om = centered_interval(box, 8)
@@ -409,6 +477,27 @@ def test_monotonicity_random_nested_property():
             q_d, q_outer, q_inner = monotonicity_check(inner, outer, box, s, u)
             assert q_d <= q_outer + 1e-10
             assert q_outer <= q_inner + 1e-10
+
+
+def test_monotonicity_and_difference_form_the_restricted_matrix_without_its_eigenbasis(monkeypatch):
+    box = make_box(2, 1.0, 12)
+    rng = np.random.default_rng(8)
+    inner, outer = random_nested_masks(box, 6, 12, rng)
+    u = rng.standard_normal(inner.node_count)
+    restricted = dirichlet_operator(inner, box, 0.5)
+    spectral = navier_operator(inner, 0.5).matrix
+    calls = []
+
+    def counting(matrix, *args, **kwargs):
+        calls.append(len(matrix))
+        return eigendecompose(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "eigendecompose", counting)
+    assert monotonicity_check(inner, outer, box, 0.5, u)[0] == restricted.form(u)
+    assert calls == []
+    diff = difference_operator(inner, box, 0.5)
+    assert np.array_equal(diff.matrix, spectral - restricted.matrix)
+    assert calls == [inner.node_count]
 
 
 def test_monotonicity_rejects_non_nested():
