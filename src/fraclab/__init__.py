@@ -44,7 +44,6 @@ from .extension import (
 )
 from .linalg import (
     EigenDecomposition,
-    check_spectrum,
     eigendecompose,
     eigenvalues,
     spectral_power,
@@ -67,8 +66,7 @@ __all__ = [
     "BoxGrid", "SubDomain", "GridFunction",
     "make_box", "make_shape", "parse_shape_spec",
     "extend_by_zero", "restrict", "dilate",
-    "EigenDecomposition", "sym_matrix", "eigendecompose", "eigenvalues", "check_spectrum",
-    "spectral_power",
+    "EigenDecomposition", "sym_matrix", "eigendecompose", "eigenvalues", "spectral_power",
     "SymOperator", "SpectrumComparison",
     "assemble_laplacian", "navier_operator", "dirichlet_operator",
     "fourier_form", "difference_operator", "compare_spectra", "monotonicity_check",

@@ -18,7 +18,6 @@ __all__ = [
     "sym_matrix",
     "eigendecompose",
     "eigenvalues",
-    "check_spectrum",
     "spectral_power",
 ]
 
@@ -29,9 +28,10 @@ _ASYM_REL_TOL = 1e-8
 def sym_matrix(entries: np.ndarray) -> np.ndarray:
     """Validate and freeze a square symmetric matrix.
 
-    Returns an exactly symmetric, read-only float64 copy.  Tiny asymmetry
-    (roundoff from prior arithmetic) is symmetrized away; anything beyond
-    ``1e-8`` relative is rejected.
+    Returns an exactly symmetric, read-only float64 copy, or the input itself
+    when it already is one and owns its storage (a :func:`sym_matrix`
+    output).  Tiny asymmetry (roundoff from prior arithmetic) is symmetrized
+    away; anything beyond ``1e-8`` relative is rejected.
     """
     m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -44,17 +44,11 @@ def sym_matrix(entries: np.ndarray) -> np.ndarray:
     asym = np.max(np.abs(m - m.T))
     if scale > 0 and asym > _ASYM_REL_TOL * scale:
         raise ValueError(f"matrix is not symmetric: max|M - M^T| = {asym:.3e}")
+    if asym == 0 and m.flags.owndata and not m.flags.writeable:
+        return m
     out = 0.5 * (m + m.T)
     out.flags.writeable = False
     return out
-
-
-def _is_sym_matrix(m) -> bool:
-    """Whether ``m`` keeps the :func:`sym_matrix` contract: a read-only, finite,
-    exactly symmetric square float64 array."""
-    return (isinstance(m, np.ndarray) and m.dtype == np.float64 and m.ndim == 2
-            and m.shape[0] == m.shape[1] > 0 and not m.flags.writeable
-            and np.array_equal(m, m.T) and bool(np.isfinite(m).all()))
 
 
 @dataclass(frozen=True)
@@ -86,12 +80,11 @@ def eigendecompose(matrix: np.ndarray, tol: float = 1e-10) -> EigenDecomposition
     Verifies orthogonality of the basis (``max|Q^T Q - I| <= tol``) and the
     reconstruction residual (``max|Q L Q^T - M| <= max(tol, 1e-8) * max|M|``)
     and raises with the offending residual if the backend failed to converge
-    to those tolerances.  A :func:`sym_matrix` output is used as it is; any
-    other input is validated through it first.
+    to those tolerances.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    m = matrix if _is_sym_matrix(matrix) else sym_matrix(matrix)
+    m = sym_matrix(matrix)
     try:
         w, q = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:

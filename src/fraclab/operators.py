@@ -152,7 +152,7 @@ def navier_operator(domain: SubDomain | BoxGrid, s: float) -> SymOperator:
     return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=sd, s=s)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)
 def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
     """The symbol of B^s: the cosine transform of the box spectrum to the power s.
 
@@ -160,7 +160,9 @@ def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
     c[k] = sum_j lam_j^s cos(k j pi/(N+1))/(N+1); in 2D the spectrum
     lam_a + lam_b gives a two-index K (see :func:`_restricted_entries`).
     One real FFT per axis of the 1D eigenvalues, k = 0..N+1: Hankel indices
-    k > N+1 read 2(N+1) - k, so B^s is exactly centrosymmetric.  Read-only.
+    k > N+1 read 2(N+1) - k, so B^s is exactly centrosymmetric.  Read-only;
+    only the last (box, s) is kept, since the monotonicity runs form one
+    restricted matrix per chain check under an outer loop over s.
     """
     lam = _interval_eigenvalues(box.nodes_per_axis, box.h)
     if box.dim == 1:
@@ -345,11 +347,11 @@ def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumCompar
         dirichlet = sd.eigen.eigenvalues
     else:
         blocks, invariants = _restricted_blocks(idx, box, s)
-        dirichlet = np.sort(np.concatenate([eigenvalues(block) for block in blocks]))
-    _require_positive_definite("dirichlet", dirichlet[0])
+        dirichlet = np.concatenate([eigenvalues(block) for block in blocks])
+    _require_positive_definite("dirichlet", np.min(dirichlet))
     if s != 1.0:
         check_spectrum(dirichlet, *invariants)
-    # no-op sorts, kept: dropping them raised the peak RSS through heap layout
+    # the spectral sort is a no-op, kept: dropping it raised the peak RSS through heap layout
     return SpectrumComparison(s=s, navier=np.sort(domain.eigen.eigenvalues**s),
                               dirichlet=np.sort(dirichlet))
 

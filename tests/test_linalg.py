@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from fraclab import linalg
 from fraclab.linalg import check_spectrum, eigendecompose, eigenvalues, spectral_power, sym_matrix
 
 
@@ -31,20 +30,16 @@ def test_eigendecompose_rejects_asymmetric_and_nonfinite():
         eigendecompose(np.eye(2), tol=-1.0)
 
 
-def test_eigendecompose_takes_a_sym_matrix_output_without_validating_it_again(monkeypatch):
-    calls = []
-    original = linalg.sym_matrix
-
-    def counting(entries):
-        calls.append(1)
-        return original(entries)
-
+def test_sym_matrix_returns_its_own_output_as_it_is():
     frozen = sym_matrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    monkeypatch.setattr(linalg, "sym_matrix", counting)
-    assert np.allclose(eigendecompose(frozen).eigenvalues, [1.0, 3.0], atol=1e-12)
-    assert calls == []
-    eigendecompose(np.array([[2.0, 1.0], [1.0, 2.0]]))  # writeable: validated
-    assert calls == [1]
+    assert sym_matrix(frozen) is frozen
+    view = frozen[:, :]  # read-only, but its storage is not its own
+    assert sym_matrix(view) is not view
+    writable = np.array([[2.0, 1.0], [1.0, 2.0]])
+    out = sym_matrix(writable)
+    assert out is not writable and not out.flags.writeable
+    writable[0, 1] = writable[1, 0] = 5.0
+    assert out[0, 1] == 1.0
 
 
 @pytest.mark.parametrize("entries", [[[1.0, 2.0], [0.0, 1.0]], [[np.inf, 0.0], [0.0, 1.0]],
