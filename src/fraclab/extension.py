@@ -11,7 +11,9 @@ where w(x, y) ~ u(x) + c(x) y^(2s).
 
 Discretization: expand in the eigenbasis of the in-plane Laplacian (the
 energy decouples mode by mode), and solve a piecewise-linear finite element
-problem in y on a graded mesh y_k = Y (k/M)^gamma for each mode.  The
+problem in y on a graded mesh y_k = Y (k/M)^gamma.  A mode's problem depends
+only on its in-plane eigenvalue and is linear in its datum coefficient, so
+it is solved once per distinct eigenvalue with unit datum and scaled.  The
 singular weight y^(1-2s) is integrated exactly over every cell; the
 in-plane stiffness term uses the layer-lumped cell weights, which keeps the
 assembled system an M-matrix so the discrete maximum principle (and with it
@@ -134,29 +136,34 @@ def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float):
-    """Per-mode tridiagonal solves (Thomas, vectorized over modes).
+    """Per-mode tridiagonal solves (Thomas, vectorized over distinct eigenvalues).
 
     Each eigenmode with in-plane eigenvalue lam_j minimizes
     sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
     subject to c_0 given and c_M = 0, for M >= 4 layers as solve_extension
-    requires.  The sweep and its residual check work layer-major, on
-    (M+1, n_modes) arrays, so each step reads and writes one contiguous row
-    of modes.  Returns the mode-major (n_modes, M+1) coefficient lattice and
-    the per-mode energies.
+    requires.  The system depends on lam_j alone and c_0 enters linearly, so
+    the sweep, its residual check and the energy sums run once per distinct
+    eigenvalue (exact equality; the box's lam_a + lam_b repeats each value
+    about twice) on the unit-datum profile phi (c_0 = 1), and mode j gets
+    c0_j phi and c0_j^2 E(phi).  The sweep works layer-major, on
+    (M+1, n_distinct) arrays, so each step reads and writes one contiguous
+    row.  Returns the mode-major (n_modes, M+1) coefficient lattice, whose
+    last column is +0.0, and the per-mode energies.
     """
     y = mesh.y
     m = mesh.layers
     mu, w_left, w_right = _cell_weights(y, s)
     k = mu / np.diff(y) ** 2
-    nm = lam.size
-    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam)
+    lam_u, inv = np.unique(lam, return_inverse=True)
+    nm = lam_u.size
+    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam_u)
     off = -k[1:-1]
-    coef = np.zeros((m + 1, nm))
-    coef[0] = c0
-    dp = coef[1:-1]  # forward values, overwritten in place by the solution
+    phi = np.zeros((m + 1, nm))
+    phi[0] = 1.0
+    dp = phi[1:-1]  # forward values, overwritten in place by the solution
     cp = np.empty((m - 2, nm))
     den, tmp = np.empty(nm), np.empty(nm)
-    np.divide(k[0] * c0, diag[0], out=dp[0])
+    np.divide(k[0], diag[0], out=dp[0])
     np.divide(off[0], diag[0], out=cp[0])
     for i in range(1, m - 1):
         np.subtract(diag[i], np.multiply(off[i - 1], cp[i - 1], out=den), out=den)
@@ -166,13 +173,16 @@ def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float)
         np.divide(tmp, den, out=dp[i])
     for i in range(m - 3, -1, -1):
         np.subtract(dp[i], np.multiply(cp[i], dp[i + 1], out=tmp), out=dp[i])
-    del cp, dp  # dp views coef: the transpose below then frees the layer-major lattice
-    _residual_check(diag, k, coef)
+    del cp, dp  # dp views phi: the transpose below then frees the layer-major profiles
+    _residual_check(diag, k, phi)
     del diag
-    coef = np.ascontiguousarray(coef.T)
-    steps = np.diff(coef, axis=1)
-    energies = (steps**2) @ k + lam * ((coef[:, :-1] ** 2) @ w_left + (coef[:, 1:] ** 2) @ w_right)
-    return coef, energies
+    phi = np.ascontiguousarray(phi.T)
+    steps = np.diff(phi, axis=1)
+    e_unit = (steps**2) @ k + lam_u * ((phi[:, :-1] ** 2) @ w_left + (phi[:, 1:] ** 2) @ w_right)
+    coef = phi[inv]
+    coef *= c0[:, None]
+    coef[:, -1] = 0.0  # 0.0 * c0 is -0.0 where c0 < 0
+    return coef, c0**2 * e_unit[inv]
 
 
 def _residual_check(diag, k, coef, tol=1e-10):

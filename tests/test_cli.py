@@ -166,6 +166,17 @@ def test_report_files_and_determinism(tmp_path):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
 
+def test_extension_2d_reports_are_byte_identical_on_rerun(tmp_path):
+    path = tmp_path / "ext.cfg"
+    path.write_text("seed = 1\ndim = 2\nshape = disk:0.5\nextension.grading = 2\n"
+                    "s.values = 0.5,0.75\n")
+    d1, d2 = tmp_path / "a", tmp_path / "b"
+    for out in (d1, d2):
+        assert main(["extension", "--config", str(path), "--out", str(out)]) == 0
+    for name in ("extension.csv", "extension.json"):
+        assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+
 def test_spectra_csv_schema(tmp_path):
     report = run(parse_config(MINIMAL))
     (path,) = write_report(report, tmp_path, formats=("csv",))

@@ -337,25 +337,58 @@ def _modes(name, variant):
     return dom, u, lam, c0
 
 
+EPS = np.finfo(float).eps
+
+
+def _energy_bound(lam, ref_coef, ref_energies, err, mesh, s):
+    """First-order propagation of per-mode coefficient errors err_j through the energy sum."""
+    mu, w_left, w_right = _cell_weights(mesh.y, s)
+    k = mu / np.diff(mesh.y) ** 2
+    e = err[:, None]
+    c, steps = np.abs(ref_coef), np.abs(np.diff(ref_coef, axis=1))
+    return ((4.0 * steps * e + 4.0 * e**2) @ k
+            + lam * ((2.0 * c[:, :-1] * e + e**2) @ w_left + (2.0 * c[:, 1:] * e + e**2) @ w_right)
+            + 8.0 * EPS * np.abs(ref_energies))
+
+
 @pytest.mark.parametrize("layers", [4, 5, 64, 1024])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
 @pytest.mark.parametrize("name", sorted(SWEEP_CASES))
-def test_layer_major_sweep_is_bitwise_the_mode_major_sweep(name, variant, s, layers):
+@pytest.mark.parametrize("grading", ["default", 2.0])
+def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant, s, layers):
     dom, u, lam, c0 = _modes(name, variant)
-    mesh = graded_mesh(layers, 4.0, default_grading(s))
+    mesh = graded_mesh(layers, 4.0, default_grading(s) if grading == "default" else grading)
     coef, energies = _solve_modes(lam, c0, mesh, s)
     ref_coef, ref_energies = _mode_major_sweep(lam, c0, mesh, s)
     assert coef.shape == (lam.size, layers + 1) and coef.flags.c_contiguous
-    assert np.array_equal(coef, ref_coef)
-    assert np.array_equal(energies, ref_energies)
+    assert np.array_equal(coef[:, 0], c0)
+    err = 64.0 * EPS * np.abs(ref_coef).max(axis=1)
+    assert np.all(np.abs(coef - ref_coef) <= err[:, None])
+    assert np.all(np.abs(energies - ref_energies) <= _energy_bound(lam, ref_coef, ref_energies, err, mesh, s))
     if variant == "navier":
         ref_values = dom.eigen.eigenvectors @ ref_coef
     else:
         ref_values = _box_synthesis(ref_coef, dom.grid)
     sol = solve_extension(u, dom, variant, s, mesh)
-    assert np.array_equal(sol.values, ref_values)
-    assert sol.energy == max(float(dom.grid.h**dom.grid.dim * ref_energies.sum()), 0.0)
+    assert np.all(np.abs(sol.values - ref_values) <= 64.0 * EPS * np.abs(ref_values).max())
+    if grading == 2.0:
+        # at the default grading (gamma = 10 for s = 0.9) some energies sit below their roundoff
+        # floor on either path, so there they are held to the propagated bound only
+        assert np.all(np.abs(energies - ref_energies) <= 1e-13 * np.abs(ref_energies))
+        ref_energy = float(dom.grid.h**dom.grid.dim * ref_energies.sum())
+        assert abs(sol.energy - ref_energy) <= 1e-13 * ref_energy
+
+
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+def test_truncation_layer_is_positive_zero(variant):
+    dom, u, lam, c0 = _modes("disk", variant)
+    assert np.any(c0 < 0)  # 0.0 * c0 would give -0.0 there
+    mesh = graded_mesh(16, 4.0, 2.0)
+    coef, _ = _solve_modes(lam, c0, mesh, 0.5)
+    sol = solve_extension(u, dom, variant, 0.5, mesh)
+    for last in (coef[:, -1], sol.values[:, -1]):
+        assert np.all(last == 0.0) and not np.signbit(last).any()
 
 
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
@@ -416,10 +449,14 @@ def test_every_solve_checks_its_residual(monkeypatch, variant):
 
     monkeypatch.setattr(extension, "_residual_check", spy)
     solve_extension(u, dom, variant, 0.5, mesh)
-    assert seen == [((mesh.layers - 1, lam.size), (mesh.layers + 1, lam.size))]
+    distinct = np.unique(lam).size
+    assert seen == [((mesh.layers - 1, distinct), (mesh.layers + 1, distinct))]
+    if variant == "dirichlet":
+        # the 2D box spectrum lam_a + lam_b is symmetric in (a, b)
+        assert distinct < lam.size == dom.grid.size
 
 
-def test_dirichlet_solve_peak_memory_stays_within_six_lattices():
+def test_dirichlet_solve_peak_memory_stays_within_four_lattices():
     # one lattice is the N^2 x (M+1) float64 solution the solve returns
     box = make_box(2, 1.0, 40)
     dom = make_shape(box, "disk", (0.5,))
@@ -433,4 +470,4 @@ def test_dirichlet_solve_peak_memory_stays_within_six_lattices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * lattice, f"peak {peak / lattice:.2f} lattices"
+    assert peak <= 4 * lattice, f"peak {peak / lattice:.2f} lattices"
