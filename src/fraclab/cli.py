@@ -43,6 +43,7 @@ import scipy
 
 from . import __version__
 from .analysis import (
+    SobolevSetup,
     dilation_sweep,
     extremal_function,
     rayleigh_quotient,
@@ -267,8 +268,10 @@ def _check_mask(domain: SubDomain, key: str) -> None:
 
 def _build_domain(cfg: ExperimentConfig) -> tuple[BoxGrid, SubDomain]:
     box = _build_box(cfg)
-    name, params = parse_shape_spec(cfg.shape)
-    domain = make_shape(box, name, params)
+    try:
+        domain = make_shape(box, *parse_shape_spec(cfg.shape))
+    except ValueError as exc:
+        raise ConfigError(f"shape: {exc}") from exc
     _check_mask(domain, "shape")
     return box, domain
 
@@ -411,8 +414,7 @@ def _sobolev_quotient(dim: int, halfwidth: float, nodes: int, pad: int, s: float
     u = extremal_function(grid, dim, s)
     fft_box = make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1)
     form = fourier_form(u, fft_box, s)
-    p = 2.0 * dim / (dim - 2.0 * s)
-    return rayleigh_quotient(form, u, p)
+    return rayleigh_quotient(form, u, SobolevSetup(n=dim, s=s).critical_exponent)
 
 
 def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
@@ -520,44 +522,34 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def write_report(report: ExperimentReport, out_dir: str | Path,
-                 formats: tuple[str, ...] = ("csv", "json")) -> list[Path]:
-    """Write the report tables; identical inputs yield byte-identical files.
+def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
+    """Write ``<kind>.csv`` and ``<kind>.json``; identical inputs yield byte-identical files.
 
     Volatile fields (wall time) are kept out of the files on purpose so that
     reruns with the same config and seed compare equal byte for byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for fmt in formats:
-        if fmt == "csv":
-            path = out / f"{report.kind}.csv"
-            with path.open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(report.columns)
-                for row in report.rows:
-                    writer.writerow([_format_cell(v) for v in row])
-            written.append(path)
-        elif fmt == "json":
-            path = out / f"{report.kind}.json"
-            payload = {
-                "kind": report.kind,
-                "config": report.config,
-                "columns": report.columns,
-                "rows": report.rows,
-                "checks": [
-                    {"name": c.name, "margin": c.margin,
-                     "tolerance": c.tolerance, "passed": c.passed}
-                    for c in report.checks
-                ],
-                "versions": report.versions,
-            }
-            path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-            written.append(path)
-        else:
-            raise ValueError(f"unknown report format {fmt!r}")
-    return written
+    csv_path, json_path = out / f"{report.kind}.csv", out / f"{report.kind}.json"
+    with csv_path.open("w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(report.columns)
+        for row in report.rows:
+            writer.writerow([_format_cell(v) for v in row])
+    payload = {
+        "kind": report.kind,
+        "config": report.config,
+        "columns": report.columns,
+        "rows": report.rows,
+        "checks": [
+            {"name": c.name, "margin": c.margin,
+             "tolerance": c.tolerance, "passed": c.passed}
+            for c in report.checks
+        ],
+        "versions": report.versions,
+    }
+    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return [csv_path, json_path]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -2,7 +2,10 @@
 
 A :class:`BoxGrid` is a uniform tensor grid of interior nodes on the open
 box (-L, L)^dim with step h = 2L/(N+1); it stands in for the whole space
-once L is large.  A :class:`SubDomain` marks the nodes lying strictly
+once L is large.  Its nodes form the lattice ``shape = (N,) * dim``, a
+node's flat index being its row-major position there, and every grid
+helper is written once over the axes for both dimensions.  A
+:class:`SubDomain` marks the nodes lying strictly
 inside a shape (interval, square, L-shape, disk, or a custom mask) and
 owns Omega's Laplacian A_Omega and its eigenbasis, built once on first use;
 a :class:`GridFunction` carries nodal values on the full grid.  Functions
@@ -19,7 +22,7 @@ from __future__ import annotations
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -63,6 +66,11 @@ class BoxGrid:
         return 2.0 * self.halfwidth / (self.nodes_per_axis + 1)
 
     @property
+    def shape(self) -> tuple[int, ...]:
+        """The node lattice ``(N,) * dim``; flat node indices are row-major in it."""
+        return (self.nodes_per_axis,) * self.dim
+
+    @property
     def size(self) -> int:
         return self.nodes_per_axis**self.dim
 
@@ -72,12 +80,9 @@ class BoxGrid:
         return -self.halfwidth + np.arange(1, n + 1) * self.h
 
     def node_coords(self) -> np.ndarray:
-        """Coordinates of all nodes, shape (size, dim), row-major in 2D."""
-        x = self.axis_nodes()
-        if self.dim == 1:
-            return x[:, None]
-        xx, yy = np.meshgrid(x, x, indexing="ij")
-        return np.column_stack([xx.ravel(), yy.ravel()])
+        """Coordinates of all nodes, shape (size, dim), in flat-index order."""
+        axes = np.meshgrid(*[self.axis_nodes()] * self.dim, indexing="ij")
+        return np.column_stack([x.ravel() for x in axes])
 
     def embed_offset(self, other: "BoxGrid") -> int:
         """Per-axis index offset of this grid's nodes inside ``other``.
@@ -99,26 +104,28 @@ class BoxGrid:
 
     def embed_indices(self, other: "BoxGrid") -> np.ndarray:
         """Flat indices of this grid's nodes within ``other``'s node array."""
-        k = self.embed_offset(other)
-        n = self.nodes_per_axis
-        axis = np.arange(n) + k
-        if self.dim == 1:
-            return axis
-        return (axis[:, None] * other.nodes_per_axis + axis[None, :]).ravel()
+        axis = np.arange(self.nodes_per_axis) + self.embed_offset(other)
+        lattice = np.meshgrid(*[axis] * self.dim, indexing="ij")
+        return np.ravel_multi_index(lattice, other.shape).ravel()
 
     def neighbors(self, f: int) -> list[int]:
         """Flat indices of node ``f``'s neighbours in the grid graph.
 
-        The order is fixed, f-n, f+n, f-1, f+1 in 2D and f-1, f+1 in 1D, with
-        off-grid nodes dropped; random mask growth draws from this list, so
-        the order is part of every seeded result.
+        The order is fixed: down, then up, along each axis, first axis first
+        (f-n, f+n, f-1, f+1 in 2D; f-1, f+1 in 1D), with off-grid nodes
+        dropped.  Random mask growth draws from this list, so the order is
+        part of every seeded result.
         """
         n = self.nodes_per_axis
-        if self.dim == 1:
-            return [g for g in (f - 1, f + 1) if 0 <= g < n]
-        i, j = divmod(f, n)
-        steps = ((i > 0, -n), (i < n - 1, n), (j > 0, -1), (j < n - 1, 1))
-        return [f + d for inside, d in steps if inside]
+        out = []
+        for k in reversed(range(self.dim)):
+            stride = n**k
+            i = f // stride % n
+            if i > 0:
+                out.append(f - stride)
+            if i < n - 1:
+                out.append(f + stride)
+        return out
 
 
 def _interval_eigenvalues(m: int, h: float) -> np.ndarray:
@@ -178,9 +185,6 @@ class SubDomain:
     def coords(self) -> np.ndarray:
         return self.grid.node_coords()[self.mask]
 
-    def is_full_box(self) -> bool:
-        return bool(self.mask.all())
-
     def on_grid(self, other: BoxGrid) -> "SubDomain":
         """Transplant the mask onto an aligned covering grid."""
         idx = self.grid.embed_indices(other)
@@ -218,19 +222,15 @@ class SubDomain:
         Kronecker product of closed-form 1D sine bases; other masks go to
         LAPACK.
         """
-        grid = self.grid
-        nonzero = np.nonzero(self.mask.reshape((grid.nodes_per_axis,) * grid.dim))
+        nonzero = np.nonzero(self.mask.reshape(self.grid.shape))
         sides = [int(axis.max() - axis.min() + 1) for axis in nonzero]
         if np.prod(sides) != self.node_count:
             return eigendecompose(self.laplacian)
-        if grid.dim == 1:
-            lam, q = _interval_eigenbasis(sides[0], grid.h)
-        else:
-            lam_r, q_r = _interval_eigenbasis(sides[0], grid.h)
-            lam_c, q_c = _interval_eigenbasis(sides[1], grid.h)
-            lam = (lam_r[:, None] + lam_c[None, :]).ravel()
+        lams, qs = zip(*(_interval_eigenbasis(m, self.grid.h) for m in sides))
+        lam, q = reduce(np.add.outer, lams).ravel(), reduce(np.kron, qs)
+        if np.any(np.diff(lam) < 0):  # sort; an ascending spectrum keeps the cached basis uncopied
             order = np.argsort(lam, kind="stable")
-            lam, q = lam[order], np.kron(q_r, q_c)[:, order]
+            lam, q = lam[order], q[:, order]
         return EigenDecomposition(eigenvalues=np.ascontiguousarray(lam),
                                   eigenvectors=np.ascontiguousarray(q))
 
@@ -413,7 +413,6 @@ def dilate(domain: SubDomain, alpha: float, max_halfwidth: float | None = None) 
     if domain.shape in _SHAPES:
         return make_shape(target, domain.shape, new_params)
     coords = target.node_coords() / alpha
-    src = domain.coords()
     mask = np.zeros(target.size, dtype=bool)
     # nearest-node lookup per scaled coordinate
     axis = grid.axis_nodes()
@@ -421,12 +420,8 @@ def dilate(domain: SubDomain, alpha: float, max_halfwidth: float | None = None) 
     ok = np.all((near >= 0) & (near < grid.nodes_per_axis), axis=1)
     cheb = np.full(coords.shape[0], np.inf)
     cheb[ok] = np.max(np.abs(coords[ok] - axis[near[ok]]), axis=1)
-    if grid.dim == 1:
-        flat = near[:, 0]
-    else:
-        flat = near[:, 0] * grid.nodes_per_axis + near[:, 1]
     inside = ok & (cheb < h / 2.0)
-    inside[inside] &= domain.mask[flat[inside]]
+    inside[inside] &= domain.mask[np.ravel_multi_index(near[inside].T, grid.shape)]
     mask[inside] = True
     return SubDomain(grid=target, mask=mask, shape="custom", params=())
 

@@ -26,7 +26,7 @@ weight, so they discretize integrals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -159,16 +159,15 @@ def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
     In 1D B^s[x, y] = c[|x - y|] - c[x + y + 2] with
     c[k] = sum_j lam_j^s cos(k j pi/(N+1))/(N+1); in 2D the spectrum
     lam_a + lam_b gives a two-index K (see :func:`_restricted_entries`).
-    One real FFT per axis of the 1D eigenvalues, k = 0..N+1: Hankel indices
+    One real FFT per axis, last axis first, k = 0..N+1: Hankel indices
     k > N+1 read 2(N+1) - k, so B^s is exactly centrosymmetric.  Read-only;
     only the last (box, s) is kept, since the monotonicity runs form one
     restricted matrix per chain check under an outer loop over s.
     """
     lam = _interval_eigenvalues(box.nodes_per_axis, box.h)
-    if box.dim == 1:
-        kernel = _cosine_sums(lam**s, 0)
-    else:
-        kernel = _cosine_sums(_cosine_sums((lam[:, None] + lam[None, :]) ** s, 1), 0)
+    kernel = reduce(np.add.outer, [lam] * box.dim) ** s
+    for axis in reversed(range(box.dim)):
+        kernel = _cosine_sums(kernel, axis)
     kernel.flags.writeable = False
     return kernel
 
@@ -192,19 +191,25 @@ def _restricted_entries(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray,
                         box: BoxGrid) -> np.ndarray:
     """Entries of B^s between the box nodes ``rows`` and ``cols``, gathered from the kernel.
 
-    In 2D, node (i, j) at flat index i N + j, the entry is
-    K[di, dj] - K[hi, dj] - K[di, hj] + K[hi, hj] for the Toeplitz (d) and
-    Hankel (h) lags of each axis.  It is symmetric in the two nodes, so
-    rows = cols gives an exactly symmetric matrix.
+    Each axis gives a Toeplitz (d) and a Hankel (h) lag, and the entry sums
+    the kernel over every choice of lag per axis, with a minus sign for each
+    Hankel one, the first axis's choice varying fastest: K[d] - K[h] in 1D,
+    K[di, dj] - K[hi, dj] - K[di, hj] + K[hi, hj] in 2D, node (i, j) at flat
+    index i N + j.  The order of the terms fixes the rounding.  The entry is
+    symmetric in the two nodes, so rows = cols gives an exactly symmetric
+    matrix.
     """
-    n = box.nodes_per_axis
-    if box.dim == 1:
-        d, h = _lags(rows, cols, n)
-        return kernel[d] - kernel[h]
-    (ri, rj), (ci, cj) = np.divmod(rows, n), np.divmod(cols, n)
-    di, hi = _lags(ri, ci, n)
-    dj, hj = _lags(rj, cj, n)
-    return kernel[di, dj] - kernel[hi, dj] - kernel[di, hj] + kernel[hi, hj]
+    lags = [_lags(r, c, box.nodes_per_axis)
+            for r, c in zip(np.unravel_index(rows, box.shape), np.unravel_index(cols, box.shape))]
+    entries = kernel[tuple(d for d, _ in lags)]
+    for k in range(1, 2**box.dim):
+        hankel = [k >> axis & 1 for axis in range(box.dim)]
+        term = kernel[tuple(lag[b] for lag, b in zip(lags, hankel))]
+        if sum(hankel) % 2:
+            entries -= term
+        else:
+            entries += term
+    return entries
 
 
 def _restricted_matrix(sd: SubDomain, idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
@@ -264,30 +269,29 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
     """Box-mode eigenvalues and coefficients of a datum on the whole box.
 
     The box eigenvectors are products of the cached 1D sine basis q1, so the
-    coefficients are q1^T X q1 with X the datum on the N x N lattice: O(N^3)
-    instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits
+    coefficients are q1^T X q1 with X the datum on the N x N lattice (q1^T x
+    in 1D): O(N^3) instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits
     at flat index a N + b with eigenvalue lam_a + lam_b, unsorted.
     """
     lam1, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
-    if grid.dim == 1:
-        return lam1, q.T @ datum
-    n = grid.nodes_per_axis
-    lam = (lam1[:, None] + lam1[None, :]).ravel()
-    return lam, (q.T @ datum.reshape(n, n) @ q).ravel()
+    coef = q.T @ datum.reshape(grid.shape)
+    for _ in range(1, grid.dim):  # the second axis
+        coef = coef @ q
+    return reduce(np.add.outer, [lam1] * grid.dim).ravel(), coef.ravel()
 
 
 def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
     """Box nodal values from box-mode coefficients, all y-layers at once.
 
-    Layer k is q1 C_k q1^T on the N x N lattice; one tensordot and one
-    batched matmul form every layer: O(N^3) per layer.
+    Layer k is q1 C_k q1^T on the N x N lattice (q1 c_k in 1D); one
+    tensordot and, in 2D, one batched matmul form every layer without a
+    lattice-sized copy: O(N^3) per layer.
     """
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
-    if grid.dim == 1:
-        return q @ coef
-    n = grid.nodes_per_axis
-    first = np.tensordot(q, coef.reshape(n, n, -1), axes=(1, 0))  # [i, b, k]
-    return (q @ first).reshape(n * n, -1)
+    values = np.tensordot(q, coef.reshape(grid.shape + (-1,)), axes=(1, 0))  # the first axis
+    for _ in range(1, grid.dim):  # the second axis, batched over the first: [i, j, k]
+        values = q @ values
+    return values.reshape(grid.size, -1)
 
 
 def _on_box(domain: SubDomain, box: BoxGrid) -> tuple[SubDomain, np.ndarray]:
@@ -366,7 +370,7 @@ def monotonicity_check(
     the restricted matrix is formed for the restricted form, from the kernel.
     """
     inner_on_box, idx_inner = _on_box(inner, box)
-    outer_on_box = outer if outer.grid == box else outer.on_grid(box)
+    outer_on_box, _ = _on_box(outer, box)
     if not outer_on_box.mask[idx_inner].all():
         raise ValueError("masks are not nested: inner domain must lie inside the outer one")
     v = np.asarray(u, dtype=float)
@@ -395,22 +399,13 @@ def fourier_form(u: GridFunction, box: BoxGrid, s: float) -> float:
         offset = u.grid.embed_offset(box)
     except ValueError as exc:
         raise ValueError(f"support violation: function grid does not embed in the box: {exc}") from exc
-    n_small, n_big = u.grid.nodes_per_axis, box.nodes_per_axis
-    m = n_big + 1  # period in nodes; node 0 sits on the box edge and is zero
+    m = box.nodes_per_axis + 1  # period in nodes; node 0 sits on the box edge and is zero
     h = box.h
-    if box.dim == 1:
-        p = np.zeros(m)
-        p[offset + 1 : offset + 1 + n_small] = u.values
-    else:
-        p = np.zeros((m, m))
-        sl = slice(offset + 1, offset + 1 + n_small)
-        p[sl, sl] = u.values.reshape(n_small, n_small)
+    p = np.zeros((m,) * box.dim)
+    sl = slice(offset + 1, offset + 1 + u.grid.nodes_per_axis)
+    p[(sl,) * box.dim] = u.values.reshape(u.grid.shape)
     freq = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
-    if box.dim == 1:
-        xi_sq = freq**2
-    else:
-        xi_sq = freq[:, None] ** 2 + freq[None, :] ** 2
-    mult = xi_sq**s
+    mult = reduce(np.add.outer, [freq**2] * box.dim) ** s
     mult.flat[0] = 0.0
     f = np.fft.fftn(p)
     return float((h / m) ** box.dim * np.sum(mult * np.abs(f) ** 2))

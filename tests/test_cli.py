@@ -179,7 +179,7 @@ def test_extension_2d_reports_are_byte_identical_on_rerun(tmp_path):
 
 def test_spectra_csv_schema(tmp_path):
     report = run(parse_config(MINIMAL))
-    (path,) = write_report(report, tmp_path, formats=("csv",))
+    path, _ = write_report(report, tmp_path)
     header = path.read_text().splitlines()[0]
     assert header == "s,j,lambda_navier,lambda_dirichlet,margin"
 
@@ -204,7 +204,7 @@ def test_empty_table_written_as_header_only(tmp_path):
         checks=[Check(name="noop", margin=0.0, tolerance=1.0, passed=True)],
         wall_time_seconds=0.0,
     )
-    (path,) = write_report(report, tmp_path, formats=("csv",))
+    path, _ = write_report(report, tmp_path)
     assert path.read_text().splitlines() == ["j,lambda_navier,lambda_dirichlet,margin"]
 
 
@@ -272,6 +272,10 @@ def test_resource_guard_reports_hint():
     ("sweep", "dim = 2\nbox.nodes = 100\nalpha.values = 1,3\n", "alpha.values"),
     ("sweep", "dim = 2\nbox.nodes = 24\nalpha.values = 1,8\n", "alpha.values"),
     ("monotonicity", "dim = 1\nbox.nodes = 12\n", "box.nodes"),
+    ("spectra", "dim = 2\nshape = interval:-0.2,0.2\n", "shape"),      # 1D shape, 2D grid
+    ("positivity", "dim = 1\nshape = interval:-2,2\n", "shape"),       # outside the box
+    ("sweep", "dim = 2\nshape = disk:0.05\n", "shape"),                # no node inside
+    ("extension", "dim = 2\nbox.nodes = 2\n", "shape"),                # no node inside
 ])
 def test_resource_guard_names_the_field(tmp_path, capsys, kind, text, field):
     path = tmp_path / "big.cfg"

@@ -59,7 +59,7 @@ def test_make_shape_degenerate_disk_is_error():
 def test_make_shape_whole_box_square():
     g = make_box(2, 1.0, 9)
     om = make_shape(g, "square", (2.0,))
-    assert om.is_full_box()
+    assert om.mask.all()
 
 
 def test_make_shape_exceeding_box_is_error():

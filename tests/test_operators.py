@@ -106,7 +106,7 @@ def test_dirichlet_s1_coincides_exactly():
 def test_dirichlet_on_full_box_equals_navier():
     box = make_box(1, 1.0, 16)
     om = make_shape(box, "interval", (-1.0, 1.0))
-    assert om.is_full_box()
+    assert om.mask.all()
     d = dirichlet_operator(om, box, 0.5)
     n = navier_operator(om, 0.5)
     assert np.max(np.abs(d.matrix - n.matrix)) <= 1e-10 * np.max(np.abs(n.matrix))
@@ -465,6 +465,17 @@ def test_monotonicity_strict_chain():
     u = rng.standard_normal(inner.node_count)
     q_d, q_outer, q_inner = monotonicity_check(inner, outer, box, 0.5, u)
     assert q_d < q_outer < q_inner
+
+
+def test_monotonicity_refuses_a_misaligned_inner_or_outer_mask_alike():
+    box = make_box(1, 1.0, 64)
+    aligned = centered_interval(box, 8)
+    misaligned = centered_interval(make_box(1, 1.0, 48), 16)
+    u = np.ones(aligned.node_count)
+    with pytest.raises(ValueError, match="not embedded in the box grid"):
+        monotonicity_check(aligned, misaligned, box, 0.5, u)
+    with pytest.raises(ValueError, match="not embedded in the box grid"):
+        monotonicity_check(misaligned, aligned, box, 0.5, np.ones(misaligned.node_count))
 
 
 def test_monotonicity_random_nested_property():

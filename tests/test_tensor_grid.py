@@ -1,0 +1,282 @@
+"""The grid helpers written once over the axes, against their explicit 1D and 2D forms.
+
+Every lattice helper in ``domain`` and ``operators`` handles both dimensions
+in one path over the axes of ``BoxGrid.shape``.  The oracles below are the
+explicit per-dimension formulas that path replaces: node coordinates,
+embedded indices, neighbour lists, the kernel of B^s and its entries, box
+analysis and synthesis, the Fourier form, the rectangle eigenbasis and the
+custom-mask dilation.  Each must agree bit for bit, signed zeros included,
+on 1D and 2D boxes of 1, 2, 7 and 10 nodes per axis, on embedded grids, on
+non-square sets of rows and columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
+"""
+
+import numpy as np
+import pytest
+
+from fraclab.domain import (
+    GridFunction,
+    SubDomain,
+    _interval_eigenbasis,
+    _interval_eigenvalues,
+    dilate,
+    make_box,
+    random_connected_mask,
+)
+from fraclab.operators import (
+    _box_analysis,
+    _box_synthesis,
+    _cosine_sums,
+    _lags,
+    _restricted_entries,
+    _restricted_kernel,
+    fourier_form,
+)
+
+S_GRID = (0.02, 0.1, 0.5, 0.9, 1.0)
+SIDES = (1, 2, 7, 10)
+BOXES = [(dim, n) for dim in (1, 2) for n in SIDES]
+# (dim, halfwidth, nodes) of a grid and of the box it embeds in, odd and even
+EMBEDDED = [(dim, small, big) for dim in (1, 2)
+            for small, big in (((0.5, 7), (1.0, 15)), ((0.5, 9), (1.0, 19)))]
+
+
+def _same(new, old):
+    """Bitwise equality: shape, dtype, values and the sign of every zero."""
+    new, old = np.asarray(new), np.asarray(old)
+    assert new.shape == old.shape and new.dtype == old.dtype
+    assert np.array_equal(new, old)
+    if new.dtype.kind == "f":
+        assert np.array_equal(np.signbit(new), np.signbit(old))
+
+
+# --- the explicit 1D and 2D forms ---------------------------------------
+
+def _node_coords(grid):
+    x = grid.axis_nodes()
+    if grid.dim == 1:
+        return x[:, None]
+    xx, yy = np.meshgrid(x, x, indexing="ij")
+    return np.column_stack([xx.ravel(), yy.ravel()])
+
+
+def _embed_indices(grid, other):
+    axis = np.arange(grid.nodes_per_axis) + grid.embed_offset(other)
+    if grid.dim == 1:
+        return axis
+    return (axis[:, None] * other.nodes_per_axis + axis[None, :]).ravel()
+
+
+def _neighbors(grid, f):
+    n = grid.nodes_per_axis
+    if grid.dim == 1:
+        return [g for g in (f - 1, f + 1) if 0 <= g < n]
+    i, j = divmod(f, n)
+    steps = ((i > 0, -n), (i < n - 1, n), (j > 0, -1), (j < n - 1, 1))
+    return [f + d for inside, d in steps if inside]
+
+
+def _kernel(box, s):
+    lam = _interval_eigenvalues(box.nodes_per_axis, box.h)
+    if box.dim == 1:
+        return _cosine_sums(lam**s, 0)
+    return _cosine_sums(_cosine_sums((lam[:, None] + lam[None, :]) ** s, 1), 0)
+
+
+def _entries(kernel, rows, cols, box):
+    n = box.nodes_per_axis
+    if box.dim == 1:
+        d, h = _lags(rows, cols, n)
+        return kernel[d] - kernel[h]
+    (ri, rj), (ci, cj) = np.divmod(rows, n), np.divmod(cols, n)
+    di, hi = _lags(ri, ci, n)
+    dj, hj = _lags(rj, cj, n)
+    return kernel[di, dj] - kernel[hi, dj] - kernel[di, hj] + kernel[hi, hj]
+
+
+def _analysis(datum, grid):
+    lam1, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
+    if grid.dim == 1:
+        return lam1, q.T @ datum
+    n = grid.nodes_per_axis
+    lam = (lam1[:, None] + lam1[None, :]).ravel()
+    return lam, (q.T @ datum.reshape(n, n) @ q).ravel()
+
+
+def _synthesis(coef, grid):
+    _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
+    if grid.dim == 1:
+        return q @ coef
+    n = grid.nodes_per_axis
+    first = np.tensordot(q, coef.reshape(n, n, -1), axes=(1, 0))
+    return (q @ first).reshape(n * n, -1)
+
+
+def _fourier_form(u, box, s):
+    offset = u.grid.embed_offset(box)
+    n_small, m, h = u.grid.nodes_per_axis, box.nodes_per_axis + 1, box.h
+    if box.dim == 1:
+        p = np.zeros(m)
+        p[offset + 1 : offset + 1 + n_small] = u.values
+    else:
+        p = np.zeros((m, m))
+        sl = slice(offset + 1, offset + 1 + n_small)
+        p[sl, sl] = u.values.reshape(n_small, n_small)
+    freq = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
+    if box.dim == 1:
+        xi_sq = freq**2
+    else:
+        xi_sq = freq[:, None] ** 2 + freq[None, :] ** 2
+    mult = xi_sq**s
+    mult.flat[0] = 0.0
+    f = np.fft.fftn(p)
+    return float((h / m) ** box.dim * np.sum(mult * np.abs(f) ** 2))
+
+
+def _rectangle_eigen(sd):
+    grid = sd.grid
+    nonzero = np.nonzero(sd.mask.reshape((grid.nodes_per_axis,) * grid.dim))
+    sides = [int(axis.max() - axis.min() + 1) for axis in nonzero]
+    assert np.prod(sides) == sd.node_count
+    if grid.dim == 1:
+        lam, q = _interval_eigenbasis(sides[0], grid.h)
+    else:
+        lam_r, q_r = _interval_eigenbasis(sides[0], grid.h)
+        lam_c, q_c = _interval_eigenbasis(sides[1], grid.h)
+        lam = (lam_r[:, None] + lam_c[None, :]).ravel()
+        order = np.argsort(lam, kind="stable")
+        lam, q = lam[order], np.kron(q_r, q_c)[:, order]
+    return np.ascontiguousarray(lam), np.ascontiguousarray(q)
+
+
+def _dilated_mask(domain, alpha, target):
+    grid, h = domain.grid, domain.grid.h
+    coords = _node_coords(target) / alpha
+    axis = grid.axis_nodes()
+    near = np.round((coords + grid.halfwidth) / h).astype(int) - 1
+    ok = np.all((near >= 0) & (near < grid.nodes_per_axis), axis=1)
+    cheb = np.full(coords.shape[0], np.inf)
+    cheb[ok] = np.max(np.abs(coords[ok] - axis[near[ok]]), axis=1)
+    if grid.dim == 1:
+        flat = near[:, 0]
+    else:
+        flat = near[:, 0] * grid.nodes_per_axis + near[:, 1]
+    inside = ok & (cheb < h / 2.0)
+    inside[inside] &= domain.mask[flat[inside]]
+    return inside
+
+
+# --- the comparisons ----------------------------------------------------
+
+def _ids(cases):
+    return ["-".join(str(v) for v in case) for case in cases]
+
+
+@pytest.mark.parametrize("dim, n", BOXES, ids=_ids(BOXES))
+def test_shape_is_the_row_major_node_lattice(dim, n):
+    grid = make_box(dim, 1.0, n)
+    assert grid.shape == (n,) * dim
+    coords = grid.node_coords()
+    x = grid.axis_nodes()
+    for f, index in enumerate(np.ndindex(*grid.shape)):
+        assert coords[f].tolist() == [x[i] for i in index]
+
+
+@pytest.mark.parametrize("dim, n", BOXES, ids=_ids(BOXES))
+def test_node_coords_neighbors_and_self_embedding(dim, n):
+    grid = make_box(dim, 1.0, n)
+    _same(grid.node_coords(), _node_coords(grid))
+    _same(grid.embed_indices(grid), _embed_indices(grid, grid))
+    for f in range(grid.size):
+        assert grid.neighbors(f) == _neighbors(grid, f)
+
+
+@pytest.mark.parametrize("dim, small, big", EMBEDDED, ids=_ids(EMBEDDED))
+def test_embedded_indices(dim, small, big):
+    grid, box = make_box(dim, *small), make_box(dim, *big)
+    _same(grid.embed_indices(box), _embed_indices(grid, box))
+
+
+def _index_sets(box):
+    """Row and column node sets: the whole box, a non-square pair, an embedded grid."""
+    everything = np.arange(box.size)
+    rng = np.random.default_rng(box.size)
+    rows = np.sort(rng.choice(box.size, size=max(1, box.size // 2), replace=False))
+    cols = np.sort(rng.choice(box.size, size=max(1, box.size - 1), replace=False))
+    sets = [(everything, everything), (rows, cols), (cols, rows)]
+    if box.nodes_per_axis >= 7:
+        side = box.nodes_per_axis - 2  # one node in from each face, same step
+        idx = make_box(box.dim, box.h * (side + 1) / 2.0, side).embed_indices(box)
+        sets.append((idx, idx))
+    return sets
+
+
+KERNEL_CASES = [(dim, n, s) for dim, n in BOXES for s in S_GRID]
+
+
+@pytest.mark.parametrize("dim, n, s", KERNEL_CASES, ids=_ids(KERNEL_CASES))
+def test_kernel_and_restricted_entries(dim, n, s):
+    _restricted_kernel.cache_clear()
+    box = make_box(dim, 1.0, n)
+    kernel = _restricted_kernel(box, s)
+    _same(kernel, _kernel(box, s))
+    for rows, cols in _index_sets(box):
+        _same(_restricted_entries(kernel, rows, cols, box), _entries(kernel, rows, cols, box))
+
+
+@pytest.mark.parametrize("dim, n", BOXES, ids=_ids(BOXES))
+def test_box_analysis_and_synthesis(dim, n):
+    grid = make_box(dim, 1.0, n)
+    rng = np.random.default_rng(7 * n + dim)
+    datum = rng.standard_normal(grid.size)
+    for new, old in zip(_box_analysis(datum, grid), _analysis(datum, grid)):
+        _same(new, old)
+    for layers in (1, 5):
+        coef = rng.standard_normal((grid.size, layers))
+        _same(_box_synthesis(coef, grid), _synthesis(coef, grid))
+
+
+FOURIER_CASES = [(dim, small, big, s) for dim, small, big in EMBEDDED for s in S_GRID]
+
+
+@pytest.mark.parametrize("dim, small, big, s", FOURIER_CASES, ids=_ids(FOURIER_CASES))
+def test_fourier_form(dim, small, big, s):
+    grid, box = make_box(dim, *small), make_box(dim, *big)
+    rng = np.random.default_rng(int(100 * s) + dim)
+    for u in (GridFunction(grid, rng.standard_normal(grid.size)),
+              GridFunction(box, rng.standard_normal(box.size))):
+        assert fourier_form(u, box, s) == _fourier_form(u, box, s)
+
+
+def _block(grid, lo, hi):
+    """Custom mask of the nodes whose every axis index lies in [lo[a], hi[a])."""
+    inside = np.ones(grid.shape, dtype=bool)
+    for axis, (a, b) in enumerate(zip(lo, hi)):
+        index = np.arange(grid.nodes_per_axis).reshape([-1 if k == axis else 1
+                                                        for k in range(grid.dim)])
+        inside &= (index >= a) & (index < b)
+    return SubDomain(grid=grid, mask=inside.ravel())
+
+
+RECTANGLES = [(1, n, (0,), (n,)) for n in SIDES] + [(1, 10, (3,), (8,))] + \
+    [(2, n, (0, 0), (n, n)) for n in SIDES] + \
+    [(2, 10, (1, 2), (4, 7)), (2, 10, (2, 0), (9, 3)), (2, 7, (3, 3), (4, 6))]
+
+
+@pytest.mark.parametrize("dim, n, lo, hi", RECTANGLES, ids=_ids(RECTANGLES))
+def test_rectangle_eigenbasis(dim, n, lo, hi):
+    sd = _block(make_box(dim, 1.0, n), lo, hi)
+    lam, q = _rectangle_eigen(sd)
+    _same(sd.eigen.eigenvalues, lam)
+    _same(sd.eigen.eigenvectors, q)
+
+
+DILATIONS = [(dim, n, alpha) for dim, n in BOXES for alpha in (1.0, 1.5, 2.0, 3.0)]
+
+
+@pytest.mark.parametrize("dim, n, alpha", DILATIONS, ids=_ids(DILATIONS))
+def test_custom_mask_dilation(dim, n, alpha):
+    grid = make_box(dim, 1.0, n)
+    rng = np.random.default_rng(n)
+    om = random_connected_mask(grid, max(1, grid.size // 3), rng)
+    dilated = dilate(om, alpha)
+    _same(dilated.mask, _dilated_mask(om, alpha, dilated.grid))
