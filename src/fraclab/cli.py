@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field, fields as dc_fields
@@ -128,8 +129,15 @@ class ExperimentConfig:
         return {f.name: getattr(self, f.name) for f in dc_fields(self)}
 
 
+def _parse_float(value: str) -> float:
+    parsed = float(value)
+    if not math.isfinite(parsed):  # nan passes no range check, and inf voids a tolerance
+        raise ValueError("not a finite number")
+    return parsed
+
+
 def _parse_list(value: str) -> tuple[float, ...]:
-    parsed = tuple(float(tok) for tok in value.split(",") if tok.strip())
+    parsed = tuple(_parse_float(tok) for tok in value.split(",") if tok.strip())
     if not parsed:
         raise ValueError("empty list")
     return parsed
@@ -137,7 +145,7 @@ def _parse_list(value: str) -> tuple[float, ...]:
 
 # Value parser for each ExperimentConfig annotation, as text: the annotations
 # are postponed (``from __future__ import annotations``).
-_PARSERS = {"str": str, "str | None": str, "int": int, "int | None": int, "float": float,
+_PARSERS = {"str": str, "str | None": str, "int": int, "int | None": int, "float": _parse_float,
             "tuple[float, ...]": _parse_list}
 
 # Config key -> (field name, parser); the key is the field name with its
@@ -522,25 +530,44 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _cell_texts(row: list) -> tuple[list[str], list[str]]:
+    """A row's CSV fields and JSON values, each cell formatted to text once.
+
+    A finite float or an int (not a bool) is its repr in both files; any
+    other cell is :func:`_format_cell` in the CSV and ``json.dumps`` in the
+    JSON, indented as a value inside a row.
+    """
+    fields, values = [], []
+    for v in row:
+        if type(v) is int or type(v) is float and math.isfinite(v):
+            text = repr(v)
+            fields.append(text)
+            values.append(text)
+        else:
+            fields.append(_format_cell(v))
+            values.append(json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n      "))
+    return fields, values
+
+
 def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     """Write ``<kind>.csv`` and ``<kind>.json``; identical inputs yield byte-identical files.
 
-    Volatile fields (wall time) are kept out of the files on purpose so that
-    reruns with the same config and seed compare equal byte for byte.
+    The files hold, byte for byte, what ``csv.writer`` over
+    :func:`_format_cell` and ``json.dumps(payload, indent=2, sort_keys=True)``
+    would write, but the rows are streamed in one pass to both files, each
+    cell formatted to text once (:func:`_cell_texts`), so no whole-report
+    string is held.  Volatile fields (wall time) are kept out of the files on
+    purpose so that reruns with the same config and seed compare equal byte
+    for byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     csv_path, json_path = out / f"{report.kind}.csv", out / f"{report.kind}.json"
-    with csv_path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(report.columns)
-        for row in report.rows:
-            writer.writerow([_format_cell(v) for v in row])
     payload = {
         "kind": report.kind,
         "config": report.config,
         "columns": report.columns,
-        "rows": report.rows,
+        "rows": [],
         "checks": [
             {"name": c.name, "margin": c.margin,
              "tolerance": c.tolerance, "passed": c.passed}
@@ -548,7 +575,21 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
         ],
         "versions": report.versions,
     }
-    json_path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    # a top-level key starts a line indented by two; no JSON string holds a raw newline
+    rows_key = '\n  "rows": ['
+    head, _, tail = json.dumps(payload, indent=2, sort_keys=True).partition(rows_key + "]")
+    with csv_path.open("w", newline="") as csv_fh, json_path.open("w") as json_fh:
+        writer = csv.writer(csv_fh)
+        writer.writerow(report.columns)
+        json_fh.write(head + rows_key)
+        sep = "\n    "
+        for row in report.rows:
+            fields, values = _cell_texts(row)
+            writer.writerow(fields)
+            json_fh.write(sep + ("[\n      " + ",\n      ".join(values) + "\n    ]"
+                                 if values else "[]"))
+            sep = ",\n    "
+        json_fh.write(("\n  ]" if report.rows else "]") + tail + "\n")
     return [csv_path, json_path]
 
 

@@ -182,8 +182,11 @@ def _cosine_sums(f: np.ndarray, axis: int) -> np.ndarray:
 
 def _lags(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 on an n-node axis."""
-    toeplitz = np.abs(rows[:, None] - cols[None, :])
-    hankel = n + 1 - np.abs(rows[:, None] + cols[None, :] + 1 - n)
+    toeplitz = np.subtract.outer(rows, cols)
+    np.abs(toeplitz, out=toeplitz)
+    hankel = np.add.outer(rows, cols + (1 - n))
+    np.abs(hankel, out=hankel)
+    np.subtract(n + 1, hankel, out=hankel)
     return toeplitz, hankel
 
 
@@ -256,9 +259,12 @@ def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
     far = _restricted_entries(kernel, rows, np.concatenate([mirror[low], idx[fixed]]), box)
     paired = np.arange(rows.size) < k
     w = np.where(paired, 1.0, np.sqrt(0.5))
-    blocks = [sym_matrix((near + far) * np.outer(w, w))]
-    if k:
-        blocks.append(sym_matrix(near[:k, :k] - far[:k, :k]))
+    even = near + far
+    even *= np.outer(w, w)
+    blocks = [even, near[:k, :k] - far[:k, :k]] if k else [even]
+    for block in blocks:  # exactly symmetric: frozen, sym_matrix checks them without a copy
+        block.flags.writeable = False
+    blocks = [sym_matrix(block) for block in blocks]
     copies = np.where(paired, 2.0, 1.0)
     squares = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
     scale = max(np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))

@@ -122,6 +122,24 @@ def test_parse_reports_unparsable_values(line, message):
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("kind, key, value, rest", [
+    ("spectra", "tol.coincidence", "inf", "s.values = 0.5,1"),
+    ("spectra", "tol.margin", "nan", "s.values = 0.5,1"),
+    ("spectra", "box.halfwidth", "inf", "s.values = 0.5,1"),
+    ("extension", "extension.height", "nan", "s.values = 0.5"),
+    ("extension", "extension.grading", "nan", "s.values = 0.5"),
+    ("sweep", "alpha.values", "1,inf", ""),
+    ("spectra", "s.values", "0.5,-inf", ""),
+])
+def test_non_finite_values_are_refused(tmp_path, capsys, kind, key, value, rest):
+    # nan fails no range check and inf makes a tolerance vacuous
+    path = tmp_path / "cfg.cfg"
+    path.write_text(f"seed = 1\n{rest}\n{key} = {value}\n")
+    assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert f"{key}: cannot parse {value!r}" in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{kind}.*"))
+
+
 def test_cli_import_leaves_out_heavy_scipy_modules():
     # every CLI start pays for what fraclab.cli imports
     src = Path(fraclab.__file__).resolve().parents[1]
