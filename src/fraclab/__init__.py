@@ -30,7 +30,6 @@ from .domain import (
     make_box,
     make_shape,
     parse_shape_spec,
-    restrict,
 )
 from .extension import (
     ExtensionMesh,
@@ -52,7 +51,6 @@ from .linalg import (
 from .operators import (
     SpectrumComparison,
     SymOperator,
-    assemble_laplacian,
     compare_spectra,
     difference_operator,
     dirichlet_operator,
@@ -65,10 +63,10 @@ __all__ = [
     "__version__",
     "BoxGrid", "SubDomain", "GridFunction",
     "make_box", "make_shape", "parse_shape_spec",
-    "extend_by_zero", "restrict", "dilate",
+    "extend_by_zero", "dilate",
     "EigenDecomposition", "sym_matrix", "eigendecompose", "eigenvalues", "spectral_power",
     "SymOperator", "SpectrumComparison",
-    "assemble_laplacian", "navier_operator", "dirichlet_operator",
+    "navier_operator", "dirichlet_operator",
     "fourier_form", "difference_operator", "compare_spectra", "monotonicity_check",
     "ExtensionMesh", "ExtensionSolution", "graded_mesh", "default_grading",
     "solve_extension", "energy_identity_check", "trace_limit",

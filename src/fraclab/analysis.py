@@ -94,28 +94,17 @@ def extremal_function(grid: BoxGrid, n: int, s: float) -> GridFunction:
     return GridFunction(grid=grid, values=(1.0 + r2) ** ((2.0 * setup.s - setup.n) / 2.0))
 
 
-def _values_and_grid(u, grid: BoxGrid | None) -> tuple[np.ndarray, BoxGrid]:
-    if isinstance(u, GridFunction):
-        if grid is not None and grid != u.grid:
-            raise ValueError("explicit grid disagrees with the function's grid")
-        return u.values, u.grid
-    if grid is None:
-        raise ValueError("a grid is required when passing raw values")
-    return np.asarray(u, dtype=float), grid
-
-
-def lp_norm(u, p: float, grid: BoxGrid | None = None) -> float:
-    """Discrete L_p norm (h^dim * sum |u_i|^p)^(1/p) on the grid."""
+def lp_norm(u: GridFunction, p: float) -> float:
+    """Discrete L_p norm (h^dim * sum |u_i|^p)^(1/p) on u's grid."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    vals, g = _values_and_grid(u, grid)
-    hdim = g.h**g.dim
-    return float((hdim * np.sum(np.abs(vals) ** p)) ** (1.0 / p))
+    hdim = u.grid.h**u.grid.dim
+    return float((hdim * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
 
 
-def rayleigh_quotient(form_value: float, u, p: float, grid: BoxGrid | None = None) -> float:
+def rayleigh_quotient(form_value: float, u: GridFunction, p: float) -> float:
     """Quotient form_value / ||u||_{L_p}^2; invariant under scaling of u."""
-    denom = lp_norm(u, p, grid) ** 2
+    denom = lp_norm(u, p) ** 2
     if denom == 0.0:
         raise ZeroDivisionError("Rayleigh quotient undefined for u = 0")
     return float(form_value) / denom

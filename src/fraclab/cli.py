@@ -66,13 +66,7 @@ from .extension import (
     graded_mesh,
     solve_extension,
 )
-from .operators import (
-    assemble_laplacian,
-    compare_spectra,
-    difference_operator,
-    fourier_form,
-    monotonicity_check,
-)
+from .operators import compare_spectra, difference_operator, fourier_form, monotonicity_check
 
 __all__ = [
     "ConfigError",
@@ -185,6 +179,8 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append(f"kind: {cfg.kind!r} is not one of {EXPERIMENT_KINDS}")
     if cfg.seed is None:
         problems.append("seed: required (reproducibility) but missing")
+    elif cfg.seed < 0:  # numpy's generators take no negative seed
+        problems.append(f"seed: must be >= 0, got {cfg.seed}")
     if cfg.dim not in (1, 2):
         problems.append(f"dim: must be 1 or 2, got {cfg.dim}")
     if not cfg.box_halfwidth > 0:
@@ -286,8 +282,7 @@ def _build_domain(cfg: ExperimentConfig) -> tuple[BoxGrid, SubDomain]:
 
 def _ground_state(domain: SubDomain) -> np.ndarray:
     """Lowest eigenvector of the domain Laplacian, normalized nonnegative."""
-    eigen = assemble_laplacian(domain).eigen
-    v = eigen.eigenvectors[:, 0].copy()
+    v = domain.eigen.eigenvectors[:, 0].copy()
     if v.sum() < 0:
         v = -v
     return np.maximum(v, 0.0)
@@ -334,7 +329,7 @@ def _run_positivity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[
         worst = np.inf
         for trial in range(cfg.trials):
             u = rng.random(domain.node_count)
-            out = diff.apply(u)
+            out = diff @ u
             witness = int(np.argmin(out))
             rows.append([s, trial, float(out[witness]), witness])
             worst = min(worst, float(out[witness]))
@@ -383,12 +378,12 @@ def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[C
             f"(extension.layers + 1) = {lattice} values > {_MAX_EXTENSION_VALUES}; "
             "reduce extension.layers or box.nodes"
         )
+    if max(cfg.s_values) >= 1.0:
+        raise ConfigError("extension experiment needs s strictly inside (0, 1)")
     _, domain = _build_domain(cfg)
     u = _ground_state(domain)
     rows, checks = [], []
     for s in cfg.s_values:
-        if s >= 1.0:
-            raise ConfigError("extension experiment needs s strictly inside (0, 1)")
         mesh = _mesh_for(cfg, domain, s)
         navier = solve_extension(u, domain, "navier", s, mesh)
         ident = energy_identity_check(navier)
@@ -430,13 +425,14 @@ def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Che
     if (pad - 1) * (n + 1) % 2:  # the FFT box's lattice would miss the sampling nodes
         raise ConfigError(f"box.nodes: {n} does not align with the FFT box of sobolev.pad = {pad}; "
                           f"the nearest aligned values are box.nodes = {n - 1} and {n + 1}")
-    rows, checks = [], []
     for s in cfg.s_values:
         if cfg.dim <= 2.0 * s:
             raise ConfigError(
                 f"sobolev experiment requires dim > 2s, got dim={cfg.dim}, s={s}; "
                 "lower s or raise dim"
             )
+    rows, checks = [], []
+    for s in cfg.s_values:
         reference = sobolev_constant_closed_form(cfg.dim, s)
         rows.append(["closed_form", s, float(cfg.dim), reference, reference, 0.0])
         q1 = _sobolev_quotient(cfg.dim, cfg.box_halfwidth, cfg.box_nodes, cfg.sobolev_pad, s)

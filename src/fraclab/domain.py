@@ -10,7 +10,7 @@ inside a shape (interval, square, L-shape, disk, or a custom mask) and
 owns Omega's Laplacian A_Omega and its eigenbasis, built once on first use;
 a :class:`GridFunction` carries nodal values on the full grid.  Functions
 "supported in Omega" vanish on every node outside the mask; zero-extension
-and restriction convert between the two representations.
+turns values on Omega's nodes into one, and ``values[mask]`` reads them back.
 
 Dilation alpha*Omega keeps the step h fixed and enlarges the shape (and,
 when needed, the surrounding box), so discrete operators on Omega and on
@@ -36,7 +36,6 @@ __all__ = [
     "make_shape",
     "parse_shape_spec",
     "extend_by_zero",
-    "restrict",
     "dilate",
     "random_connected_mask",
     "random_nested_masks",
@@ -368,13 +367,6 @@ def extend_by_zero(u: np.ndarray, domain: SubDomain) -> GridFunction:
     full = np.zeros(domain.grid.size)
     full[domain.mask] = vals
     return GridFunction(grid=domain.grid, values=full)
-
-
-def restrict(v: GridFunction, domain: SubDomain) -> np.ndarray:
-    """Values of a grid function on Omega's nodes (inverse of extend_by_zero)."""
-    if v.grid != domain.grid:
-        raise ValueError("grid mismatch between function and domain")
-    return v.values[domain.mask].copy()
 
 
 def dilate(domain: SubDomain, alpha: float, max_halfwidth: float | None = None) -> SubDomain:

@@ -1,4 +1,4 @@
-"""Discrete Laplacian and the two fractional operators built from it.
+"""The two fractional Laplacians of a subdomain and the checks that compare them.
 
 Two inequivalent fractional Laplacians act on functions supported in a
 subdomain Omega of a box grid:
@@ -37,7 +37,6 @@ from .linalg import (EigenDecomposition, check_spectrum, eigendecompose, eigenva
 __all__ = [
     "SymOperator",
     "SpectrumComparison",
-    "assemble_laplacian",
     "navier_operator",
     "dirichlet_operator",
     "fourier_form",
@@ -46,7 +45,7 @@ __all__ = [
     "monotonicity_check",
 ]
 
-_KINDS = ("laplacian", "navier", "dirichlet", "difference")
+_KINDS = ("navier", "dirichlet")
 
 
 def _require_positive_definite(kind: str, least: float) -> None:
@@ -56,32 +55,26 @@ def _require_positive_definite(kind: str, least: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class SymOperator:
-    """Symmetric operator matrix with its eigendecomposition computed eagerly.
+    """A fractional Laplacian of Omega at exponent ``s`` with its eigenbasis.
 
-    ``kind`` is one of laplacian/navier/dirichlet/difference; the first three
-    must be positive definite, the difference kind is expected semidefinite
-    and carries whatever spectrum the comparison produced.
+    ``kind`` is navier (spectral) or dirichlet (restricted); either must be
+    positive definite.
     """
 
     matrix: np.ndarray = field(repr=False)
     eigen: EigenDecomposition = field(repr=False)
     kind: str
     domain: SubDomain
-    s: float | None = None
+    s: float
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown operator kind {self.kind!r}")
-        if self.kind != "difference":
-            _require_positive_definite(self.kind, self.eigen.eigenvalues[0])
+        _require_positive_definite(self.kind, self.eigen.eigenvalues[0])
 
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
-
-    @property
-    def min_eigenvalue(self) -> float:
-        return float(self.eigen.eigenvalues[0])
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         return self.matrix @ np.asarray(u, dtype=float)
@@ -119,18 +112,6 @@ class SpectrumComparison:
         return list(zip(self.navier.tolist(), self.dirichlet.tolist()))
 
 
-def _as_subdomain(domain: SubDomain | BoxGrid) -> SubDomain:
-    if isinstance(domain, BoxGrid):
-        return SubDomain(grid=domain, mask=np.ones(domain.size, dtype=bool), shape="box")
-    return domain
-
-
-def assemble_laplacian(domain: SubDomain | BoxGrid) -> SymOperator:
-    """Discrete Dirichlet Laplacian of the (sub)domain as a positive definite operator."""
-    sd = _as_subdomain(domain)
-    return SymOperator(matrix=sd.laplacian, eigen=sd.eigen, kind="laplacian", domain=sd, s=None)
-
-
 def _check_s(s: float) -> float:
     s = float(s)
     if not 0.0 < s <= 1.0:
@@ -138,18 +119,17 @@ def _check_s(s: float) -> float:
     return s
 
 
-def navier_operator(domain: SubDomain | BoxGrid, s: float) -> SymOperator:
+def navier_operator(domain: SubDomain, s: float) -> SymOperator:
     """Spectral fractional Laplacian of Omega: the s-th power of A_Omega.
 
     At s = 1 this is the Laplacian matrix itself, returned exactly rather
     than through the eigenbasis, so coincidence tests see identical entries.
     """
     s = _check_s(s)
-    sd = _as_subdomain(domain)
-    matrix = sd.laplacian if s == 1.0 else spectral_power(sd.eigen, s)
-    powered = EigenDecomposition(eigenvalues=np.ascontiguousarray(sd.eigen.eigenvalues**s),
-                                 eigenvectors=sd.eigen.eigenvectors)
-    return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=sd, s=s)
+    matrix = domain.laplacian if s == 1.0 else spectral_power(domain.eigen, s)
+    powered = EigenDecomposition(eigenvalues=np.ascontiguousarray(domain.eigen.eigenvalues**s),
+                                 eigenvectors=domain.eigen.eigenvectors)
+    return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=domain, s=s)
 
 
 @lru_cache(maxsize=1)
@@ -327,19 +307,17 @@ def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator
     return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=sd, s=s)
 
 
-def difference_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
-    """The gap operator: spectral minus restricted fractional Laplacian on Omega.
+def difference_operator(domain: SubDomain, box: BoxGrid, s: float) -> np.ndarray:
+    """The gap N - D, spectral minus restricted fractional Laplacian on Omega, as a sym_matrix.
 
     Positive semidefinite up to roundoff for 0 < s <= 1; its smallest
     eigenvalue decays geometrically with the mask thickness, so the strict
-    sign is only resolvable in double precision for modest masks.  Only the
-    difference is eigendecomposed; the restricted matrix comes from the kernel.
+    sign is only resolvable in double precision for modest masks.  N - D is
+    never eigendecomposed; the restricted matrix comes from the kernel.
     """
     nav = navier_operator(domain, s)
     sd, idx = _on_box(domain, box)
-    matrix = sym_matrix(nav.matrix - _restricted_matrix(sd, idx, box, nav.s))
-    return SymOperator(matrix=matrix, eigen=eigendecompose(matrix), kind="difference",
-                       domain=sd, s=nav.s)
+    return sym_matrix(nav.matrix - _restricted_matrix(sd, idx, box, nav.s))
 
 
 def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumComparison:

@@ -57,6 +57,17 @@ def test_parse_requires_seed():
         parse_config("dim = 1")
 
 
+@pytest.mark.parametrize("kind", cli.EXPERIMENT_KINDS)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, kind):
+    # numpy's generators take no negative seed; 0 is a seed like any other
+    assert parse_config("seed = 0").seed == 0
+    path = tmp_path / "negative.cfg"
+    path.write_text("seed = -1\n")
+    assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert "seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert not list(tmp_path.glob(f"{kind}.*"))
+
+
 def test_parse_collects_every_violation():
     text = "dim = 7\ntrials = 0\nspam = 1"
     with pytest.raises(ConfigError) as err:
@@ -324,7 +335,8 @@ def test_sweep_the_lattice_cannot_resolve_is_refused(tmp_path, capsys):
     assert not list(tmp_path.glob("sweep.*"))
 
 
-def test_extension_factors_the_domain_laplacian_once(monkeypatch):
+def _factorizations(monkeypatch, kind, text):
+    """The sizes of the matrices ``kind`` eigendecomposes, and the shapes it builds."""
     calls = []
     original = linalg.eigendecompose
 
@@ -342,11 +354,22 @@ def test_extension_factors_the_domain_laplacian_once(monkeypatch):
         return built[-1]
 
     monkeypatch.setattr(cli, "make_shape", recording_make_shape)
-    cfg = parse_config("seed = 6\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,0.75\n")
-    run(cfg, kind="extension")
-    (disk,) = built
+    run(parse_config(text), kind=kind)
+    return calls, built
+
+
+def test_extension_factors_the_domain_laplacian_once(monkeypatch):
+    calls, (disk,) = _factorizations(monkeypatch, "extension",
+                                     "seed = 6\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,0.75\n")
     assert calls == [disk.node_count]
     assert disk.eigen is disk.eigen
+
+
+def test_positivity_factors_the_domain_laplacian_once(monkeypatch):
+    # N - D is applied, never eigendecomposed
+    calls, (disk,) = _factorizations(monkeypatch, "positivity", "seed = 6\ndim = 2\nshape = disk:0.5\n"
+                                     "s.values = 0.25,0.5,0.75\ntrials = 3\n")
+    assert calls == [disk.node_count]
 
 
 @pytest.mark.parametrize("text, expected", [
@@ -397,3 +420,23 @@ def test_extension_solves_each_variant_once_per_exponent(monkeypatch):
     run(cfg, kind="extension")
     expected = [(v, s) for v in ("navier", "dirichlet") for s in (0.25, 0.5, 0.75)]
     assert sorted(calls) == sorted(expected)
+
+
+@pytest.mark.parametrize("kind, text, work, message", [
+    ("extension", "s.values = 0.25,0.5,0.75,1\n", "solve_extension",
+     r"extension experiment needs s strictly inside \(0, 1\)"),
+    ("sobolev", "s.values = 0.1,0.2,0.3,0.6\n", "_sobolev_quotient",
+     r"sobolev experiment requires dim > 2s, got dim=1, s=0.6;"),
+], ids=["extension", "sobolev"])
+def test_refused_exponents_are_refused_before_any_work(monkeypatch, kind, text, work, message):
+    calls = []
+    original = getattr(cli, work)
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, work, counting)
+    with pytest.raises(ConfigError, match=message):
+        run(parse_config("seed = 1\n" + text), kind=kind)
+    assert calls == []

@@ -10,7 +10,6 @@ from fraclab.domain import (
     parse_shape_spec,
     random_connected_mask,
     random_nested_masks,
-    restrict,
 )
 
 
@@ -92,7 +91,7 @@ def test_extend_restrict_round_trip():
     u = rng.standard_normal(om.node_count)
     v = extend_by_zero(u, om)
     assert np.count_nonzero(v.values) <= om.node_count
-    assert np.allclose(restrict(v, om), u)
+    assert np.allclose(v.values[om.mask], u)
 
 
 def test_extend_by_zero_constant_counts():
@@ -108,7 +107,7 @@ def test_restrict_then_extend_identity_on_supported():
     om = make_shape(g, "disk", (0.5,))
     rng = np.random.default_rng(1)
     v = extend_by_zero(rng.standard_normal(om.node_count), om)
-    again = extend_by_zero(restrict(v, om), om)
+    again = extend_by_zero(v.values[om.mask], om)
     assert np.array_equal(again.values, v.values)
     assert not np.any(v.values[~om.mask])
 
@@ -119,16 +118,6 @@ def test_extend_by_zero_on_full_box_is_identity():
     rng = np.random.default_rng(2)
     u = rng.standard_normal(9)
     assert np.array_equal(extend_by_zero(u, om).values, u)
-
-
-def test_restrict_grid_mismatch():
-    g1 = make_box(1, 1.0, 7)
-    g2 = make_box(1, 1.0, 9)
-    om = make_shape(g1, "interval", (-0.3, 0.3))
-    v = extend_by_zero(np.ones(om.node_count), om)
-    om2 = make_shape(g2, "interval", (-0.3, 0.3))
-    with pytest.raises(ValueError):
-        restrict(v, om2)
 
 
 def test_dilate_identity():
