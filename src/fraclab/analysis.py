@@ -196,11 +196,12 @@ def dilation_sweep(
 ) -> list[SweepRow]:
     """Spectral form on alpha*Omega versus the restricted form, per dilation.
 
-    ``u`` lives on Omega's nodes and is zero-extended into each dilate; all
-    dilates must fit on Omega's existing box (the common lattice), otherwise
-    the sweep raises.  Ratios are >= 1 up to roundoff and decrease toward 1,
-    strictly only while the lattice resolves each dilate, so two factors that
-    give the same mask raise.
+    Omega is a named shape; ``u`` lives on its nodes and is zero-extended
+    into each dilate.  Every dilate is made on Omega's own box, the common
+    lattice, and one that comes within h of its boundary raises.  Ratios
+    are >= 1 up to roundoff and decrease toward 1, strictly only while the
+    lattice resolves each dilate, so two factors that give the same mask
+    raise.
     """
     alphas = [float(a) for a in alphas]
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
@@ -215,7 +216,7 @@ def dilation_sweep(
     previous = None
     for alpha in alphas:
         try:
-            dil = dilate(domain, alpha, max_halfwidth=box.halfwidth)
+            dil = dilate(domain, alpha)
         except ValueError as exc:
             raise ValueError(f"grid/box capacity exceeded at alpha={alpha}: {exc}") from exc
         if not dil.mask[base_idx].all():

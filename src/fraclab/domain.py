@@ -5,16 +5,16 @@ box (-L, L)^dim with step h = 2L/(N+1); it stands in for the whole space
 once L is large.  Its nodes form the lattice ``shape = (N,) * dim``, a
 node's flat index being its row-major position there, and every grid
 helper is written once over the axes for both dimensions.  A
-:class:`SubDomain` marks the nodes lying strictly
-inside a shape (interval, square, L-shape, disk, or a custom mask) and
-owns Omega's Laplacian A_Omega and its eigenbasis, built once on first use;
+:class:`SubDomain` marks the nodes of its box strictly inside a named
+shape (interval, square, L-shape, disk) or a seeded random mask, and owns
+Omega's Laplacian A_Omega and its eigenbasis, built once on first use;
 a :class:`GridFunction` carries nodal values on the full grid.  Functions
 "supported in Omega" vanish on every node outside the mask; zero-extension
 turns values on Omega's nodes into one, and ``values[mask]`` reads them back.
 
-Dilation alpha*Omega keeps the step h fixed and enlarges the shape (and,
-when needed, the surrounding box), so discrete operators on Omega and on
-alpha*Omega act on the same lattice and can be compared node by node.
+Dilation alpha*Omega keeps the box and its step h and enlarges the
+shape, so discrete operators on Omega and on alpha*Omega act on the same
+lattice and can be compared node by node.
 """
 
 from __future__ import annotations
@@ -101,12 +101,6 @@ class BoxGrid:
             raise ValueError("grid lattices are not aligned (halfwidth gap is not a multiple of h)")
         return k
 
-    def embed_indices(self, other: "BoxGrid") -> np.ndarray:
-        """Flat indices of this grid's nodes within ``other``'s node array."""
-        axis = np.arange(self.nodes_per_axis) + self.embed_offset(other)
-        lattice = np.meshgrid(*[axis] * self.dim, indexing="ij")
-        return np.ravel_multi_index(lattice, other.shape).ravel()
-
     def neighbors(self, f: int) -> list[int]:
         """Flat indices of node ``f``'s neighbours in the grid graph.
 
@@ -183,13 +177,6 @@ class SubDomain:
 
     def coords(self) -> np.ndarray:
         return self.grid.node_coords()[self.mask]
-
-    def on_grid(self, other: BoxGrid) -> "SubDomain":
-        """Transplant the mask onto an aligned covering grid."""
-        idx = self.grid.embed_indices(other)
-        mask = np.zeros(other.size, dtype=bool)
-        mask[idx[self.mask]] = True
-        return SubDomain(grid=other, mask=mask, shape=self.shape, params=self.params)
 
     @cached_property
     def laplacian(self) -> np.ndarray:
@@ -328,19 +315,14 @@ def _check_connected(grid: BoxGrid, mask: np.ndarray) -> None:
 
 
 def make_shape(grid: BoxGrid, shape: str, params: tuple[float, ...]) -> SubDomain:
-    """Mask of the grid nodes lying strictly inside the given open shape.
+    """Mask of the grid nodes lying strictly inside the given named open shape.
 
     The shape must not exceed the box; callers should keep a margin of at
-    least h for the ambient-box comparisons to make sense.  ``shape='custom'``
-    takes a boolean mask of length grid.size as its single parameter.
+    least h for the ambient-box comparisons to make sense.  An arbitrary
+    mask is a ``SubDomain(grid=..., mask=...)``.
     """
-    if shape == "custom":
-        (mask,) = params if isinstance(params, tuple) and len(params) == 1 else (params,)
-        sd = SubDomain(grid=grid, mask=np.asarray(mask, dtype=bool), shape="custom", params=())
-        _check_connected(grid, sd.mask)
-        return sd
     if shape not in _SHAPES:
-        raise ValueError(f"unknown shape {shape!r}; expected one of {sorted(_SHAPES)} or 'custom'")
+        raise ValueError(f"unknown shape {shape!r}; expected one of {sorted(_SHAPES)}")
     info = _SHAPES[shape]
     if info["dim"] != grid.dim:
         raise ValueError(f"shape {shape!r} is {info['dim']}-dimensional, grid is {grid.dim}-dimensional")
@@ -369,53 +351,30 @@ def extend_by_zero(u: np.ndarray, domain: SubDomain) -> GridFunction:
     return GridFunction(grid=domain.grid, values=full)
 
 
-def dilate(domain: SubDomain, alpha: float, max_halfwidth: float | None = None) -> SubDomain:
-    """The dilated domain alpha*Omega = {alpha x : x in Omega} on the same lattice.
+def dilate(domain: SubDomain, alpha: float) -> SubDomain:
+    """The dilated named shape alpha*Omega = {alpha x : x in Omega} on Omega's own box.
 
-    The grid step h is kept fixed; if the dilated shape no longer fits in the
-    current box, the box is enlarged by whole multiples of h (so node
-    coordinates of the old grid persist).  ``max_halfwidth`` caps the
-    enlargement; exceeding it raises.
+    The grid and its step h stay fixed, so alpha*Omega lies on Omega's
+    lattice.  Raises if the dilate comes within h of the box boundary
+    (naming the halfwidth it would need) or if Omega is not a named shape.
     """
     if alpha < 1.0:
         raise ValueError(f"dilation factor must be >= 1, got {alpha}")
+    if domain.shape not in _SHAPES:
+        raise ValueError(f"only named shapes dilate, not a {domain.shape!r} mask")
     grid = domain.grid
     h = grid.h
-    if domain.shape in _SHAPES:
-        info = _SHAPES[domain.shape]
-        new_params = info["scale"](alpha, *domain.params)
-        extent = info["extent"](*new_params)
-    else:
-        # Custom masks: a point belongs to alpha*Omega when x/alpha falls in
-        # the open h-cell of a masked node.
-        new_params = None
-        extent = float(np.max(np.abs(domain.coords()))) * alpha + h / 2.0
-    target = grid
+    info = _SHAPES[domain.shape]
+    new_params = info["scale"](alpha, *domain.params)
+    extent = info["extent"](*new_params)
     if extent > grid.halfwidth - h:
         needed = extent + 2.0 * h
         steps = int(np.ceil((needed - grid.halfwidth) / h))
-        new_halfwidth = grid.halfwidth + steps * h
-        if max_halfwidth is not None and new_halfwidth > max_halfwidth + _ALIGN_TOL:
-            raise ValueError(
-                f"dilated shape needs box halfwidth {new_halfwidth:g}, "
-                f"exceeding the configured maximum {max_halfwidth:g}"
-            )
-        target = BoxGrid(dim=grid.dim, halfwidth=new_halfwidth,
-                         nodes_per_axis=grid.nodes_per_axis + 2 * steps)
-    if domain.shape in _SHAPES:
-        return make_shape(target, domain.shape, new_params)
-    coords = target.node_coords() / alpha
-    mask = np.zeros(target.size, dtype=bool)
-    # nearest-node lookup per scaled coordinate
-    axis = grid.axis_nodes()
-    near = np.round((coords + grid.halfwidth) / h).astype(int) - 1
-    ok = np.all((near >= 0) & (near < grid.nodes_per_axis), axis=1)
-    cheb = np.full(coords.shape[0], np.inf)
-    cheb[ok] = np.max(np.abs(coords[ok] - axis[near[ok]]), axis=1)
-    inside = ok & (cheb < h / 2.0)
-    inside[inside] &= domain.mask[np.ravel_multi_index(near[inside].T, grid.shape)]
-    mask[inside] = True
-    return SubDomain(grid=target, mask=mask, shape="custom", params=())
+        raise ValueError(
+            f"dilated shape needs box halfwidth {grid.halfwidth + steps * h:g}, "
+            f"exceeding the configured maximum {grid.halfwidth:g}"
+        )
+    return make_shape(grid, domain.shape, new_params)
 
 
 def _grow(grid: BoxGrid, mask: np.ndarray, cells: list[int], size: int,

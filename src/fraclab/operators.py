@@ -195,14 +195,15 @@ def _restricted_entries(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray,
     return entries
 
 
-def _restricted_matrix(sd: SubDomain, idx: np.ndarray, box: BoxGrid, s: float) -> np.ndarray:
-    """P B^s P^T for Omega on the box (``idx`` its box indices) as a sym_matrix.
+def _restricted_matrix(domain: SubDomain, s: float) -> np.ndarray:
+    """P B^s P^T for Omega and the box it is made on, as a sym_matrix.
 
     At s = 1 the power of the stencil restricts exactly, so Omega's own
     Laplacian matrix is returned and coincidence stays bitwise.
     """
     if s == 1.0:
-        return sd.laplacian
+        return domain.laplacian
+    box, idx = domain.grid, domain.indices
     return sym_matrix(_restricted_entries(_restricted_kernel(box, s), idx, idx, box))
 
 
@@ -280,31 +281,28 @@ def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
     return values.reshape(grid.size, -1)
 
 
-def _on_box(domain: SubDomain, box: BoxGrid) -> tuple[SubDomain, np.ndarray]:
-    """Omega on the box lattice (which must be aligned with it), and the box indices of its nodes."""
-    if domain.grid == box:
-        return domain, domain.indices
-    try:
-        sd = domain.on_grid(box)
-    except ValueError as exc:
-        raise ValueError(f"domain is not embedded in the box grid: {exc}") from exc
-    return sd, sd.indices
+def _on_box(domain: SubDomain, box: BoxGrid) -> np.ndarray:
+    """The box indices of Omega's nodes; Omega must be made on the box itself."""
+    if domain.grid != box:
+        raise ValueError(f"domain is not embedded in the box grid: it lives on {domain.grid}, "
+                         f"not on {box}")
+    return domain.indices
 
 
 def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
     """Restricted fractional Laplacian: P B^s P^T with B the box Laplacian.
 
-    Omega must live on (or embed into) the box lattice.  The matrix is
+    Omega must be made on the box itself.  The matrix is
     gathered from the box's closed-form kernel (:func:`_restricted_kernel`).
     At s = 1 the power of the stencil restricts exactly, so Omega's Laplacian
     matrix and cached basis are returned, and coincidence with the spectral
     operator is bitwise.
     """
     s = _check_s(s)
-    sd, idx = _on_box(domain, box)
-    matrix = _restricted_matrix(sd, idx, box, s)
-    eigen = sd.eigen if s == 1.0 else eigendecompose(matrix)
-    return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=sd, s=s)
+    _on_box(domain, box)
+    matrix = _restricted_matrix(domain, s)
+    eigen = domain.eigen if s == 1.0 else eigendecompose(matrix)
+    return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=domain, s=s)
 
 
 def difference_operator(domain: SubDomain, box: BoxGrid, s: float) -> np.ndarray:
@@ -316,8 +314,8 @@ def difference_operator(domain: SubDomain, box: BoxGrid, s: float) -> np.ndarray
     never eigendecomposed; the restricted matrix comes from the kernel.
     """
     nav = navier_operator(domain, s)
-    sd, idx = _on_box(domain, box)
-    return sym_matrix(nav.matrix - _restricted_matrix(sd, idx, box, nav.s))
+    _on_box(domain, box)
+    return sym_matrix(nav.matrix - _restricted_matrix(domain, nav.s))
 
 
 def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumComparison:
@@ -330,9 +328,9 @@ def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumCompar
     Frobenius norm.
     """
     s = _check_s(s)
-    sd, idx = _on_box(domain, box)
+    idx = _on_box(domain, box)
     if s == 1.0:
-        dirichlet = sd.eigen.eigenvalues
+        dirichlet = domain.eigen.eigenvalues
     else:
         blocks, invariants = _restricted_blocks(idx, box, s)
         dirichlet = np.concatenate([eigenvalues(block) for block in blocks])
@@ -353,18 +351,17 @@ def monotonicity_check(
     triple is nondecreasing left to right, exactly at matrix level.  Only
     the restricted matrix is formed for the restricted form, from the kernel.
     """
-    inner_on_box, idx_inner = _on_box(inner, box)
-    outer_on_box, _ = _on_box(outer, box)
-    if not outer_on_box.mask[idx_inner].all():
+    idx_inner, idx_outer = _on_box(inner, box), _on_box(outer, box)
+    if not outer.mask[idx_inner].all():
         raise ValueError("masks are not nested: inner domain must lie inside the outer one")
     v = np.asarray(u, dtype=float)
     if v.shape != (inner.node_count,):
         raise ValueError(f"expected {inner.node_count} values on the inner mask")
     q_inner = navier_operator(inner, s).form(v)
-    v_outer = np.zeros(outer_on_box.node_count)
-    v_outer[np.searchsorted(outer_on_box.indices, idx_inner)] = v
-    q_outer = navier_operator(outer_on_box, s).form(v_outer)
-    q_restricted = _form(_restricted_matrix(inner_on_box, idx_inner, box, s), v, box)
+    v_outer = np.zeros(outer.node_count)
+    v_outer[np.searchsorted(idx_outer, idx_inner)] = v
+    q_outer = navier_operator(outer, s).form(v_outer)
+    q_restricted = _form(_restricted_matrix(inner, s), v, box)
     return q_restricted, q_outer, q_inner
 
 

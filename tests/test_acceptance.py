@@ -258,7 +258,7 @@ def test_criterion_9_spectral_constant_decreases_toward_closed_form():
     omega = make_shape(box, "interval", (-1.0, 1.0))
     values = []
     for alpha in (1.0, 2.0, 4.0, 8.0):
-        dom = dilate(omega, alpha, max_halfwidth=box.halfwidth)
+        dom = dilate(omega, alpha)
         op = navier_operator(dom, s)
         seed = extremal_function(dom.grid, 1, s).values[dom.mask]
         res = minimize_quotient(op, dom, 4.0, seed, max_iter=3000, tol=1e-10)

@@ -335,6 +335,32 @@ def test_sweep_the_lattice_cannot_resolve_is_refused(tmp_path, capsys):
     assert not list(tmp_path.glob("sweep.*"))
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_sweep_at_its_defaults_passes_for_every_exponent(tmp_path, capsys, dim):
+    path = tmp_path / "defaults.cfg"
+    path.write_text(f"seed = 1\ndim = {dim}\n")
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path)]) == 0
+    lines = (tmp_path / "sweep.csv").read_text().splitlines()
+    assert lines[0] == "s,alpha,q_navier,q_dirichlet,ratio"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0.25"] * 4 + ["0.5"] * 4 + ["0.75"] * 4
+    verdicts = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if not line.startswith("wrote")]
+    assert verdicts == ["PASS"] * 9
+
+
+def test_sweep_over_exponents_is_the_single_exponent_sweeps_in_turn():
+    text = "seed = 1\ndim = 2\nalpha.values = 1,1.5,2,3\n"
+    both = run(parse_config(text + "s.values = 0.5,1\n"), kind="sweep")
+    singles = [run(parse_config(text + f"s.values = {s}\n"), kind="sweep") for s in (0.5, 1)]
+    assert both.columns == ["s", "alpha", "q_navier", "q_dirichlet", "ratio"]
+    assert both.rows == [row for single in singles for row in single.rows]
+    assert [row[:2] for row in both.rows] == [[s, a] for s in (0.5, 1.0) for a in (1.0, 1.5, 2.0, 3.0)]
+    assert both.checks == [check for single in singles for check in single.checks]
+    assert [c.name for c in both.checks] == [
+        "ratio_lower_bound[s=0.5]", "final_ratio[s=0.5]", "ratio_decreasing[s=0.5]",
+        "ratio_lower_bound[s=1]", "final_ratio[s=1]", "ratio_coincidence[s=1]"]
+
+
 def _factorizations(monkeypatch, kind, text):
     """The sizes of the matrices ``kind`` eigendecomposes, and the shapes it builds."""
     calls = []

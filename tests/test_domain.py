@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fraclab.domain import (
+    _check_connected,
     _grow,
     dilate,
     extend_by_zero,
@@ -134,24 +135,30 @@ def test_dilate_interval_doubles():
     assert np.array_equal(d.mask, expect.mask)
 
 
-def test_dilate_keeps_step_when_growing_box():
-    g = make_box(1, 1.0, 31)
-    om = make_shape(g, "interval", (-0.2, 0.2))
-    d = dilate(om, 8.0)
-    assert d.grid.h == pytest.approx(g.h)
-    assert d.grid.halfwidth > g.halfwidth
-    # old lattice embeds into the grown one
-    idx = g.embed_indices(d.grid)
-    assert np.allclose(d.grid.node_coords()[idx], g.node_coords())
-
-
-def test_dilate_respects_max_halfwidth():
+def test_dilate_refuses_to_leave_the_box_or_shrink():
     g = make_box(1, 1.0, 31)
     om = make_shape(g, "interval", (-0.2, 0.2))
     with pytest.raises(ValueError):
-        dilate(om, 64.0, max_halfwidth=2.0)
+        dilate(om, 64.0)
     with pytest.raises(ValueError):
         dilate(om, 0.5)
+
+
+def test_dilate_names_the_halfwidth_a_dilate_outside_the_box_needs():
+    # the 1D sweep defaults before alpha.values = 1,1.5,2,3: 8 * 0.25 + 2h > 1
+    om = make_shape(make_box(1, 1.0, 127), "interval", (-0.25, 0.25))
+    with pytest.raises(ValueError) as err:
+        dilate(om, 8.0)
+    assert str(err.value) == ("dilated shape needs box halfwidth 2.03125, "
+                              "exceeding the configured maximum 1")
+
+
+def test_dilate_stays_on_the_box_up_to_a_step_from_its_faces():
+    g = make_box(1, 1.0, 31)  # h = 1/16
+    om = make_shape(g, "interval", (-0.25, 0.25))
+    assert dilate(om, 3.75).grid is g  # extent 15/16 = L - h
+    with pytest.raises(ValueError, match="needs box halfwidth 1.125"):
+        dilate(om, 3.76)
 
 
 def test_dilate_lshape_area_scales_quadratically():
@@ -171,13 +178,11 @@ def test_dilate_composition_matches_product():
     assert np.array_equal(once.mask, product.mask)
 
 
-def test_dilate_custom_mask_identity_and_growth():
+def test_dilate_refuses_a_custom_mask():
     g = make_box(2, 1.0, 24)
-    rng = np.random.default_rng(5)
-    om = random_connected_mask(g, 10, rng)
-    assert np.array_equal(dilate(om, 1.0).mask, om.mask)
-    d = dilate(om, 2.0)
-    assert d.node_count >= om.node_count
+    om = random_connected_mask(g, 10, np.random.default_rng(5))
+    with pytest.raises(ValueError, match="only named shapes dilate, not a 'custom' mask"):
+        dilate(om, 1.0)
 
 
 def test_disconnected_custom_mask_warns():
@@ -185,7 +190,7 @@ def test_disconnected_custom_mask_warns():
     mask = np.zeros(9, dtype=bool)
     mask[[0, 5]] = True
     with pytest.warns(UserWarning):
-        make_shape(g, "custom", mask)
+        _check_connected(g, mask)
 
 
 def test_random_connected_mask_is_connected_and_sized():
@@ -199,7 +204,7 @@ def test_random_connected_mask_is_connected_and_sized():
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            make_shape(g, "custom", om.mask)
+            _check_connected(g, om.mask)
 
 
 def test_random_nested_masks_nest():

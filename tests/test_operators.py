@@ -348,12 +348,10 @@ def test_split_spectrum_matches_the_whole_matrix(dim, nodes, shape, params, bloc
                                                         (1, "interval", (-0.5, 0.25), 1),
                                                         (2, "disk", (0.5,), 2),
                                                         (2, "lshape", (1.2,), 1)])
-def test_split_spectrum_on_an_embedded_grid_matches_the_whole_matrix(dim, shape, params, blocks, s):
-    small = make_box(dim, 0.75, 11)
-    om = make_shape(small, shape, params)
-    box = make_box(dim, 0.75 + 4 * small.h, 19)
-    idx = small.embed_indices(box)[om.mask]
-    assert len(operators._restricted_blocks(idx, box, s)[0]) == blocks
+def test_split_spectrum_in_a_padded_box_matches_the_whole_matrix(dim, shape, params, blocks, s):
+    box = make_box(dim, 1.25, 19)  # h = 1/8: four empty nodes beyond |x| = 0.75 at each face
+    om = make_shape(box, shape, params)
+    assert len(operators._restricted_blocks(om.indices, box, s)[0]) == blocks
     assert _split_spectrum_error(om, box, s) <= 1e-13
 
 

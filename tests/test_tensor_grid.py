@@ -3,11 +3,11 @@
 Every lattice helper in ``domain`` and ``operators`` handles both dimensions
 in one path over the axes of ``BoxGrid.shape``.  The oracles below are the
 explicit per-dimension formulas that path replaces: node coordinates,
-embedded indices, neighbour lists, the kernel of B^s and its entries, box
-analysis and synthesis, the Fourier form, the rectangle eigenbasis and the
-custom-mask dilation.  Each must agree bit for bit, signed zeros included,
-on 1D and 2D boxes of 1, 2, 7 and 10 nodes per axis, on embedded grids, on
-non-square sets of rows and columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
+neighbour lists, the kernel of B^s and its entries, box analysis and
+synthesis, the Fourier form, the rectangle eigenbasis and the named-shape
+dilation.  Each must agree bit for bit, signed zeros included, on 1D and 2D
+boxes of 1, 2, 7 and 10 nodes per axis, on embedded grids, on non-square
+sets of rows and columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
 """
 
 import numpy as np
@@ -20,7 +20,7 @@ from fraclab.domain import (
     _interval_eigenvalues,
     dilate,
     make_box,
-    random_connected_mask,
+    make_shape,
 )
 from fraclab.operators import (
     _box_analysis,
@@ -148,21 +148,19 @@ def _rectangle_eigen(sd):
     return np.ascontiguousarray(lam), np.ascontiguousarray(q)
 
 
-def _dilated_mask(domain, alpha, target):
-    grid, h = domain.grid, domain.grid.h
-    coords = _node_coords(target) / alpha
-    axis = grid.axis_nodes()
-    near = np.round((coords + grid.halfwidth) / h).astype(int) - 1
-    ok = np.all((near >= 0) & (near < grid.nodes_per_axis), axis=1)
-    cheb = np.full(coords.shape[0], np.inf)
-    cheb[ok] = np.max(np.abs(coords[ok] - axis[near[ok]]), axis=1)
+def _dilated_shape(grid, alpha):
+    """The mask of alpha times ``_SHAPE[dim]`` on ``grid``, or None once it comes within h of a face."""
     if grid.dim == 1:
-        flat = near[:, 0]
-    else:
-        flat = near[:, 0] * grid.nodes_per_axis + near[:, 1]
-    inside = ok & (cheb < h / 2.0)
-    inside[inside] &= domain.mask[flat[inside]]
-    return inside
+        a, b = alpha * -0.4, alpha * 0.2
+        if max(abs(a), abs(b)) > grid.halfwidth - grid.h:
+            return None
+        x = grid.axis_nodes()
+        return (x > a) & (x < b)
+    half = alpha * 0.8 / 2.0
+    if half > grid.halfwidth - grid.h:
+        return None
+    xx, yy = np.meshgrid(grid.axis_nodes(), grid.axis_nodes(), indexing="ij")
+    return (np.maximum(np.abs(xx), np.abs(yy)) < half).ravel()
 
 
 # --- the comparisons ----------------------------------------------------
@@ -185,7 +183,7 @@ def test_shape_is_the_row_major_node_lattice(dim, n):
 def test_node_coords_neighbors_and_self_embedding(dim, n):
     grid = make_box(dim, 1.0, n)
     _same(grid.node_coords(), _node_coords(grid))
-    _same(grid.embed_indices(grid), _embed_indices(grid, grid))
+    _same(_embed_indices(grid, grid), np.arange(grid.size))
     for f in range(grid.size):
         assert grid.neighbors(f) == _neighbors(grid, f)
 
@@ -193,7 +191,9 @@ def test_node_coords_neighbors_and_self_embedding(dim, n):
 @pytest.mark.parametrize("dim, small, big", EMBEDDED, ids=_ids(EMBEDDED))
 def test_embedded_indices(dim, small, big):
     grid, box = make_box(dim, *small), make_box(dim, *big)
-    _same(grid.embed_indices(box), _embed_indices(grid, box))
+    assert grid.embed_offset(box) == round((box.halfwidth - grid.halfwidth) / grid.h)
+    idx = _embed_indices(grid, box)
+    assert np.allclose(box.node_coords()[idx], grid.node_coords(), rtol=0.0, atol=1e-12)
 
 
 def _index_sets(box):
@@ -205,7 +205,7 @@ def _index_sets(box):
     sets = [(everything, everything), (rows, cols), (cols, rows)]
     if box.nodes_per_axis >= 7:
         side = box.nodes_per_axis - 2  # one node in from each face, same step
-        idx = make_box(box.dim, box.h * (side + 1) / 2.0, side).embed_indices(box)
+        idx = _embed_indices(make_box(box.dim, box.h * (side + 1) / 2.0, side), box)
         sets.append((idx, idx))
     return sets
 
@@ -270,13 +270,20 @@ def test_rectangle_eigenbasis(dim, n, lo, hi):
     _same(sd.eigen.eigenvectors, q)
 
 
+# an asymmetric interval in 1D, a square in 2D: each holds a node of every box
+_SHAPE = {1: ("interval", (-0.4, 0.2)), 2: ("square", (0.8,))}
 DILATIONS = [(dim, n, alpha) for dim, n in BOXES for alpha in (1.0, 1.5, 2.0, 3.0)]
 
 
 @pytest.mark.parametrize("dim, n, alpha", DILATIONS, ids=_ids(DILATIONS))
-def test_custom_mask_dilation(dim, n, alpha):
+def test_named_shape_dilation(dim, n, alpha):
     grid = make_box(dim, 1.0, n)
-    rng = np.random.default_rng(n)
-    om = random_connected_mask(grid, max(1, grid.size // 3), rng)
+    om = make_shape(grid, *_SHAPE[dim])
+    expect = _dilated_shape(grid, alpha)
+    if expect is None:
+        with pytest.raises(ValueError, match="dilated shape needs box halfwidth"):
+            dilate(om, alpha)
+        return
     dilated = dilate(om, alpha)
-    _same(dilated.mask, _dilated_mask(om, alpha, dilated.grid))
+    assert dilated.grid is grid and dilated.shape == om.shape
+    _same(dilated.mask, expect)
