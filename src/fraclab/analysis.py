@@ -185,6 +185,7 @@ def minimize_quotient(
 
 
 class SweepRow(NamedTuple):
+    s: float
     alpha: float
     q_navier: float
     q_dirichlet: float
@@ -192,16 +193,16 @@ class SweepRow(NamedTuple):
 
 
 def dilation_sweep(
-    u: np.ndarray, domain: SubDomain, s: float, alphas: list[float]
+    u: np.ndarray, domain: SubDomain, s_values: list[float], alphas: list[float]
 ) -> list[SweepRow]:
-    """Spectral form on alpha*Omega versus the restricted form, per dilation.
+    """Spectral form on alpha*Omega versus the restricted form, per exponent and dilation.
 
     Omega is a named shape; ``u`` lives on its nodes and is zero-extended
-    into each dilate.  Every dilate is made on Omega's own box, the common
-    lattice, and one that comes within h of its boundary raises.  Ratios
-    are >= 1 up to roundoff and decrease toward 1, strictly only while the
-    lattice resolves each dilate, so two factors that give the same mask
-    raise.
+    into each dilate.  Every dilate is made once, on Omega's own box, and
+    serves every exponent; one that comes within h of its boundary raises.
+    Rows run over the dilations for each exponent in turn.  Ratios are >= 1
+    up to roundoff and decrease toward 1, strictly only while the lattice
+    resolves each dilate, so two factors that give the same mask raise.
     """
     alphas = [float(a) for a in alphas]
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
@@ -209,11 +210,8 @@ def dilation_sweep(
     vals = np.asarray(u, dtype=float)
     if vals.shape != (domain.node_count,):
         raise ValueError(f"expected {domain.node_count} values on the mask")
-    box = domain.grid
-    q_dir = dirichlet_operator(domain, box, s).form(vals)
-    rows = []
     base_idx = domain.indices
-    previous = None
+    dilates = []
     for alpha in alphas:
         try:
             dil = dilate(domain, alpha)
@@ -221,12 +219,16 @@ def dilation_sweep(
             raise ValueError(f"grid/box capacity exceeded at alpha={alpha}: {exc}") from exc
         if not dil.mask[base_idx].all():
             raise ValueError(f"dilate by alpha={alpha} does not contain the base domain")
-        if previous is not None and np.array_equal(dil.mask, previous.mask):
-            raise ValueError(f"alpha={rows[-1].alpha:g} and alpha={alpha:g} give the same "
+        if dilates and np.array_equal(dil.mask, dilates[-1][1].mask):
+            raise ValueError(f"alpha={dilates[-1][0]:g} and alpha={alpha:g} give the same "
                              f"{dil.node_count}-node mask on this lattice; refine the grid")
-        previous = dil
         v = np.zeros(dil.node_count)
         v[np.searchsorted(dil.indices, base_idx)] = vals
-        q_nav = navier_operator(dil, s).form(v)
-        rows.append(SweepRow(alpha=alpha, q_navier=q_nav, q_dirichlet=q_dir, ratio=q_nav / q_dir))
+        dilates.append((alpha, dil, v))
+    rows = []
+    for s in s_values:
+        q_dir = dirichlet_operator(domain, domain.grid, s).form(vals)
+        for alpha, dil, v in dilates:
+            q_nav = navier_operator(dil, s).form(v)
+            rows.append(SweepRow(s, alpha, q_nav, q_dir, q_nav / q_dir))
     return rows

@@ -458,14 +458,13 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check
         raise ConfigError(f"alpha.values: {exc}; reduce the largest factor") from exc
     _check_mask(largest, "alpha.values")
     u = _ground_state(domain)
-    rows, checks = [], []
-    for s in cfg.s_values:
-        try:
-            table = dilation_sweep(u, domain, s, list(cfg.alpha_values))
-        except ValueError as exc:
-            raise ConfigError(f"alpha.values: {exc}") from exc
-        rows.extend([s, r.alpha, r.q_navier, r.q_dirichlet, r.ratio] for r in table)
-        ratios = np.array([r.ratio for r in table])
+    try:
+        table = dilation_sweep(u, domain, list(cfg.s_values), list(cfg.alpha_values))
+    except ValueError as exc:
+        raise ConfigError(f"alpha.values: {exc}") from exc
+    rows, checks, n = [list(r) for r in table], [], len(cfg.alpha_values)
+    for j, s in enumerate(cfg.s_values):  # the rows of exponent j are rows j*n..(j+1)*n-1
+        ratios = np.array([r.ratio for r in table[j * n:(j + 1) * n]])
         checks.append(Check(name=f"ratio_lower_bound[s={s:g}]",
                             margin=float(ratios.min() - 1.0), tolerance=cfg.tol_coincidence,
                             passed=bool(ratios.min() >= 1.0 - cfg.tol_coincidence)))

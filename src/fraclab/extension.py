@@ -13,11 +13,15 @@ Discretization: expand in the eigenbasis of the in-plane Laplacian (the
 energy decouples mode by mode), and solve a piecewise-linear finite element
 problem in y on a graded mesh y_k = Y (k/M)^gamma.  A mode's problem depends
 only on its in-plane eigenvalue and is linear in its datum coefficient, so
-it is solved once per distinct eigenvalue with unit datum and scaled.  The
-singular weight y^(1-2s) is integrated exactly over every cell; the
-in-plane stiffness term uses the layer-lumped cell weights, which keeps the
-assembled system an M-matrix so the discrete maximum principle (and with it
-the ordering w_dirichlet >= w_navier for u >= 0) holds exactly.
+it is solved once per distinct eigenvalue with unit datum and scaled, by a
+ratio sweep (the UL factorization, three ufunc calls per layer).  Its
+residual check and energies take one pass over cache-sized blocks of
+layers; the dirichlet variant's box synthesis fills its lattice a block of
+layers at a time.  The singular weight y^(1-2s) is integrated exactly over
+every cell; the in-plane stiffness term uses the layer-lumped cell weights,
+which keeps the assembled system an M-matrix so the discrete maximum
+principle (and with it the ordering w_dirichlet >= w_navier for u >= 0)
+holds exactly.
 """
 
 from __future__ import annotations
@@ -30,7 +34,8 @@ import numpy as np
 
 from .analysis import extension_constant
 from .domain import SubDomain, extend_by_zero
-from .operators import _box_analysis, _box_synthesis, dirichlet_operator, navier_operator
+from .operators import (_LAYER_BLOCK, _box_analysis, _box_synthesis, dirichlet_operator,
+                        navier_operator)
 
 __all__ = [
     "ExtensionMesh",
@@ -136,62 +141,74 @@ def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float):
-    """Per-mode tridiagonal solves (Thomas, vectorized over distinct eigenvalues).
+    """Per-mode tridiagonal solves: a ratio sweep, vectorized over distinct eigenvalues.
 
     Each eigenmode with in-plane eigenvalue lam_j minimizes
     sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
-    subject to c_0 given and c_M = 0, for M >= 4 layers as solve_extension
-    requires.  The system depends on lam_j alone and c_0 enters linearly, so
-    the sweep, its residual check and the energy sums run once per distinct
-    eigenvalue (exact equality; the box's lam_a + lam_b repeats each value
-    about twice) on the unit-datum profile phi (c_0 = 1), and mode j gets
-    c0_j phi and c0_j^2 E(phi).  The sweep works layer-major, on
-    (M+1, n_distinct) arrays, so each step reads and writes one contiguous
-    row.  Returns the mode-major (n_modes, M+1) coefficient lattice, whose
-    last column is +0.0, and the per-mode energies.
+    subject to c_0 given and c_M = 0 (M >= 4).  The sweep, its residual check
+    and the energy sums run once per distinct lam_j (exact equality) on the
+    unit-datum profile phi, and mode j gets c0_j phi and c0_j^2 E(phi).  The
+    ratio sweep, the UL factorization of the M-matrix rows
+    D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1}, runs
+    tau_i = phi_{i-1}/phi_i = D_i/k_{i-1} - (k_i/k_{i-1})/tau_{i+1} backward
+    (tau_M = inf), then phi_i = phi_{i-1}/tau_i forward: three ufunc calls per
+    layer on rows of the layer-major (M+1, n_distinct) lattice.  Diagonal
+    dominance keeps tau_i >= 1 + lam w_i/k_{i-1}, so 0 < phi <= 1 (Higham,
+    Accuracy and Stability, 9.5).  Returns the mode-major (n_modes, M+1)
+    coefficient lattice, last column +0.0, and the per-mode energies.
     """
-    y = mesh.y
     m = mesh.layers
-    mu, w_left, w_right = _cell_weights(y, s)
-    k = mu / np.diff(y) ** 2
+    mu, w_left, w_right = _cell_weights(mesh.y, s)
+    k = mu / np.diff(mesh.y) ** 2
     lam_u, inv = np.unique(lam, return_inverse=True)
-    nm = lam_u.size
-    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam_u)
-    off = -k[1:-1]
-    phi = np.zeros((m + 1, nm))
-    phi[0] = 1.0
-    dp = phi[1:-1]  # forward values, overwritten in place by the solution
-    cp = np.empty((m - 2, nm))
-    den, tmp = np.empty(nm), np.empty(nm)
-    np.divide(k[0], diag[0], out=dp[0])
-    np.divide(off[0], diag[0], out=cp[0])
-    for i in range(1, m - 1):
-        np.subtract(diag[i], np.multiply(off[i - 1], cp[i - 1], out=den), out=den)
-        if i < m - 2:
-            np.divide(off[i], den, out=cp[i])
-        np.subtract(0.0, np.multiply(off[i - 1], dp[i - 1], out=tmp), out=tmp)
-        np.divide(tmp, den, out=dp[i])
-    for i in range(m - 3, -1, -1):
-        np.subtract(dp[i], np.multiply(cp[i], dp[i + 1], out=tmp), out=dp[i])
-    del cp, dp  # dp views phi: the transpose below then frees the layer-major profiles
-    _residual_check(diag, k, phi)
-    del diag
+    phi = np.empty((m + 1, lam_u.size))
+    phi[0], phi[m] = 1.0, 0.0
+    # interior row i holds D_i/k_{i-1}, then tau_i, then phi_i
+    np.multiply.outer((w_right[:-1] + w_left[1:]) / k[:-1], lam_u, out=phi[1:m])
+    phi[1:m] += ((k[:-1] + k[1:]) / k[:-1])[:, None]
+    rows, tmp = list(phi), np.empty(lam_u.size)
+    for i in range(m - 2, 0, -1):
+        np.divide(k[i] / k[i - 1], rows[i + 1], out=tmp)
+        np.subtract(rows[i], tmp, out=rows[i])
+    for i in range(1, m):
+        np.divide(rows[i - 1], rows[i], out=rows[i])
+    del rows  # row views: the transpose below then frees the layer-major profiles
+    e_unit = _residual_and_energies(phi, lam_u, k, w_left, w_right)
     phi = np.ascontiguousarray(phi.T)
-    steps = np.diff(phi, axis=1)
-    e_unit = (steps**2) @ k + lam_u * ((phi[:, :-1] ** 2) @ w_left + (phi[:, 1:] ** 2) @ w_right)
     coef = phi[inv]
     coef *= c0[:, None]
     coef[:, -1] = 0.0  # 0.0 * c0 is -0.0 where c0 < 0
     return coef, c0**2 * e_unit[inv]
 
 
-def _residual_check(diag, k, coef, tol=1e-10):
-    """Verify the layer-major sweep solved its tridiagonal systems to the advertised residual."""
-    res = diag * coef[1:-1] - k[:-1, None] * coef[:-2] - k[1:, None] * coef[2:]
-    scale = max(float(np.max(np.abs(diag)) * np.max(np.abs(coef), initial=0.0)), 1.0)
-    err = float(np.max(np.abs(res)))
+def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
+    """Check the layer-major profiles' residual and return their energies, in one
+    pass over cache-sized blocks of _LAYER_BLOCK layers.  The residual
+    D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}, D_i = (k_{i-1} + k_i) + w_i lam,
+    must stay within tol * max(max|D| max|phi|, 1); D_i is monotone in lam
+    (w_i > 0), so max|D| is read off the least and the largest lam."""
+    m = phi.shape[0] - 1
+    ksum, wsum = k[:-1] + k[1:], w_right[:-1] + w_left[1:]
+    d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam.min(), lam.max()])))
+    w_node = np.concatenate([w_left[:1], wsum])  # the weight of phi_i^2 in E (phi_M = 0)
+    err = phi_max = 0.0
+    grad, mass = np.zeros(lam.size), np.zeros(lam.size)
+    for b0 in range(0, m, _LAYER_BLOCK):
+        b1 = min(b0 + _LAYER_BLOCK, m)
+        lo = max(b0, 1)  # interior layers lo..b1-1 and cells b0..b1-1
+        res = ksum[lo - 1:b1 - 1, None] + np.outer(wsum[lo - 1:b1 - 1], lam)
+        res *= phi[lo:b1]
+        res -= k[lo - 1:b1 - 1, None] * phi[lo - 1:b1 - 1]
+        res -= k[lo:b1, None] * phi[lo + 1:b1 + 1]
+        err = max(err, np.max(np.abs(res)))
+        block = phi[b0:b1 + 1]
+        phi_max = max(phi_max, np.max(np.abs(block)))
+        grad += k[b0:b1] @ np.diff(block, axis=0) ** 2
+        mass += w_node[b0:b1] @ (block[:-1] * block[:-1])
+    err, scale = float(err), max(float(d_max * phi_max), 1.0)
     if err > tol * scale:
-        raise RuntimeError(f"extension solve residual {err:.3e} exceeds tolerance")
+        raise RuntimeError(f"extension solve residual {err!r} exceeds tolerance {tol * scale!r}")
+    return grad + lam * mass
 
 
 def solve_extension(
@@ -226,8 +243,7 @@ def solve_extension(
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
     coef, energies = _solve_modes(lam, c0, mesh, s)
     w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid)
-    hdim = domain.grid.h ** domain.grid.dim
-    energy = float(hdim * energies.sum())
+    energy = float(domain.grid.h ** domain.grid.dim * energies.sum())
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
                              datum=vals, values=w, energy=max(energy, 0.0))
 

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 _KINDS = ("navier", "dirichlet")
+_LAYER_BLOCK = 64  # y-layers per cache-sized block of the extension's lattice passes
 
 
 def _require_positive_definite(kind: str, least: float) -> None:
@@ -268,17 +269,24 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
 
 
 def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Box nodal values from box-mode coefficients, all y-layers at once.
+    """Box nodal values from box-mode coefficients, a block of y-layers at a time.
 
-    Layer k is q1 C_k q1^T on the N x N lattice (q1 c_k in 1D); one
-    tensordot and, in 2D, one batched matmul form every layer without a
-    lattice-sized copy: O(N^3) per layer.
+    Layer k is q1 C_k q1^T on the N x N lattice (q1 c_k in 1D): O(N^3) per
+    layer.  A tensordot and a batched matmul (a matmul in 1D) write each block
+    of at least _LAYER_BLOCK layers (unless there are fewer: no matrix-vector
+    rounding) into the preallocated output.
     """
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
-    values = np.tensordot(q, coef.reshape(grid.shape + (-1,)), axes=(1, 0))  # the first axis
-    for _ in range(1, grid.dim):  # the second axis, batched over the first: [i, j, k]
-        values = q @ values
-    return values.reshape(grid.size, -1)
+    layers = coef.shape[1]
+    values = np.empty((grid.size, layers))
+    blocks = max(layers // _LAYER_BLOCK, 1)
+    edges = [layers * b // blocks for b in range(blocks + 1)]
+    for l0, l1 in zip(edges, edges[1:]):
+        block = coef.reshape(grid.shape + (layers,))[..., l0:l1]
+        for _ in range(1, grid.dim):  # the first axis: [i, b, k]
+            block = np.tensordot(q, block, axes=(1, 0))
+        np.matmul(q, block, out=values.reshape(grid.shape + (layers,))[..., l0:l1])  # [i, j, k]
+    return values
 
 
 def _on_box(domain: SubDomain, box: BoxGrid) -> np.ndarray:

@@ -160,7 +160,7 @@ def test_criterion_5_dilation_limit():
     box = make_box(1, 24.0, 383)
     omega = make_shape(box, "interval", (-1.0, 1.0))
     u = ground_state(omega)
-    rows = dilation_sweep(u, omega, 0.5, [1.0, 2.0, 4.0, 8.0, 16.0])
+    rows = dilation_sweep(u, omega, [0.5], [1.0, 2.0, 4.0, 8.0, 16.0])
     ratios = [r.ratio for r in rows]
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     elapsed = time.perf_counter() - start

@@ -391,6 +391,15 @@ def test_extension_factors_the_domain_laplacian_once(monkeypatch):
     assert disk.eigen is disk.eigen
 
 
+def test_sweep_factors_each_dilate_once_per_run(monkeypatch):
+    # Omega's ground state, one restricted operator per exponent, and each of the four
+    # dilates once for all three exponents (16 factorizations when made per exponent)
+    calls, (disk,) = _factorizations(monkeypatch, "sweep", "seed = 1\ndim = 2\nshape = disk:0.3\n"
+                                     "box.nodes = 40\ns.values = 0.25,0.5,0.75\n")
+    assert len(calls) == 1 + 3 + 4
+    assert calls[:2] == [disk.node_count] * 2 and calls[-2:] == [disk.node_count] * 2
+
+
 def test_positivity_factors_the_domain_laplacian_once(monkeypatch):
     # N - D is applied, never eigendecomposed
     calls, (disk,) = _factorizations(monkeypatch, "positivity", "seed = 6\ndim = 2\nshape = disk:0.5\n"

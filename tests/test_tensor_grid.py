@@ -23,6 +23,7 @@ from fraclab.domain import (
     make_shape,
 )
 from fraclab.operators import (
+    _LAYER_BLOCK,
     _box_analysis,
     _box_synthesis,
     _cosine_sums,
@@ -230,7 +231,7 @@ def test_box_analysis_and_synthesis(dim, n):
     datum = rng.standard_normal(grid.size)
     for new, old in zip(_box_analysis(datum, grid), _analysis(datum, grid)):
         _same(new, old)
-    for layers in (1, 5):
+    for layers in (1, 5, 2 * _LAYER_BLOCK + 1):  # one block, then two: no one-layer tail
         coef = rng.standard_normal((grid.size, layers))
         _same(_box_synthesis(coef, grid), _synthesis(coef, grid))
 
