@@ -13,7 +13,6 @@ from .analysis import (
     SobolevSetup,
     SweepRow,
     dilation_sweep,
-    extension_constant,
     extremal_function,
     gamma,
     lp_norm,
@@ -36,6 +35,7 @@ from .extension import (
     ExtensionSolution,
     default_grading,
     energy_identity_check,
+    extension_constant,
     extension_ordering_check,
     graded_mesh,
     solve_extension,

@@ -22,14 +22,13 @@ from typing import NamedTuple
 import numpy as np
 
 from .domain import BoxGrid, GridFunction, SubDomain, dilate, extend_by_zero
-from .operators import SymOperator, dirichlet_operator, navier_operator
+from .operators import SymOperator, _form, _restricted_matrix, navier_operator
 
 __all__ = [
     "SobolevSetup",
     "QuotientResult",
     "SweepRow",
     "gamma",
-    "extension_constant",
     "sobolev_constant_closed_form",
     "extremal_function",
     "lp_norm",
@@ -44,13 +43,6 @@ def gamma(x: float) -> float:
     if not (x > 0 and math.isfinite(x)):
         raise ValueError(f"gamma requires a positive finite argument, got {x}")
     return math.gamma(x)
-
-
-def extension_constant(s: float) -> float:
-    """The extension normalization C_s = 4^s Gamma(1+s)/Gamma(1-s) (= 1 at s = 1/2)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {s}")
-    return 4.0**s * gamma(1.0 + s) / gamma(1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -227,7 +219,7 @@ def dilation_sweep(
         dilates.append((alpha, dil, v))
     rows = []
     for s in s_values:
-        q_dir = dirichlet_operator(domain, domain.grid, s).form(vals)
+        q_dir = _form(_restricted_matrix(domain, s), vals, domain.grid)
         for alpha, dil, v in dilates:
             q_nav = navier_operator(dil, s).form(v)
             rows.append(SweepRow(s, alpha, q_nav, q_dir, q_nav / q_dir))

@@ -16,26 +16,25 @@ only on its in-plane eigenvalue and is linear in its datum coefficient, so
 it is solved once per distinct eigenvalue with unit datum and scaled, by a
 ratio sweep (the UL factorization, three ufunc calls per layer).  Its
 residual check and energies take one pass over cache-sized blocks of
-layers; the dirichlet variant's box synthesis fills its lattice a block of
-layers at a time.  The singular weight y^(1-2s) is integrated exactly over
-every cell; the in-plane stiffness term uses the layer-lumped cell weights,
-which keeps the assembled system an M-matrix so the discrete maximum
-principle (and with it the ordering w_dirichlet >= w_navier for u >= 0)
-holds exactly.
+layers; the dirichlet variant's box synthesis forms a block of layers on
+the whole box at a time and keeps Omega's rows, so both solutions hold
+Omega's nodes only.  The singular weight y^(1-2s) is integrated exactly
+over every cell; the in-plane stiffness term uses the layer-lumped cell
+weights, which keeps the assembled system an M-matrix: the discrete
+maximum principle, and with it w_dirichlet >= w_navier for u >= 0, is exact.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
-from .analysis import extension_constant
-from .domain import SubDomain, extend_by_zero
-from .operators import (_LAYER_BLOCK, _box_analysis, _box_synthesis, dirichlet_operator,
-                        navier_operator)
+from .domain import BoxGrid, SubDomain, _interval_eigenbasis, extend_by_zero
+from .operators import dirichlet_operator, navier_operator
 
 __all__ = [
     "ExtensionMesh",
@@ -48,9 +47,18 @@ __all__ = [
     "energy_identity_check",
     "trace_limit",
     "extension_ordering_check",
+    "extension_constant",
 ]
 
 VARIANTS = ("navier", "dirichlet")
+_LAYER_BLOCK = 64  # y-layers per cache-sized block of the lattice passes
+
+
+def extension_constant(s: float) -> float:
+    """The extension normalization C_s = 4^s Gamma(1+s)/Gamma(1-s) (= 1 at s = 1/2)."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"exponent must lie in (0, 1), got {s}")
+    return 4.0**s * math.gamma(1.0 + s) / math.gamma(1.0 - s)
 
 
 @dataclass(frozen=True)
@@ -103,10 +111,9 @@ class ExtensionSolution:
     """Solution lattice of one extension solve and its weighted energy.
 
     ``datum`` is the trace u on Omega's nodes exactly as given.
-    ``values[i, k]`` is w at the i-th in-plane node and y-layer k; the rows
-    are Omega's nodes for the navier variant and the whole box for the
-    dirichlet variant.  ``values[:, 0]`` reproduces the datum to roundoff
-    and ``values[:, -1]`` is zero (truncation).
+    ``values[i, k]`` is w at Omega's i-th node and y-layer k, for either
+    variant.  ``values[:, 0]`` reproduces the datum to roundoff and
+    ``values[:, -1]`` is zero (truncation).
     """
 
     variant: str
@@ -191,7 +198,7 @@ def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
     ksum, wsum = k[:-1] + k[1:], w_right[:-1] + w_left[1:]
     d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam.min(), lam.max()])))
     w_node = np.concatenate([w_left[:1], wsum])  # the weight of phi_i^2 in E (phi_M = 0)
-    err = phi_max = 0.0
+    err = phi_max = 0.0  # np.maximum: a NaN entry propagates and fails the check
     grad, mass = np.zeros(lam.size), np.zeros(lam.size)
     for b0 in range(0, m, _LAYER_BLOCK):
         b1 = min(b0 + _LAYER_BLOCK, m)
@@ -200,15 +207,51 @@ def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
         res *= phi[lo:b1]
         res -= k[lo - 1:b1 - 1, None] * phi[lo - 1:b1 - 1]
         res -= k[lo:b1, None] * phi[lo + 1:b1 + 1]
-        err = max(err, np.max(np.abs(res)))
+        err = np.maximum(err, np.max(np.abs(res)))
         block = phi[b0:b1 + 1]
-        phi_max = max(phi_max, np.max(np.abs(block)))
+        phi_max = np.maximum(phi_max, np.max(np.abs(block)))
         grad += k[b0:b1] @ np.diff(block, axis=0) ** 2
         mass += w_node[b0:b1] @ (block[:-1] * block[:-1])
     err, scale = float(err), max(float(d_max * phi_max), 1.0)
-    if err > tol * scale:
+    if not err <= tol * scale:
         raise RuntimeError(f"extension solve residual {err!r} exceeds tolerance {tol * scale!r}")
     return grad + lam * mass
+
+
+def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
+    """Box-mode eigenvalues and coefficients of a datum on the whole box.
+
+    The box eigenvectors are products of the cached 1D sine basis q1, so the
+    coefficients are q1^T X q1 with X the datum on the N x N lattice (q1^T x
+    in 1D): O(N^3) instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits
+    at flat index a N + b with eigenvalue lam_a + lam_b, unsorted.
+    """
+    lam1, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
+    coef = q.T @ datum.reshape(grid.shape)
+    for _ in range(1, grid.dim):  # the second axis
+        coef = coef @ q
+    return reduce(np.add.outer, [lam1] * grid.dim).ravel(), coef.ravel()
+
+
+def _box_synthesis(coef: np.ndarray, grid: BoxGrid, rows: np.ndarray) -> np.ndarray:
+    """Nodal values at the box nodes ``rows`` from box-mode coefficients, by blocks of y-layers.
+
+    Layer k is q1 C_k q1^T on the N x N lattice (q1 c_k in 1D): O(N^3) per
+    layer.  A tensordot and a batched matmul (a matmul in 1D) form each block
+    of at least _LAYER_BLOCK layers (unless there are fewer: no matrix-vector
+    rounding) on the whole box, and its ``rows`` go into the preallocated output.
+    """
+    _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
+    layers = coef.shape[1]
+    values = np.empty((rows.size, layers))
+    blocks = max(layers // _LAYER_BLOCK, 1)
+    edges = [layers * b // blocks for b in range(blocks + 1)]
+    for l0, l1 in zip(edges, edges[1:]):
+        block = coef.reshape(grid.shape + (layers,))[..., l0:l1]
+        for _ in range(1, grid.dim):  # the first axis: [i, b, k]
+            block = np.tensordot(q, block, axes=(1, 0))
+        values[:, l0:l1] = np.matmul(q, block).reshape(grid.size, l1 - l0)[rows]  # [i, j, k]
+    return values
 
 
 def solve_extension(
@@ -242,7 +285,7 @@ def solve_extension(
     else:
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
     coef, energies = _solve_modes(lam, c0, mesh, s)
-    w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid)
+    w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid, domain.indices)
     energy = float(domain.grid.h ** domain.grid.dim * energies.sum())
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
                              datum=vals, values=w, energy=max(energy, 0.0))
@@ -282,10 +325,9 @@ def trace_limit(sol: ExtensionSolution, fit_layers: int = 4) -> np.ndarray:
     usable = min(fit_layers, sol.mesh.layers - 1)
     if usable < 3:
         raise ValueError(f"trace fit ill-conditioned: only {usable} usable layers (< 3)")
-    w = sol.values if sol.variant == "navier" else sol.values[sol.domain.indices]
     yk = sol.mesh.y[1 : usable + 1]
     basis = yk ** (2.0 * sol.s)
-    coeff = ((w[:, 1 : usable + 1] - sol.datum[:, None]) @ basis) / np.sum(basis**2)
+    coeff = ((sol.values[:, 1 : usable + 1] - sol.datum[:, None]) @ basis) / np.sum(basis**2)
     return -extension_constant(sol.s) * coeff
 
 
@@ -319,7 +361,7 @@ def extension_ordering_check(
         raise ValueError("the two solutions have different data")
     if np.any(navier.datum < 0):
         raise ValueError("boundary datum must be entrywise nonnegative")
-    w_diff = dirichlet.values[navier.domain.indices] - navier.values
+    w_diff = dirichlet.values - navier.values
     return OrderingCheck(
         lattice_min=float(w_diff.min()),
         interior_min=float(w_diff[:, 1:-1].min()),

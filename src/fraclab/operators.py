@@ -30,7 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenbasis, _interval_eigenvalues
+from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenvalues
 from .linalg import (EigenDecomposition, check_spectrum, eigendecompose, eigenvalues,
                      spectral_power, sym_matrix)
 
@@ -46,7 +46,6 @@ __all__ = [
 ]
 
 _KINDS = ("navier", "dirichlet")
-_LAYER_BLOCK = 64  # y-layers per cache-sized block of the extension's lattice passes
 
 
 def _require_positive_definite(kind: str, least: float) -> None:
@@ -251,42 +250,6 @@ def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
     squares = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
     scale = max(np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))
     return blocks, (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))
-
-
-def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Box-mode eigenvalues and coefficients of a datum on the whole box.
-
-    The box eigenvectors are products of the cached 1D sine basis q1, so the
-    coefficients are q1^T X q1 with X the datum on the N x N lattice (q1^T x
-    in 1D): O(N^3) instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits
-    at flat index a N + b with eigenvalue lam_a + lam_b, unsorted.
-    """
-    lam1, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
-    coef = q.T @ datum.reshape(grid.shape)
-    for _ in range(1, grid.dim):  # the second axis
-        coef = coef @ q
-    return reduce(np.add.outer, [lam1] * grid.dim).ravel(), coef.ravel()
-
-
-def _box_synthesis(coef: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Box nodal values from box-mode coefficients, a block of y-layers at a time.
-
-    Layer k is q1 C_k q1^T on the N x N lattice (q1 c_k in 1D): O(N^3) per
-    layer.  A tensordot and a batched matmul (a matmul in 1D) write each block
-    of at least _LAYER_BLOCK layers (unless there are fewer: no matrix-vector
-    rounding) into the preallocated output.
-    """
-    _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
-    layers = coef.shape[1]
-    values = np.empty((grid.size, layers))
-    blocks = max(layers // _LAYER_BLOCK, 1)
-    edges = [layers * b // blocks for b in range(blocks + 1)]
-    for l0, l1 in zip(edges, edges[1:]):
-        block = coef.reshape(grid.shape + (layers,))[..., l0:l1]
-        for _ in range(1, grid.dim):  # the first axis: [i, b, k]
-            block = np.tensordot(q, block, axes=(1, 0))
-        np.matmul(q, block, out=values.reshape(grid.shape + (layers,))[..., l0:l1])  # [i, j, k]
-    return values
 
 
 def _on_box(domain: SubDomain, box: BoxGrid) -> np.ndarray:

@@ -12,7 +12,6 @@ import pytest
 
 from fraclab.analysis import (
     dilation_sweep,
-    extension_constant,
     extremal_function,
     gamma,
     minimize_quotient,
@@ -30,6 +29,7 @@ from fraclab.domain import (
 from fraclab.extension import (
     default_grading,
     energy_identity_check,
+    extension_constant,
     extension_ordering_check,
     graded_mesh,
     solve_extension,

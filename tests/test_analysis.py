@@ -6,7 +6,6 @@ import pytest
 from fraclab.analysis import (
     SobolevSetup,
     dilation_sweep,
-    extension_constant,
     extremal_function,
     gamma,
     lp_norm,
@@ -15,6 +14,7 @@ from fraclab.analysis import (
     sobolev_constant_closed_form,
 )
 from fraclab.domain import GridFunction, extend_by_zero, make_box, make_shape
+from fraclab.extension import extension_constant
 from fraclab.operators import fourier_form, navier_operator
 
 

@@ -392,12 +392,13 @@ def test_extension_factors_the_domain_laplacian_once(monkeypatch):
 
 
 def test_sweep_factors_each_dilate_once_per_run(monkeypatch):
-    # Omega's ground state, one restricted operator per exponent, and each of the four
-    # dilates once for all three exponents (16 factorizations when made per exponent)
+    # Omega's ground state and each of the four dilates once for all three exponents (16
+    # factorizations when made per exponent); the restricted form needs only its matrix
     calls, (disk,) = _factorizations(monkeypatch, "sweep", "seed = 1\ndim = 2\nshape = disk:0.3\n"
                                      "box.nodes = 40\ns.values = 0.25,0.5,0.75\n")
-    assert len(calls) == 1 + 3 + 4
-    assert calls[:2] == [disk.node_count] * 2 and calls[-2:] == [disk.node_count] * 2
+    assert len(calls) == 1 + 4
+    assert calls[:2] == [disk.node_count] * 2  # the ground state, then the alpha = 1 dilate
+    assert all(a < b for a, b in zip(calls[1:], calls[2:]))  # then the larger dilates in turn
 
 
 def test_positivity_factors_the_domain_laplacian_once(monkeypatch):

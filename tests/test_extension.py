@@ -7,27 +7,23 @@ import numpy as np
 import pytest
 
 from fraclab import extension
-from fraclab.analysis import extension_constant
 from fraclab.domain import _interval_eigenbasis, extend_by_zero, make_box, make_shape
 from fraclab.extension import (
     ExtensionMesh,
+    _box_analysis,
+    _box_synthesis,
     _cell_weights,
     _residual_and_energies,
     _solve_modes,
     default_grading,
     energy_identity_check,
+    extension_constant,
     extension_ordering_check,
     graded_mesh,
     solve_extension,
     trace_limit,
 )
-from fraclab.operators import (
-    _box_analysis,
-    _box_synthesis,
-    difference_operator,
-    dirichlet_operator,
-    navier_operator,
-)
+from fraclab.operators import difference_operator, dirichlet_operator, navier_operator
 
 
 @pytest.fixture
@@ -358,11 +354,11 @@ def _energy_bound(lam, ref_coef, ref_energies, err, mesh, s):
 
 
 def _abs_basis(dom, variant):
-    """|Q|, entrywise, for the in-plane basis of one variant: Omega's, or the box's q1 x q1."""
+    """|Q|, entrywise, on Omega's rows for the in-plane basis of one variant: Omega's or q1 x q1."""
     if variant == "navier":
         return np.abs(dom.eigen.eigenvectors)
     _, q1 = _interval_eigenbasis(dom.grid.nodes_per_axis, dom.grid.h)
-    return reduce(np.kron, [np.abs(q1)] * dom.grid.dim)
+    return reduce(np.kron, [np.abs(q1)] * dom.grid.dim)[dom.indices]
 
 
 @pytest.mark.parametrize("layers", [4, 5, 64, 1024])
@@ -384,7 +380,9 @@ def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant
     assert np.all(np.abs(energies - ref_energies) <= _energy_bound(lam, ref_coef, ref_energies, err, mesh, s))
 
     def values_of(c):
-        return dom.eigen.eigenvectors @ c if variant == "navier" else _box_synthesis(c, dom.grid)
+        if variant == "navier":
+            return dom.eigen.eigenvectors @ c
+        return _box_synthesis(c, dom.grid, dom.indices)
 
     ref_values = values_of(ref_coef)
     sol = solve_extension(u, dom, variant, s, mesh)
@@ -419,6 +417,7 @@ def test_truncation_layer_is_positive_zero(variant):
     mesh = graded_mesh(16, 4.0, 2.0)
     coef, _ = _solve_modes(lam, c0, mesh, 0.5)
     sol = solve_extension(u, dom, variant, 0.5, mesh)
+    assert sol.values.shape == (dom.node_count, mesh.layers + 1)  # Omega's rows, either variant
     for last in (coef[:, -1], sol.values[:, -1]):
         assert np.all(last == 0.0) and not np.signbit(last).any()
 
@@ -496,6 +495,19 @@ def test_blocked_residual_is_the_lattice_residual_bit_for_bit(variant, layers):
                                      f"exceeds tolerance {tol * scale!r}")
 
 
+def test_residual_check_catches_a_nan_entry():
+    # a NaN fails every comparison, so it must not be dropped by the running maxima
+    _, _, lam, _ = _modes("disk", "dirichlet")
+    mesh = graded_mesh(64, 4.0, 2.0)
+    mu, w_left, w_right = _cell_weights(mesh.y, 0.5)
+    k = mu / np.diff(mesh.y) ** 2
+    phi = np.ascontiguousarray(_mode_major_sweep(lam, np.ones(lam.size), mesh, 0.5)[0].T)
+    _residual_and_energies(phi, lam, k, w_left, w_right)
+    phi[10, 3] = np.nan
+    with pytest.raises(RuntimeError, match="residual"):
+        _residual_and_energies(phi, lam, k, w_left, w_right)
+
+
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
 def test_every_solve_checks_its_residual(monkeypatch, variant):
     dom, u, lam, _ = _modes("disk", variant)
@@ -515,8 +527,9 @@ def test_every_solve_checks_its_residual(monkeypatch, variant):
         assert distinct < lam.size == dom.grid.size
 
 
-def test_dirichlet_solve_peak_memory_stays_within_three_lattices():
-    # one lattice is the N^2 x (M+1) float64 solution the solve returns
+def test_dirichlet_solve_peak_memory_stays_within_two_lattices():
+    # one lattice is the N^2 x (M+1) float64 of box-mode coefficients; the solution the
+    # solve returns holds Omega's rows only
     box = make_box(2, 1.0, 40)
     dom = make_shape(box, "disk", (0.5,))
     mesh = graded_mesh(1024, 8.0, 2.0)
@@ -529,4 +542,4 @@ def test_dirichlet_solve_peak_memory_stays_within_three_lattices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 3 * lattice, f"peak {peak / lattice:.2f} lattices"
+    assert peak <= 2 * lattice, f"peak {peak / lattice:.2f} lattices"

@@ -1,13 +1,14 @@
 """The grid helpers written once over the axes, against their explicit 1D and 2D forms.
 
-Every lattice helper in ``domain`` and ``operators`` handles both dimensions
-in one path over the axes of ``BoxGrid.shape``.  The oracles below are the
-explicit per-dimension formulas that path replaces: node coordinates,
-neighbour lists, the kernel of B^s and its entries, box analysis and
-synthesis, the Fourier form, the rectangle eigenbasis and the named-shape
-dilation.  Each must agree bit for bit, signed zeros included, on 1D and 2D
-boxes of 1, 2, 7 and 10 nodes per axis, on embedded grids, on non-square
-sets of rows and columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
+Every lattice helper in ``domain``, ``operators`` and ``extension`` handles
+both dimensions in one path over the axes of ``BoxGrid.shape``.  The
+oracles below are the explicit per-dimension formulas that path replaces:
+node coordinates, neighbour lists, the kernel of B^s and its entries, box
+analysis and synthesis (on Omega's rows and on the whole box), the Fourier
+form, the rectangle eigenbasis and the named-shape dilation.  Each must
+agree bit for bit, signed zeros included, on 1D and 2D boxes of 1, 2, 7
+and 10 nodes per axis, on embedded grids, on non-square sets of rows and
+columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
 """
 
 import numpy as np
@@ -22,10 +23,8 @@ from fraclab.domain import (
     make_box,
     make_shape,
 )
+from fraclab.extension import _LAYER_BLOCK, _box_analysis, _box_synthesis
 from fraclab.operators import (
-    _LAYER_BLOCK,
-    _box_analysis,
-    _box_synthesis,
     _cosine_sums,
     _lags,
     _restricted_entries,
@@ -231,9 +230,11 @@ def test_box_analysis_and_synthesis(dim, n):
     datum = rng.standard_normal(grid.size)
     for new, old in zip(_box_analysis(datum, grid), _analysis(datum, grid)):
         _same(new, old)
+    omega = make_shape(grid, *_SHAPE[dim]).indices
     for layers in (1, 5, 2 * _LAYER_BLOCK + 1):  # one block, then two: no one-layer tail
         coef = rng.standard_normal((grid.size, layers))
-        _same(_box_synthesis(coef, grid), _synthesis(coef, grid))
+        for rows in (omega, np.arange(grid.size)):
+            _same(_box_synthesis(coef, grid, rows), _synthesis(coef, grid)[rows])
 
 
 FOURIER_CASES = [(dim, small, big, s) for dim, small, big in EMBEDDED for s in S_GRID]
