@@ -84,7 +84,7 @@ EXPERIMENT_KINDS = ("spectra", "positivity", "monotonicity", "extension", "sobol
 # Caps on the dense objects a run builds, so a misconfigured run fails fast
 # instead of exhausting memory: the per-axis N x N sine basis of the box, the
 # |Omega| x |Omega| matrices and eigenbases of every mask factored densely,
-# and the N^dim x (layers + 1) lattice of the Dirichlet extension.
+# and the Dirichlet extension's distinct-profile lattice (<= N^dim x (layers + 1)).
 _MAX_BASIS_NODES = 5000
 _MAX_MASK_NODES = 5000
 _MAX_EXTENSION_VALUES = 1 << 22

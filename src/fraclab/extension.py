@@ -13,14 +13,15 @@ Discretization: expand in the eigenbasis of the in-plane Laplacian (the
 energy decouples mode by mode), and solve a piecewise-linear finite element
 problem in y on a graded mesh y_k = Y (k/M)^gamma.  A mode's problem depends
 only on its in-plane eigenvalue and is linear in its datum coefficient, so
-it is solved once per distinct eigenvalue with unit datum and scaled, by a
-ratio sweep (the UL factorization, three ufunc calls per layer).  Its
-residual check and energies take one pass over cache-sized blocks of
-layers; the dirichlet variant's box synthesis forms a block of layers on
-the whole box at a time and keeps Omega's rows, so both solutions hold
-Omega's nodes only.  The singular weight y^(1-2s) is integrated exactly
-over every cell; the in-plane stiffness term uses the layer-lumped cell
-weights, which keeps the assembled system an M-matrix: the discrete
+it is solved once per distinct eigenvalue with unit datum, by a ratio sweep
+(the UL factorization, three ufunc calls per layer) on one layer-major
+lattice of profiles; one pass over cache-sized blocks of layers checks its
+residual and sums its energies.  The syntheses read that lattice: the
+navier one sums each distinct eigenvalue's modes first, the dirichlet one
+forms a block of layers at a time on Omega's bounding box only; both
+solutions hold Omega's nodes.  The singular weight y^(1-2s) is integrated
+exactly over every cell; the in-plane stiffness term uses the layer-lumped
+cell weights, which keeps the assembled system an M-matrix: the discrete
 maximum principle, and with it w_dirichlet >= w_navier for u >= 0, is exact.
 """
 
@@ -147,22 +148,22 @@ def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.n
     return mu, w_left, w_right
 
 
-def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float):
+def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
     """Per-mode tridiagonal solves: a ratio sweep, vectorized over distinct eigenvalues.
 
     Each eigenmode with in-plane eigenvalue lam_j minimizes
     sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
     subject to c_0 given and c_M = 0 (M >= 4).  The sweep, its residual check
     and the energy sums run once per distinct lam_j (exact equality) on the
-    unit-datum profile phi, and mode j gets c0_j phi and c0_j^2 E(phi).  The
+    unit-datum profile phi (mode j is c0_j phi, of energy c0_j^2 E(phi)).  The
     ratio sweep, the UL factorization of the M-matrix rows
     D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1}, runs
     tau_i = phi_{i-1}/phi_i = D_i/k_{i-1} - (k_i/k_{i-1})/tau_{i+1} backward
     (tau_M = inf), then phi_i = phi_{i-1}/tau_i forward: three ufunc calls per
     layer on rows of the layer-major (M+1, n_distinct) lattice.  Diagonal
     dominance keeps tau_i >= 1 + lam w_i/k_{i-1}, so 0 < phi <= 1 (Higham,
-    Accuracy and Stability, 9.5).  Returns the mode-major (n_modes, M+1)
-    coefficient lattice, last column +0.0, and the per-mode energies.
+    Accuracy and Stability, 9.5).  Returns that lattice (row 0 ones, row M
+    +0.0), ``inv`` with lam = unique(lam)[inv] and the unit energies E(phi).
     """
     m = mesh.layers
     mu, w_left, w_right = _cell_weights(mesh.y, s)
@@ -179,13 +180,7 @@ def _solve_modes(lam: np.ndarray, c0: np.ndarray, mesh: ExtensionMesh, s: float)
         np.subtract(rows[i], tmp, out=rows[i])
     for i in range(1, m):
         np.divide(rows[i - 1], rows[i], out=rows[i])
-    del rows  # row views: the transpose below then frees the layer-major profiles
-    e_unit = _residual_and_energies(phi, lam_u, k, w_left, w_right)
-    phi = np.ascontiguousarray(phi.T)
-    coef = phi[inv]
-    coef *= c0[:, None]
-    coef[:, -1] = 0.0  # 0.0 * c0 is -0.0 where c0 < 0
-    return coef, c0**2 * e_unit[inv]
+    return phi, inv, _residual_and_energies(phi, lam_u, k, w_left, w_right)
 
 
 def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
@@ -233,34 +228,36 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
     return reduce(np.add.outer, [lam1] * grid.dim).ravel(), coef.ravel()
 
 
-def _box_synthesis(coef: np.ndarray, grid: BoxGrid, rows: np.ndarray) -> np.ndarray:
-    """Nodal values at the box nodes ``rows`` from box-mode coefficients, by blocks of y-layers.
+def _box_synthesis(phi, inv, c0, grid: BoxGrid, rows: np.ndarray) -> np.ndarray:
+    """Values at the box nodes ``rows`` of the modes c0_j phi[:, inv_j], by blocks of y-layers.
 
-    Layer k is q1 C_k q1^T on the N x N lattice (q1 c_k in 1D): O(N^3) per
-    layer.  A tensordot and a batched matmul (a matmul in 1D) form each block
-    of at least _LAYER_BLOCK layers (unless there are fewer: no matrix-vector
-    rounding) on the whole box, and its ``rows`` go into the preallocated output.
+    Layer k is q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the N x N lattice of
+    c0_j phi[k, inv_j] and I, J the axis ranges of the bounding box of ``rows``.
+    Each block of at least _LAYER_BLOCK layers (unless fewer) is gathered and
+    scaled into one contiguous (L, N, N) array and formed by two batched matmuls;
+    its ``rows`` go into the output, whose last layer (w = 0 at y = Y) is +0.0.
     """
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
-    layers = coef.shape[1]
-    values = np.empty((rows.size, layers))
+    idx = np.unravel_index(rows, grid.shape)
+    lo, hi = [int(i.min()) for i in idx], [int(i.max()) + 1 for i in idx]
+    local = np.ravel_multi_index([i - i0 for i, i0 in zip(idx, lo)], np.subtract(hi, lo))
+    layers = phi.shape[0] - 1
+    values = np.zeros((rows.size, layers + 1))
     blocks = max(layers // _LAYER_BLOCK, 1)
     edges = [layers * b // blocks for b in range(blocks + 1)]
     for l0, l1 in zip(edges, edges[1:]):
-        block = coef.reshape(grid.shape + (layers,))[..., l0:l1]
-        for _ in range(1, grid.dim):  # the first axis: [i, b, k]
-            block = np.tensordot(q, block, axes=(1, 0))
-        values[:, l0:l1] = np.matmul(q, block).reshape(grid.size, l1 - l0)[rows]  # [i, j, k]
+        block = phi[l0:l1].take(inv, axis=1)
+        block *= c0
+        block = block.reshape((l1 - l0,) + grid.shape)
+        for a in range(grid.dim - 1):  # the first axis: [k, i, b]
+            block = np.matmul(q[lo[a]:hi[a]], block)
+        block = np.matmul(block, q[lo[-1]:hi[-1]].T)  # [k, i, j]
+        values[:, l0:l1] = block.reshape(l1 - l0, -1)[:, local].T
     return values
 
 
-def solve_extension(
-    u: np.ndarray,
-    domain: SubDomain,
-    variant: str,
-    s: float,
-    mesh: ExtensionMesh,
-) -> ExtensionSolution:
+def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
+                    mesh: ExtensionMesh) -> ExtensionSolution:
     """Minimize the weighted extension energy with trace u and w(., Y) = 0.
 
     ``u`` holds values on Omega's nodes and Y is the mesh height.  The
@@ -279,14 +276,18 @@ def solve_extension(
     if not np.all(np.isfinite(vals)):
         raise ValueError("boundary values must be finite")
 
-    if variant == "navier":
-        lam, q = domain.eigen.eigenvalues, domain.eigen.eigenvectors
-        c0 = q.T @ vals
-    else:
+    if variant == "dirichlet":
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
-    coef, energies = _solve_modes(lam, c0, mesh, s)
-    w = q @ coef if variant == "navier" else _box_synthesis(coef, domain.grid, domain.indices)
-    energy = float(domain.grid.h ** domain.grid.dim * energies.sum())
+        phi, inv, e_unit = _solve_modes(lam, mesh, s)
+        w = _box_synthesis(phi, inv, c0, domain.grid, domain.indices)
+    else:  # sum c0_j q_j over the modes of each distinct lam, then one product with phi
+        q, n = domain.eigen.eigenvectors, domain.node_count
+        c0 = q.T @ vals
+        phi, inv, e_unit = _solve_modes(domain.eigen.eigenvalues, mesh, s)
+        modes = np.bincount((inv[:, None] * n + np.arange(n)).ravel(), (q.T * c0[:, None]).ravel())
+        w = modes.reshape(-1, n).T @ phi.T
+        w[:, -1] = 0.0
+    energy = float(domain.grid.h ** domain.grid.dim * (c0**2 * e_unit[inv]).sum())
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
                              datum=vals, values=w, energy=max(energy, 0.0))
 
@@ -336,9 +337,8 @@ class OrderingCheck(NamedTuple):
     interior_min: float
 
 
-def extension_ordering_check(
-    navier: ExtensionSolution, dirichlet: ExtensionSolution
-) -> OrderingCheck:
+def extension_ordering_check(navier: ExtensionSolution,
+                             dirichlet: ExtensionSolution) -> OrderingCheck:
     """Pointwise ordering of the two extensions of one nonnegative trace.
 
     Takes a navier and a dirichlet solution of the same domain, exponent,

@@ -46,8 +46,10 @@ def _dense_restricted(idx, box, s):
 def _dense_dirichlet_extension(u, domain, s, mesh):
     """The extension on Omega's rows and its energy, through the dense box basis."""
     lam, q = _dense_box_basis(domain.grid)
-    coef, energies = _solve_modes(lam, q.T @ extend_by_zero(u, domain).values, mesh, s)
-    return q[domain.indices] @ coef, domain.grid.h ** domain.grid.dim * float(energies.sum())
+    c0 = q.T @ extend_by_zero(u, domain).values
+    phi, inv, e_unit = _solve_modes(lam, mesh, s)
+    values = q[domain.indices] @ (phi[:, inv] * c0).T
+    return values, domain.grid.h ** domain.grid.dim * float((c0**2 * e_unit[inv]).sum())
 
 
 def _rel(new, ref):

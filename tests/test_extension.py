@@ -11,7 +11,6 @@ from fraclab.domain import _interval_eigenbasis, extend_by_zero, make_box, make_
 from fraclab.extension import (
     ExtensionMesh,
     _box_analysis,
-    _box_synthesis,
     _cell_weights,
     _residual_and_energies,
     _solve_modes,
@@ -353,12 +352,17 @@ def _energy_bound(lam, ref_coef, ref_energies, err, mesh, s):
             + 8.0 * EPS * np.abs(ref_energies))
 
 
-def _abs_basis(dom, variant):
-    """|Q|, entrywise, on Omega's rows for the in-plane basis of one variant: Omega's or q1 x q1."""
+def _basis(dom, variant):
+    """Omega's rows of the dense in-plane basis of one variant: Omega's eigenvectors or q1 x q1."""
     if variant == "navier":
-        return np.abs(dom.eigen.eigenvectors)
+        return dom.eigen.eigenvectors
     _, q1 = _interval_eigenbasis(dom.grid.nodes_per_axis, dom.grid.h)
-    return reduce(np.kron, [np.abs(q1)] * dom.grid.dim)[dom.indices]
+    return reduce(np.kron, [q1] * dom.grid.dim)[dom.indices]
+
+
+def _mode_lattice(phi, inv, c0):
+    """The mode-major (n_modes, M+1) lattice c0_j phi[:, inv_j] that the solve never forms."""
+    return np.ascontiguousarray((phi[:, inv] * c0).T)
 
 
 @pytest.mark.parametrize("layers", [4, 5, 64, 1024])
@@ -369,20 +373,19 @@ def _abs_basis(dom, variant):
 def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant, s, layers):
     dom, u, lam, c0 = _modes(name, variant)
     mesh = graded_mesh(layers, 4.0, default_grading(s) if grading == "default" else grading)
-    coef, energies = _solve_modes(lam, c0, mesh, s)
+    phi, inv, e_unit = _solve_modes(lam, mesh, s)
+    coef, energies = _mode_lattice(phi, inv, c0), c0**2 * e_unit[inv]
     ref_coef, ref_energies = _mode_major_sweep(lam, c0, mesh, s)
-    # the unit profiles obey the discrete maximum principle
-    phi = _solve_modes(lam, np.ones(lam.size), mesh, s)[0][:, 1:-1]
-    assert np.all(phi > 0.0) and np.all(phi <= 1.0 + 64.0 * EPS)
-    assert coef.shape == (lam.size, layers + 1) and coef.flags.c_contiguous
+    # the layer-major unit profiles, one per distinct lam, obey the discrete maximum principle
+    assert phi.shape == (layers + 1, np.unique(lam).size) and phi.flags.c_contiguous
+    assert np.array_equal(np.unique(lam)[inv], lam)
+    assert np.all(phi[0] == 1.0) and np.all(phi[1:-1] > 0.0) and np.all(phi[1:-1] <= 1.0 + 64.0 * EPS)
     assert np.array_equal(coef[:, 0], c0)
     err = 64.0 * EPS * np.abs(ref_coef).max(axis=1)
     assert np.all(np.abs(energies - ref_energies) <= _energy_bound(lam, ref_coef, ref_energies, err, mesh, s))
 
     def values_of(c):
-        if variant == "navier":
-            return dom.eigen.eigenvectors @ c
-        return _box_synthesis(c, dom.grid, dom.indices)
+        return _basis(dom, variant) @ c
 
     ref_values = values_of(ref_coef)
     sol = solve_extension(u, dom, variant, s, mesh)
@@ -397,7 +400,7 @@ def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant
         exact = _mode_major_sweep(lam, c0, mesh, s, np.longdouble)[0]
         bound = 64.0 * np.arange(layers + 1) * EPS * np.abs(exact)
         exact_values = values_of(exact.astype(float))
-        values_bound = (_abs_basis(dom, variant) @ bound.astype(float)
+        values_bound = (np.abs(_basis(dom, variant)) @ bound.astype(float)
                         + 64.0 * EPS * np.abs(exact_values).max())
         for sweep, values in ((coef, sol.values), (ref_coef, ref_values)):
             assert np.all(np.abs(sweep - exact) <= bound)
@@ -415,10 +418,10 @@ def test_truncation_layer_is_positive_zero(variant):
     dom, u, lam, c0 = _modes("disk", variant)
     assert np.any(c0 < 0)  # 0.0 * c0 would give -0.0 there
     mesh = graded_mesh(16, 4.0, 2.0)
-    coef, _ = _solve_modes(lam, c0, mesh, 0.5)
+    phi, _, _ = _solve_modes(lam, mesh, 0.5)
     sol = solve_extension(u, dom, variant, 0.5, mesh)
     assert sol.values.shape == (dom.node_count, mesh.layers + 1)  # Omega's rows, either variant
-    for last in (coef[:, -1], sol.values[:, -1]):
+    for last in (phi[-1], sol.values[:, -1]):
         assert np.all(last == 0.0) and not np.signbit(last).any()
 
 
@@ -440,7 +443,7 @@ def test_four_layer_sweep_matches_a_dense_solve(name, variant):
         if r < 2:
             system[r, r + 1] = -k[i]
     rhs = np.array([k[0] * c0[j], 0.0, 0.0])
-    coef, _ = _solve_modes(lam, c0, mesh, s)
+    coef = _mode_lattice(*_solve_modes(lam, mesh, s)[:2], c0)
     expected = np.linalg.solve(system, rhs)
     assert np.allclose(coef[j, 1:4], expected, rtol=1e-13, atol=0.0)
     assert coef[j, 0] == c0[j] and coef[j, 4] == 0.0
@@ -527,19 +530,47 @@ def test_every_solve_checks_its_residual(monkeypatch, variant):
         assert distinct < lam.size == dom.grid.size
 
 
-def test_dirichlet_solve_peak_memory_stays_within_two_lattices():
-    # one lattice is the N^2 x (M+1) float64 of box-mode coefficients; the solution the
-    # solve returns holds Omega's rows only
+def _solve_peak(u, dom, variant, mesh):
+    """tracemalloc peak of one solve, after a first solve has warmed the caches and been dropped."""
+    solve_extension(u, dom, variant, 0.5, mesh)
+    tracemalloc.start()
+    try:
+        solve_extension(u, dom, variant, 0.5, mesh)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dirichlet_solve_peak_memory_stays_within_one_lattice():
+    # one lattice is N^2 x (M+1) float64, what a mode-major hand-off would take alone; the
+    # solve holds the distinct profiles (803 of the 1,600 modes here) and Omega's rows only
     box = make_box(2, 1.0, 40)
     dom = make_shape(box, "disk", (0.5,))
     mesh = graded_mesh(1024, 8.0, 2.0)
-    u = np.ones(dom.node_count)
     lattice = box.size * (mesh.layers + 1) * 8
-    solve_extension(u, dom, "dirichlet", 0.5, mesh)  # warms the cached sine basis; dropped
-    tracemalloc.start()
-    try:
-        solve_extension(u, dom, "dirichlet", 0.5, mesh)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * lattice, f"peak {peak / lattice:.2f} lattices"
+    peak = _solve_peak(np.ones(dom.node_count), dom, "dirichlet", mesh)
+    assert peak <= lattice, f"peak {peak / lattice:.2f} lattices"
+
+
+def test_navier_solve_peak_memory_stays_within_three_omega_lattices():
+    # an Omega lattice is |Omega| x (M+1) float64: the profiles and the solution take one each
+    box = make_box(2, 1.0, 40)
+    dom = make_shape(box, "disk", (0.5,))
+    mesh = graded_mesh(1024, 8.0, 2.0)
+    lattice = dom.node_count * (mesh.layers + 1) * 8
+    peak = _solve_peak(np.ones(dom.node_count), dom, "navier", mesh)
+    assert peak <= 3 * lattice, f"peak {peak / lattice:.2f} lattices"
+
+
+@pytest.mark.parametrize("s", [0.25, 0.75])
+def test_navier_synthesis_sums_degenerate_modes(s):
+    # the closed-form basis of a square has pairs of equal eigenvalues lam_a + lam_b = lam_b + lam_a
+    dom = make_shape(make_box(2, 1.0, 24), "square", (0.5,))
+    q, lam = dom.eigen.eigenvectors, dom.eigen.eigenvalues
+    assert np.unique(lam).size < lam.size
+    u = np.random.default_rng(7).random(dom.node_count)
+    mesh = graded_mesh(64, 4.0, 2.0)
+    c0 = q.T @ u
+    ref = q @ _mode_lattice(*_solve_modes(lam, mesh, s)[:2], c0)  # one product per mode
+    values = solve_extension(u, dom, "navier", s, mesh).values
+    assert np.all(np.abs(values - ref) <= 64.0 * EPS * np.abs(ref).max())

@@ -4,11 +4,14 @@ Every lattice helper in ``domain``, ``operators`` and ``extension`` handles
 both dimensions in one path over the axes of ``BoxGrid.shape``.  The
 oracles below are the explicit per-dimension formulas that path replaces:
 node coordinates, neighbour lists, the kernel of B^s and its entries, box
-analysis and synthesis (on Omega's rows and on the whole box), the Fourier
-form, the rectangle eigenbasis and the named-shape dilation.  Each must
-agree bit for bit, signed zeros included, on 1D and 2D boxes of 1, 2, 7
-and 10 nodes per axis, on embedded grids, on non-square sets of rows and
-columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
+box analysis, the Fourier form, the rectangle eigenbasis and the
+named-shape dilation.  Each must agree bit for bit, signed zeros included,
+on 1D and 2D boxes of 1, 2, 7 and 10 nodes per axis, on embedded grids, on
+non-square sets of rows and columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
+Box synthesis forms only the bounding box of the rows it returns, so its
+products have other shapes than the whole-box oracle's; it is held to the
+roundoff bound of those products instead, on Omega's rows, the whole box,
+off-centre masks, masks touching a face and single nodes.
 """
 
 import numpy as np
@@ -223,6 +226,33 @@ def test_kernel_and_restricted_entries(dim, n, s):
         _same(_restricted_entries(kernel, rows, cols, box), _entries(kernel, rows, cols, box))
 
 
+EPS = np.finfo(float).eps
+
+
+def _check_synthesis(grid, rows, rng):
+    """Box synthesis of random profiles against the whole-box oracle on ``rows``.
+
+    Both take the same scaled lattice C of c0_j phi[k, inv_j] and sum each
+    entry of q1 C q1^T (q1 c in 1D) in dim passes of N terms, so each lies
+    within dim N eps/2 (|q1| |C| |q1|^T) of the exact sum, to first order.
+    """
+    n = grid.nodes_per_axis
+    lam, _ = _box_analysis(rng.standard_normal(grid.size), grid)
+    lam_u, inv = np.unique(lam, return_inverse=True)
+    c0 = rng.standard_normal(grid.size)
+    _, q = _interval_eigenbasis(n, grid.h)
+    abs_basis = np.abs(q) if grid.dim == 1 else np.kron(np.abs(q), np.abs(q))
+    for layers in (1, 5, 2 * _LAYER_BLOCK + 1):  # one block, then two: no one-layer tail
+        phi = rng.standard_normal((layers + 1, lam_u.size))
+        phi[-1] = 0.0  # the truncation layer of every profile
+        coef = (phi[:-1, inv] * c0).T
+        new = _box_synthesis(phi, inv, c0, grid, rows)
+        assert new.shape == (rows.size, layers + 1)
+        bound = grid.dim * n * EPS * (abs_basis @ np.abs(coef))[rows]
+        assert np.all(np.abs(new[:, :-1] - _synthesis(coef, grid)[rows]) <= bound)
+        assert np.all(new[:, -1] == 0.0) and not np.signbit(new[:, -1]).any()
+
+
 @pytest.mark.parametrize("dim, n", BOXES, ids=_ids(BOXES))
 def test_box_analysis_and_synthesis(dim, n):
     grid = make_box(dim, 1.0, n)
@@ -230,11 +260,34 @@ def test_box_analysis_and_synthesis(dim, n):
     datum = rng.standard_normal(grid.size)
     for new, old in zip(_box_analysis(datum, grid), _analysis(datum, grid)):
         _same(new, old)
-    omega = make_shape(grid, *_SHAPE[dim]).indices
-    for layers in (1, 5, 2 * _LAYER_BLOCK + 1):  # one block, then two: no one-layer tail
-        coef = rng.standard_normal((grid.size, layers))
-        for rows in (omega, np.arange(grid.size)):
-            _same(_box_synthesis(coef, grid, rows), _synthesis(coef, grid)[rows])
+    for rows in (make_shape(grid, *_SHAPE[dim]).indices, np.arange(grid.size)):
+        _check_synthesis(grid, rows, rng)
+
+
+def _bounding_box_rows(dim, name):
+    """A box and rows whose bounding box is not the whole box."""
+    grid = make_box(dim, 1.0, 40 if dim == 1 else 20)
+    n = grid.nodes_per_axis
+    first, last = np.arange(grid.size) // n ** (dim - 1), np.arange(grid.size) % n
+    if name == "shape":  # an off-centre interval, or the L-shape
+        shape = ("interval", (0.3, 0.8)) if dim == 1 else ("lshape", (1.2,))
+        return grid, make_shape(grid, *shape).indices
+    if name == "face":  # a corner block on the face first = 0 and, in 2D, on last = n - 1
+        return grid, np.flatnonzero((first < 3) & ((last >= n - 4) | (dim == 1)))
+    return grid, np.array([(3 * n + 11) % grid.size])  # one node
+
+
+BOUNDING = [(dim, name) for dim in (1, 2) for name in ("shape", "face", "node")]
+
+
+@pytest.mark.parametrize("dim, name", BOUNDING, ids=_ids(BOUNDING))
+def test_bounding_box_synthesis(dim, name):
+    grid, rows = _bounding_box_rows(dim, name)
+    lo, hi = [[f(a) for a in np.unravel_index(rows, grid.shape)] for f in (np.min, np.max)]
+    assert any(a > 0 or b < grid.nodes_per_axis - 1 for a, b in zip(lo, hi))
+    if (dim, name) != (2, "shape"):  # off-centre; the L-shape's bounding box is centred
+        assert any(a != grid.nodes_per_axis - 1 - b for a, b in zip(lo, hi))
+    _check_synthesis(grid, rows, np.random.default_rng(dim))
 
 
 FOURIER_CASES = [(dim, small, big, s) for dim, small, big in EMBEDDED for s in S_GRID]
