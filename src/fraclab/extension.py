@@ -16,9 +16,9 @@ only on its in-plane eigenvalue and is linear in its datum coefficient, so
 it is solved once per distinct eigenvalue with unit datum, by a ratio sweep
 (the UL factorization, three ufunc calls per layer) on one layer-major
 lattice of profiles; one pass over cache-sized blocks of layers checks its
-residual and sums its energies.  The syntheses read that lattice: the
-navier one sums each distinct eigenvalue's modes first, the dirichlet one
-forms a block of layers at a time on Omega's bounding box only; both
+residual and sums its energies.  Both syntheses read that lattice a block
+of layers at a time, gathered into modes and scaled: the navier one through
+Omega's eigenvectors, the dirichlet one on Omega's bounding box only; both
 solutions hold Omega's nodes.  The singular weight y^(1-2s) is integrated
 exactly over every cell; the in-plane stiffness term uses the layer-lumped
 cell weights, which keeps the assembled system an M-matrix: the discrete
@@ -153,12 +153,11 @@ def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
 
     Each eigenmode with in-plane eigenvalue lam_j minimizes
     sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
-    subject to c_0 given and c_M = 0 (M >= 4).  The sweep, its residual check
-    and the energy sums run once per distinct lam_j (exact equality) on the
-    unit-datum profile phi (mode j is c0_j phi, of energy c0_j^2 E(phi)).  The
-    ratio sweep, the UL factorization of the M-matrix rows
-    D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1}, runs
-    tau_i = phi_{i-1}/phi_i = D_i/k_{i-1} - (k_i/k_{i-1})/tau_{i+1} backward
+    subject to c_0 given and c_M = 0 (M >= 4).  The sweep, its residual check and
+    the energy sums run once per distinct lam_j (exact equality) on the unit-datum
+    profile phi: mode j is c0_j phi, of energy c0_j^2 E(phi).  The ratio sweep, the
+    UL factorization of the M-matrix rows D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1},
+    runs tau_i = phi_{i-1}/phi_i = D_i/k_{i-1} - (k_i/k_{i-1})/tau_{i+1} backward
     (tau_M = inf), then phi_i = phi_{i-1}/tau_i forward: three ufunc calls per
     layer on rows of the layer-major (M+1, n_distinct) lattice.  Diagonal
     dominance keeps tau_i >= 1 + lam w_i/k_{i-1}, so 0 < phi <= 1 (Higham,
@@ -214,13 +213,10 @@ def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
-    """Box-mode eigenvalues and coefficients of a datum on the whole box.
-
-    The box eigenvectors are products of the cached 1D sine basis q1, so the
-    coefficients are q1^T X q1 with X the datum on the N x N lattice (q1^T x
-    in 1D): O(N^3) instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits
-    at flat index a N + b with eigenvalue lam_a + lam_b, unsorted.
-    """
+    """Box-mode eigenvalues and coefficients of a datum on the whole box: q1^T X q1
+    (q1^T x in 1D), X the datum on the N x N lattice and q1 the cached 1D sine basis,
+    O(N^3) instead of O(N^4) through the dense N^2 x N^2 basis.  Mode (a, b) sits at
+    flat index a N + b with eigenvalue lam_a + lam_b, unsorted."""
     lam1, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
     coef = q.T @ datum.reshape(grid.shape)
     for _ in range(1, grid.dim):  # the second axis
@@ -228,31 +224,35 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
     return reduce(np.add.outer, [lam1] * grid.dim).ravel(), coef.ravel()
 
 
-def _box_synthesis(phi, inv, c0, grid: BoxGrid, rows: np.ndarray) -> np.ndarray:
-    """Values at the box nodes ``rows`` of the modes c0_j phi[:, inv_j], by blocks of y-layers.
+def _scaled_blocks(phi, inv, c0):
+    """Yield (ks, C) over blocks ks of at least _LAYER_BLOCK y-layers below M (all if fewer),
+    C[:, j] = c0_j phi[ks, inv_j] contiguous and layer-major; row M (w = 0) is left out."""
+    layers = phi.shape[0] - 1
+    blocks = max(layers // _LAYER_BLOCK, 1)
+    for b in range(blocks):
+        ks = slice(layers * b // blocks, layers * (b + 1) // blocks)
+        block = phi[ks].take(inv, axis=1)
+        block *= c0
+        yield ks, block
+        del block  # before the next gather
 
-    Layer k is q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the N x N lattice of
-    c0_j phi[k, inv_j] and I, J the axis ranges of the bounding box of ``rows``.
-    Each block of at least _LAYER_BLOCK layers (unless fewer) is gathered and
-    scaled into one contiguous (L, N, N) array and formed by two batched matmuls;
-    its ``rows`` go into the output, whose last layer (w = 0 at y = Y) is +0.0.
-    """
+
+def _box_synthesis(phi, inv, c0, grid: BoxGrid, rows: np.ndarray) -> np.ndarray:
+    """Values at the box nodes ``rows`` of the modes c0_j phi[:, inv_j], last layer +0.0:
+    layer k is q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of c0_j phi[k, inv_j]
+    and I, J the axis ranges of the bounding box of ``rows``, by one batched matmul per
+    axis on each block of layers, an (L,) + grid.shape array."""
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
     idx = np.unravel_index(rows, grid.shape)
     lo, hi = [int(i.min()) for i in idx], [int(i.max()) + 1 for i in idx]
     local = np.ravel_multi_index([i - i0 for i, i0 in zip(idx, lo)], np.subtract(hi, lo))
-    layers = phi.shape[0] - 1
-    values = np.zeros((rows.size, layers + 1))
-    blocks = max(layers // _LAYER_BLOCK, 1)
-    edges = [layers * b // blocks for b in range(blocks + 1)]
-    for l0, l1 in zip(edges, edges[1:]):
-        block = phi[l0:l1].take(inv, axis=1)
-        block *= c0
-        block = block.reshape((l1 - l0,) + grid.shape)
+    values = np.zeros((rows.size, phi.shape[0]))
+    for ks, block in _scaled_blocks(phi, inv, c0):
+        block = block.reshape((-1,) + grid.shape)
         for a in range(grid.dim - 1):  # the first axis: [k, i, b]
             block = np.matmul(q[lo[a]:hi[a]], block)
         block = np.matmul(block, q[lo[-1]:hi[-1]].T)  # [k, i, j]
-        values[:, l0:l1] = block.reshape(l1 - l0, -1)[:, local].T
+        values[:, ks] = block.reshape(block.shape[0], -1)[:, local].T
     return values
 
 
@@ -280,13 +280,12 @@ def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
         phi, inv, e_unit = _solve_modes(lam, mesh, s)
         w = _box_synthesis(phi, inv, c0, domain.grid, domain.indices)
-    else:  # sum c0_j q_j over the modes of each distinct lam, then one product with phi
-        q, n = domain.eigen.eigenvectors, domain.node_count
-        c0 = q.T @ vals
+    else:  # Omega's eigenvectors times each block of layers, written in place
+        q = domain.eigen.eigenvectors
         phi, inv, e_unit = _solve_modes(domain.eigen.eigenvalues, mesh, s)
-        modes = np.bincount((inv[:, None] * n + np.arange(n)).ravel(), (q.T * c0[:, None]).ravel())
-        w = modes.reshape(-1, n).T @ phi.T
-        w[:, -1] = 0.0
+        c0, w = q.T @ vals, np.zeros((domain.node_count, mesh.layers + 1))
+        for ks, block in _scaled_blocks(phi, inv, c0):
+            np.matmul(q, block.T, out=w[:, ks])
     energy = float(domain.grid.h ** domain.grid.dim * (c0**2 * e_unit[inv]).sum())
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
                              datum=vals, values=w, energy=max(energy, 0.0))
