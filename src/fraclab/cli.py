@@ -373,22 +373,24 @@ def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], lis
 def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
     lattice = cfg.box_nodes**cfg.dim * (cfg.extension_layers + 1)
     if lattice > _MAX_EXTENSION_VALUES:
-        raise ConfigError(
-            f"extension.layers: the Dirichlet extension lattice has box.nodes^dim * "
-            f"(extension.layers + 1) = {lattice} values > {_MAX_EXTENSION_VALUES}; "
-            "reduce extension.layers or box.nodes"
-        )
+        raise ConfigError(f"extension.layers: the Dirichlet extension's distinct-profile lattice "
+                          f"could exceed {_MAX_EXTENSION_VALUES} values (box.nodes^dim * "
+                          f"(extension.layers + 1) = {lattice} bounds it); "
+                          "reduce extension.layers or box.nodes")
     if max(cfg.s_values) >= 1.0:
         raise ConfigError("extension experiment needs s strictly inside (0, 1)")
     _, domain = _build_domain(cfg)
     u = _ground_state(domain)
     rows, checks = [], []
     for s in cfg.s_values:
+        # Least memory: Dirichlet solve with no solution alive, identity check with Navier's alone
         mesh = _mesh_for(cfg, domain, s)
+        dirichlet = solve_extension(u, domain, "dirichlet", s, mesh)
         navier = solve_extension(u, domain, "navier", s, mesh)
+        order = extension_ordering_check(navier, dirichlet)
+        del dirichlet
         ident = energy_identity_check(navier)
-        order = extension_ordering_check(navier, solve_extension(u, domain, "dirichlet", s, mesh))
-        del navier  # free this exponent's lattice before the next exponent's solves
+        del navier
         rows.append([s, ident.form_value, ident.energy_value, ident.rel_gap,
                      order.lattice_min, order.interior_min])
         checks.append(Check(name=f"energy_identity[s={s:g}]", margin=ident.rel_gap,

@@ -160,33 +160,34 @@ def _cosine_sums(f: np.ndarray, axis: int) -> np.ndarray:
     return np.fft.rfft(even, axis=axis).real / even.shape[axis]
 
 
-def _lags(rows: np.ndarray, cols: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 on an n-node axis."""
-    toeplitz = np.subtract.outer(rows, cols)
-    np.abs(toeplitz, out=toeplitz)
-    hankel = np.add.outer(rows, cols + (1 - n))
-    np.abs(hankel, out=hankel)
-    np.subtract(n + 1, hankel, out=hankel)
-    return toeplitz, hankel
+def _lags(rows: np.ndarray, cols: np.ndarray, box: BoxGrid) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Per axis, the Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 of two node sets."""
+    n, lags = box.nodes_per_axis, []
+    for r, c in zip(np.unravel_index(rows, box.shape), np.unravel_index(cols, box.shape)):
+        toeplitz = np.subtract.outer(r, c)
+        np.abs(toeplitz, out=toeplitz)
+        hankel = np.add.outer(r, c + (1 - n))
+        np.abs(hankel, out=hankel)
+        np.subtract(n + 1, hankel, out=hankel)
+        lags.append((toeplitz, hankel))
+    return lags
 
 
-def _restricted_entries(kernel: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                        box: BoxGrid) -> np.ndarray:
-    """Entries of B^s between the box nodes ``rows`` and ``cols``, gathered from the kernel.
+def _restricted_entries(kernel: np.ndarray,
+                        lags: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Entries of B^s between two sets of box nodes, gathered from the kernel at their lags.
 
-    Each axis gives a Toeplitz (d) and a Hankel (h) lag, and the entry sums
-    the kernel over every choice of lag per axis, with a minus sign for each
-    Hankel one, the first axis's choice varying fastest: K[d] - K[h] in 1D,
-    K[di, dj] - K[hi, dj] - K[di, hj] + K[hi, hj] in 2D, node (i, j) at flat
-    index i N + j.  The order of the terms fixes the rounding.  The entry is
-    symmetric in the two nodes, so rows = cols gives an exactly symmetric
-    matrix.
+    Each axis gives a Toeplitz (d) and a Hankel (h) lag (:func:`_lags`), and
+    the entry sums the kernel over every choice of lag per axis, with a
+    minus sign for each Hankel one, the first axis's choice varying fastest:
+    K[d] - K[h] in 1D, K[di, dj] - K[hi, dj] - K[di, hj] + K[hi, hj] in 2D,
+    node (i, j) at flat index i N + j.  The order of the terms fixes the
+    rounding.  The entry is symmetric in the two nodes, so equal sets give
+    an exactly symmetric matrix.
     """
-    lags = [_lags(r, c, box.nodes_per_axis)
-            for r, c in zip(np.unravel_index(rows, box.shape), np.unravel_index(cols, box.shape))]
     entries = kernel[tuple(d for d, _ in lags)]
-    for k in range(1, 2**box.dim):
-        hankel = [k >> axis & 1 for axis in range(box.dim)]
+    for k in range(1, 2 ** len(lags)):
+        hankel = [k >> axis & 1 for axis in range(len(lags))]
         term = kernel[tuple(lag[b] for lag, b in zip(lags, hankel))]
         if sum(hankel) % 2:
             entries -= term
@@ -204,7 +205,7 @@ def _restricted_matrix(domain: SubDomain, s: float) -> np.ndarray:
     if s == 1.0:
         return domain.laplacian
     box, idx = domain.grid, domain.indices
-    return sym_matrix(_restricted_entries(_restricted_kernel(box, s), idx, idx, box))
+    return sym_matrix(_restricted_entries(_restricted_kernel(box, s), _lags(idx, idx, box)))
 
 
 def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
@@ -219,34 +220,38 @@ def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
         even = W (M[L+F, L+F] + M[L+F, pi(L+F)]) W,  W = 1 on L, 1/sqrt(2) on F,
         odd  = M[L, L] - M[L, pi L].
 
-    Any other mask gives one block, M itself.  The invariants are read off
-    the rows of L + F, each row of L standing for its mirror row too, apart
-    from how the blocks are assembled, so the merged spectrum is checked
-    against the whole M.
+    The mirror maps the first axis's lags (t, h) to (N+1-h, N+1-t), so
+    M[., pi .] reads the kernel flipped along that axis at M's own lags,
+    those two swapped.  Any other mask gives one block, M itself.  The
+    invariants are read off the rows of L + F, each row of L standing for
+    its mirror row too, apart from how the blocks are assembled, so the
+    merged spectrum is checked against the whole M.
     """
     kernel = _restricted_kernel(box, s)
     n = box.nodes_per_axis
     stride = n ** (box.dim - 1)  # flat step along the first axis
     twice = 2 * (idx // stride) - (n - 1)  # twice the first-axis offset from the mirror line
-    mirror = idx - twice * stride
-    if not np.array_equal(np.sort(mirror), idx):
-        whole = sym_matrix(_restricted_entries(kernel, idx, idx, box))
+    if not np.array_equal(np.sort(idx - twice * stride), idx):
+        whole = sym_matrix(_restricted_entries(kernel, _lags(idx, idx, box)))
         return [whole], (float(np.trace(whole)), float(np.vdot(whole, whole)),
                          float(np.max(np.abs(whole))))
     low, fixed = twice < 0, twice == 0
     rows = np.concatenate([idx[low], idx[fixed]])
     k = np.count_nonzero(low)
-    near = _restricted_entries(kernel, rows, rows, box)
-    far = _restricted_entries(kernel, rows, np.concatenate([mirror[low], idx[fixed]]), box)
-    paired = np.arange(rows.size) < k
-    w = np.where(paired, 1.0, np.sqrt(0.5))
+    lags = _lags(rows, rows, box)
+    near = _restricted_entries(kernel, lags)
+    far = _restricted_entries(np.flip(kernel, axis=0), [lags[0][::-1]] + lags[1:])
+    del lags  # held to the return, the heap is trimmed and faulted in again at every exponent
+    w = np.sqrt(0.5)  # W on F: the products of np.outer(W, W), applied where W != 1
     even = near + far
-    even *= np.outer(w, w)
+    even[k:, :k] *= w
+    even[:k, k:] *= w
+    even[k:, k:] *= w * w
     blocks = [even, near[:k, :k] - far[:k, :k]] if k else [even]
     for block in blocks:  # exactly symmetric: frozen, sym_matrix checks them without a copy
         block.flags.writeable = False
     blocks = [sym_matrix(block) for block in blocks]
-    copies = np.where(paired, 2.0, 1.0)
+    copies = np.where(np.arange(rows.size) < k, 2.0, 1.0)
     squares = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
     scale = max(np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))
     return blocks, (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))

@@ -106,7 +106,8 @@ MIRRORED = [(1, 63, "interval", (-0.5, 0.5)), (1, 64, "interval", (-0.5, 0.5)),
 def test_kernel_matrix_is_exactly_symmetric_and_centrosymmetric(dim, nodes, shape, params, s):
     box = make_box(dim, 1.0, nodes)
     idx = make_shape(box, shape, params).indices
-    m = operators._restricted_entries(operators._restricted_kernel(box, s), idx, idx, box)
+    m = operators._restricted_entries(operators._restricted_kernel(box, s),
+                                      operators._lags(idx, idx, box))
     assert np.array_equal(m, m.T)
     if (dim, nodes, shape, params) in MIRRORED:  # mirror masks: reflecting the first axis
         stride = nodes ** (dim - 1)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from dataclasses import fields
 from pathlib import Path
 
@@ -456,6 +457,61 @@ def test_extension_solves_each_variant_once_per_exponent(monkeypatch):
     run(cfg, kind="extension")
     expected = [(v, s) for v in ("navier", "dirichlet") for s in (0.25, 0.5, 0.75)]
     assert sorted(calls) == sorted(expected)
+
+
+EXTENSION_LOOPS = ["seed = 1\ndim = 1\ns.values = 0.25,0.75\n",
+                   "seed = 1\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.75\n"]
+
+
+@pytest.mark.parametrize("text", EXTENSION_LOOPS, ids=["1d", "2d"])
+def test_extension_loop_keeps_one_finished_solution_at_a_time(monkeypatch, text):
+    finished, dirichlet_starts, identity_checks = [], [], []
+    solve, check = extension.solve_extension, extension.energy_identity_check
+
+    def alive():
+        return [(sol.variant, sol.s) for sol in (ref() for ref in finished) if sol is not None]
+
+    def solving(u, domain, variant, s, mesh):
+        if variant == "dirichlet":
+            dirichlet_starts.append(alive())
+        sol = solve(u, domain, variant, s, mesh)
+        finished.append(weakref.ref(sol))  # a WeakSet would hash the frozen arrays
+        return sol
+
+    def checking(sol):
+        identity_checks.append((sol.s, alive()))
+        return check(sol)
+
+    monkeypatch.setattr(cli, "solve_extension", solving)
+    monkeypatch.setattr(cli, "energy_identity_check", checking)
+    run(parse_config(text), kind="extension")
+    assert dirichlet_starts == [[], []]
+    assert identity_checks == [(s, [("navier", s)]) for s in (0.25, 0.75)]
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("text", EXTENSION_LOOPS, ids=["1d", "2d"])
+def test_extension_report_matches_the_navier_first_order(text):
+    cfg = parse_config(text)
+    _, dom = cli._build_domain(cfg)
+    u = cli._ground_state(dom)
+    expected = []
+    for s in cfg.s_values:
+        mesh = cli._mesh_for(cfg, dom, s)
+        navier = extension.solve_extension(u, dom, "navier", s, mesh)
+        ident = extension.energy_identity_check(navier)
+        order = extension.extension_ordering_check(
+            navier, extension.solve_extension(u, dom, "dirichlet", s, mesh))
+        expected.append([s, *ident, *order])
+    _, rows, checks = cli._run_extension(cfg)
+    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+    assert [c.name for c in checks] == [f"{name}[s={s:g}]" for s in cfg.s_values
+                                        for name in ("energy_identity", "ordering_lattice",
+                                                     "ordering_interior")]
+    assert _bits(c.margin for c in checks) == _bits(v for row in expected for v in row[3:])
 
 
 @pytest.mark.parametrize("kind, text, work, message", [

@@ -355,6 +355,55 @@ def test_split_spectrum_in_a_padded_box_matches_the_whole_matrix(dim, shape, par
     assert _split_spectrum_error(om, box, s) <= 1e-13
 
 
+def _two_lag_blocks(idx, box, s):
+    """The reflection blocks with one lag table per half: the far half gathered at the
+    mirrored columns, and the even block weighted by the whole np.outer(W, W)."""
+    kernel = operators._restricted_kernel(box, s)
+    n = box.nodes_per_axis
+    stride = n ** (box.dim - 1)
+    twice = 2 * (idx // stride) - (n - 1)
+    mirror = idx - twice * stride
+    low, fixed = twice < 0, twice == 0
+    rows = np.concatenate([idx[low], idx[fixed]])
+    k = np.count_nonzero(low)
+    near = operators._restricted_entries(kernel, operators._lags(rows, rows, box))
+    mirrored = np.concatenate([mirror[low], idx[fixed]])
+    far = operators._restricted_entries(kernel, operators._lags(rows, mirrored, box))
+    paired = np.arange(rows.size) < k
+    w = np.where(paired, 1.0, np.sqrt(0.5))
+    even = near + far
+    even *= np.outer(w, w)
+    blocks = [even, near[:k, :k] - far[:k, :k]] if k else [even]
+    copies = np.where(paired, 2.0, 1.0)
+    squares = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
+    scale = max(np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))
+    return blocks, (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))
+
+
+@pytest.mark.parametrize("dim, halfwidth, nodes, shape, params, exponents", [
+    (1, 1.0, 63, "interval", (-0.5, 0.5), (0.1, 0.5, 0.9)),  # odd N: a fixed centre node
+    (1, 1.0, 64, "interval", (-0.5, 0.5), (0.1, 0.5, 0.9)),  # even N: no fixed node
+    (1, 1.0, 1535, "interval", (-0.5, 0.5), (0.1, 0.5, 0.9)),  # the spectra-1d benchmark domain
+    (2, 1.0, 24, "disk", (0.5,), (0.25, 0.75)),
+    (2, 1.0, 25, "disk", (0.5,), (0.25, 0.75)),
+    (2, 1.0, 24, "square", (0.5,), (0.25, 0.75)),
+    (2, 1.0, 25, "square", (0.5,), (0.25, 0.75)),
+])
+def test_reflection_blocks_from_one_lag_table_match_the_two_lag_construction(
+        dim, halfwidth, nodes, shape, params, exponents):
+    box = make_box(dim, halfwidth, nodes)
+    idx = make_shape(box, shape, params).indices
+    for s in exponents:
+        blocks, invariants = operators._restricted_blocks(idx, box, s)
+        oracle, oracle_invariants = _two_lag_blocks(idx, box, s)
+        assert len(blocks) == len(oracle) == 2
+        for block, expected in zip(blocks, oracle):
+            assert block.shape == expected.shape
+            assert np.array_equal(block, expected)
+            assert np.array_equal(np.signbit(block), np.signbit(expected))
+        assert invariants == oracle_invariants
+
+
 def _drop_the_odd_block(blocks):
     return blocks[:1]
 

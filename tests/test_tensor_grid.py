@@ -85,14 +85,20 @@ def _kernel(box, s):
     return _cosine_sums(_cosine_sums((lam[:, None] + lam[None, :]) ** s, 1), 0)
 
 
+def _axis_lags(rows, cols, n):
+    """|x - y| and x + y + 2 folded at n + 1: min(x + y + 2, 2(n + 1) - (x + y + 2))."""
+    total = np.add.outer(rows, cols) + 2
+    return np.abs(np.subtract.outer(rows, cols)), np.minimum(total, 2 * (n + 1) - total)
+
+
 def _entries(kernel, rows, cols, box):
     n = box.nodes_per_axis
     if box.dim == 1:
-        d, h = _lags(rows, cols, n)
+        d, h = _axis_lags(rows, cols, n)
         return kernel[d] - kernel[h]
     (ri, rj), (ci, cj) = np.divmod(rows, n), np.divmod(cols, n)
-    di, hi = _lags(ri, ci, n)
-    dj, hj = _lags(rj, cj, n)
+    di, hi = _axis_lags(ri, ci, n)
+    dj, hj = _axis_lags(rj, cj, n)
     return kernel[di, dj] - kernel[hi, dj] - kernel[di, hj] + kernel[hi, hj]
 
 
@@ -244,7 +250,8 @@ def test_kernel_and_restricted_entries(dim, n, s):
     kernel = _restricted_kernel(box, s)
     _same(kernel, _kernel(box, s))
     for rows, cols in _index_sets(box):
-        _same(_restricted_entries(kernel, rows, cols, box), _entries(kernel, rows, cols, box))
+        _same(_restricted_entries(kernel, _lags(rows, cols, box)),
+              _entries(kernel, rows, cols, box))
 
 
 EPS = np.finfo(float).eps
