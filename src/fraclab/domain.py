@@ -7,7 +7,7 @@ node's flat index being its row-major position there, and every grid
 helper is written once over the axes for both dimensions.  A
 :class:`SubDomain` marks the nodes of its box strictly inside a named
 shape (interval, square, L-shape, disk) or a seeded random mask, and owns
-Omega's Laplacian A_Omega and its eigenbasis, built once on first use;
+Omega's Laplacian A_Omega, its spectrum and eigenbasis, built once on first use;
 a :class:`GridFunction` carries nodal values on the full grid.  Functions
 "supported in Omega" vanish on every node outside the mask; zero-extension
 turns values on Omega's nodes into one, and ``values[mask]`` reads them back.
@@ -200,25 +200,33 @@ class SubDomain:
         return sym_matrix(a)
 
     @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Ascending eigenvalues of :attr:`laplacian`, bitwise ``eigen.eigenvalues``; a
+        rectangle's are the sorted Kronecker sum of 1D ones, made without its eigenbasis."""
+        sides = [int(np.ptp(axis)) + 1 for axis in np.nonzero(self.mask.reshape(self.grid.shape))]
+        if np.prod(sides) != self.node_count:
+            return self.eigen.eigenvalues
+        lam = np.sort(reduce(np.add.outer, [_interval_eigenvalues(m, self.grid.h) for m in sides]), None)
+        lam.flags.writeable = False
+        return lam
+
+    @cached_property
     def eigen(self) -> EigenDecomposition:
         """Ascending eigenbasis of :attr:`laplacian`, shared by every exponent.
 
-        A mask that fills its bounding box is a rectangle, whose Laplacian is
-        the tensor product of second-difference matrices, so its basis is the
-        Kronecker product of closed-form 1D sine bases; other masks go to
-        LAPACK.
+        A rectangle mask (one that fills its bounding box) has a Laplacian that is
+        a tensor product of second-difference matrices, so its basis is the
+        Kronecker product of 1D sine bases in :attr:`spectrum`'s order; other
+        masks go to LAPACK.
         """
-        nonzero = np.nonzero(self.mask.reshape(self.grid.shape))
-        sides = [int(axis.max() - axis.min() + 1) for axis in nonzero]
+        sides = [int(np.ptp(axis)) + 1 for axis in np.nonzero(self.mask.reshape(self.grid.shape))]
         if np.prod(sides) != self.node_count:
             return eigendecompose(self.laplacian)
         lams, qs = zip(*(_interval_eigenbasis(m, self.grid.h) for m in sides))
         lam, q = reduce(np.add.outer, lams).ravel(), reduce(np.kron, qs)
-        if np.any(np.diff(lam) < 0):  # sort; an ascending spectrum keeps the cached basis uncopied
-            order = np.argsort(lam, kind="stable")
-            lam, q = lam[order], q[:, order]
-        return EigenDecomposition(eigenvalues=np.ascontiguousarray(lam),
-                                  eigenvectors=np.ascontiguousarray(q))
+        if np.any(np.diff(lam) < 0):  # an ascending spectrum keeps the cached basis uncopied
+            q = q[:, np.argsort(lam, kind="stable")]
+        return EigenDecomposition(eigenvalues=self.spectrum, eigenvectors=np.ascontiguousarray(q))
 
 
 @dataclass(frozen=True)

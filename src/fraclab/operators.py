@@ -145,19 +145,15 @@ def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
     restricted matrix per chain check under an outer loop over s.
     """
     lam = _interval_eigenvalues(box.nodes_per_axis, box.h)
-    kernel = reduce(np.add.outer, [lam] * box.dim) ** s
-    for axis in reversed(range(box.dim)):
-        kernel = _cosine_sums(kernel, axis)
+    kernel = reduce(np.add.outer, [lam] * box.dim)
+    kernel **= s
+    for axis in reversed(range(box.dim)):  # each array dropped before the next is made
+        zero = np.zeros_like(np.take(kernel, [0], axis=axis))
+        kernel = np.concatenate([zero, kernel, zero, np.flip(kernel, axis=axis)], axis=axis)
+        kernel = np.fft.rfft(kernel, axis=axis)  # of the even extension (0, f, 0, reversed f)
+        kernel = kernel.real / (2 * kernel.shape[axis] - 2)
     kernel.flags.writeable = False
     return kernel
-
-
-def _cosine_sums(f: np.ndarray, axis: int) -> np.ndarray:
-    """sum_j f_j cos(k j pi/(n+1))/(n+1) along ``axis``, k = 0..n+1, from the
-    real FFT of the even extension (0, f, 0, reversed f) of length 2(n+1)."""
-    zero = np.zeros_like(np.take(f, [0], axis=axis))
-    even = np.concatenate([zero, f, zero, np.flip(f, axis=axis)], axis=axis)
-    return np.fft.rfft(even, axis=axis).real / even.shape[axis]
 
 
 def _lags(rows: np.ndarray, cols: np.ndarray, box: BoxGrid) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -169,6 +165,7 @@ def _lags(rows: np.ndarray, cols: np.ndarray, box: BoxGrid) -> list[tuple[np.nda
         hankel = np.add.outer(r, c + (1 - n))
         np.abs(hankel, out=hankel)
         np.subtract(n + 1, hankel, out=hankel)
+        toeplitz.flags.writeable = hankel.flags.writeable = False  # a domain's split keeps its table
         lags.append((toeplitz, hankel))
     return lags
 
@@ -208,14 +205,28 @@ def _restricted_matrix(domain: SubDomain, s: float) -> np.ndarray:
     return sym_matrix(_restricted_entries(_restricted_kernel(box, s), _lags(idx, idx, box)))
 
 
-def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
+@lru_cache(maxsize=1)
+def _reflection_split(domain: SubDomain) -> tuple[int, list] | None:
+    """The count k of Omega's nodes L below the first-axis mirror line and the lag table of L then
+    the nodes F on it, made once per domain; None if the mirror does not map Omega onto itself."""
+    box, idx = domain.grid, domain.indices
+    stride = box.nodes_per_axis ** (box.dim - 1)  # flat step along the first axis
+    twice = 2 * (idx // stride) - (box.nodes_per_axis - 1)  # twice the offset from the mirror line
+    if not np.array_equal(np.sort(idx - twice * stride), idx):
+        return None
+    rows = np.concatenate([idx[twice < 0], idx[twice == 0]])
+    return int(np.count_nonzero(twice < 0)), _lags(rows, rows, box)
+
+
+def _restricted_blocks(domain: SubDomain,
                        s: float) -> tuple[list[np.ndarray], tuple[float, float, float]]:
     """P B^s P^T split by the first-axis reflection, with its trace, ||.||_F^2 and max|entry|.
 
     When the reflection i -> N-1-i maps Omega onto itself, M is exactly
     centrosymmetric and splits into an even and an odd block of about
-    |Omega|/2, gathered from the kernel.  With L the nodes below the mirror
-    line, F those on it (last in ``even``) and pi the reflection,
+    |Omega|/2, gathered from the kernel at the lags of the domain's
+    :func:`_reflection_split`.  With L the nodes below the mirror line, F
+    those on it (last in ``even``) and pi the reflection,
 
         even = W (M[L+F, L+F] + M[L+F, pi(L+F)]) W,  W = 1 on L, 1/sqrt(2) on F,
         odd  = M[L, L] - M[L, pi L].
@@ -224,37 +235,34 @@ def _restricted_blocks(idx: np.ndarray, box: BoxGrid,
     M[., pi .] reads the kernel flipped along that axis at M's own lags,
     those two swapped.  Any other mask gives one block, M itself.  The
     invariants are read off the rows of L + F, each row of L standing for
-    its mirror row too, apart from how the blocks are assembled, so the
-    merged spectrum is checked against the whole M.
+    its mirror row too, apart from how the blocks are assembled (the even
+    one in place), so the merged spectrum is checked against the whole M.
     """
-    kernel = _restricted_kernel(box, s)
-    n = box.nodes_per_axis
-    stride = n ** (box.dim - 1)  # flat step along the first axis
-    twice = 2 * (idx // stride) - (n - 1)  # twice the first-axis offset from the mirror line
-    if not np.array_equal(np.sort(idx - twice * stride), idx):
-        whole = sym_matrix(_restricted_entries(kernel, _lags(idx, idx, box)))
+    split, kernel = _reflection_split(domain), _restricted_kernel(domain.grid, s)
+    if split is None:
+        whole = _restricted_matrix(domain, s)
         return [whole], (float(np.trace(whole)), float(np.vdot(whole, whole)),
                          float(np.max(np.abs(whole))))
-    low, fixed = twice < 0, twice == 0
-    rows = np.concatenate([idx[low], idx[fixed]])
-    k = np.count_nonzero(low)
-    lags = _lags(rows, rows, box)
+    k, lags = split
     near = _restricted_entries(kernel, lags)
     far = _restricted_entries(np.flip(kernel, axis=0), [lags[0][::-1]] + lags[1:])
-    del lags  # held to the return, the heap is trimmed and faulted in again at every exponent
+    copies = np.where(np.arange(near.shape[0]) < k, 2.0, 1.0)
+    squares, scale = np.empty(near.shape[0]), 0.0
+    for i in range(0, near.shape[0], 64):  # 64 rows at a time: no |Omega|^2 temporaries
+        r = slice(i, i + 64)
+        squares[r] = np.sum(near[r] * near[r], axis=1) + np.sum(far[r, :k] * far[r, :k], axis=1)
+        scale = max(scale, np.max(np.abs(near[r])), np.max(np.abs(far[r, :k]), initial=0.0))
+    invariants = (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))
+    blocks = [near, near[:k, :k] - far[:k, :k]] if k else [near]
+    near += far  # the even block, in place
+    del far
     w = np.sqrt(0.5)  # W on F: the products of np.outer(W, W), applied where W != 1
-    even = near + far
-    even[k:, :k] *= w
-    even[:k, k:] *= w
-    even[k:, k:] *= w * w
-    blocks = [even, near[:k, :k] - far[:k, :k]] if k else [even]
+    near[k:, :k] *= w
+    near[:k, k:] *= w
+    near[k:, k:] *= w * w
     for block in blocks:  # exactly symmetric: frozen, sym_matrix checks them without a copy
         block.flags.writeable = False
-    blocks = [sym_matrix(block) for block in blocks]
-    copies = np.where(np.arange(rows.size) < k, 2.0, 1.0)
-    squares = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
-    scale = max(np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))
-    return blocks, (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))
+    return [sym_matrix(block) for block in blocks], invariants
 
 
 def _on_box(domain: SubDomain, box: BoxGrid) -> np.ndarray:
@@ -298,23 +306,22 @@ def compare_spectra(domain: SubDomain, box: BoxGrid, s: float) -> SpectrumCompar
     """Ascending eigenvalues of both fractional operators and their margins.
 
     Neither operator is built: the spectral eigenvalues are Omega's cached
-    ones to the power s, the restricted ones those of the reflection blocks
-    of P B^s P^T (:func:`_restricted_blocks`), each solved and checked on its
-    own, then merged and checked against the whole matrix's trace and
-    Frobenius norm.
+    spectrum to the power s (no eigenbasis on a rectangle), the restricted
+    ones those of the reflection blocks of P B^s P^T (:func:`_restricted_blocks`),
+    each solved and checked on its own, then merged and checked against the
+    whole matrix's trace and Frobenius norm.
     """
     s = _check_s(s)
-    idx = _on_box(domain, box)
+    _on_box(domain, box)
     if s == 1.0:
-        dirichlet = domain.eigen.eigenvalues
+        dirichlet = domain.spectrum
     else:
-        blocks, invariants = _restricted_blocks(idx, box, s)
+        blocks, invariants = _restricted_blocks(domain, s)
         dirichlet = np.concatenate([eigenvalues(block) for block in blocks])
     _require_positive_definite("dirichlet", np.min(dirichlet))
     if s != 1.0:
         check_spectrum(dirichlet, *invariants)
-    # the spectral sort is a no-op, kept: dropping it raised the peak RSS through heap layout
-    return SpectrumComparison(s=s, navier=np.sort(domain.eigen.eigenvalues**s),
+    return SpectrumComparison(s=s, navier=domain.spectrum**s,
                               dirichlet=np.sort(dirichlet))
 
 

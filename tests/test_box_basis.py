@@ -7,6 +7,8 @@ Kronecker product of the 1D bases and sorted by eigenvalue.  The two must
 agree to roundoff; in 1D the kernel also meets a long-double sine sum.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,22 @@ def test_kernel_matches_a_long_double_sine_sum(s):
     ref = (q * lam ** np.longdouble(s)) @ q.T
     new = dirichlet_operator(dom, box, s).matrix
     assert np.max(np.abs(new - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_2d_kernel_peaks_at_about_four_box_lattices():
+    # an N^2 lattice of doubles; holding the power spectrum, its even extension and the
+    # complex FFT output at once took about six
+    box = make_box(2, 1.0, 500)
+    operators._restricted_kernel.cache_clear()
+    tracemalloc.start()
+    try:
+        kernel = operators._restricted_kernel(box, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+        operators._restricted_kernel.cache_clear()
+    assert kernel.shape == (502, 502)
+    assert peak <= 4.25 * box.size * 8, f"{peak / (box.size * 8):.2f} lattices"
 
 
 MIRRORED = [(1, 63, "interval", (-0.5, 0.5)), (1, 64, "interval", (-0.5, 0.5)),

@@ -294,6 +294,13 @@ def test_subdomain_eigenbasis_diagonalizes_its_laplacian(dim, n, shape, params):
     assert d.laplacian is a and d.eigen is e
 
 
+@pytest.mark.parametrize("shape, params", [("disk", (0.5,)), ("lshape", (1.2,))])
+def test_a_mask_that_is_no_rectangle_reads_its_spectrum_off_the_eigenbasis(shape, params):
+    d = make_shape(make_box(2, 1.0, 24), shape, params)
+    assert d.spectrum is d.eigen.eigenvalues
+    assert np.max(np.abs(d.spectrum - np.linalg.eigvalsh(d.laplacian))) < 1e-12 * d.spectrum[-1]
+
+
 def test_grid_embedding_requires_alignment():
     g1 = make_box(1, 1.0, 63)  # h = 1/32, halfwidth multiple of h
     g2 = make_box(1, 2.0, 127)

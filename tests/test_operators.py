@@ -1,5 +1,7 @@
 """Matrix-level checks of the two fractional operators and their comparison."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -339,7 +341,7 @@ def _split_spectrum_error(om, box, s):
 def test_split_spectrum_matches_the_whole_matrix(dim, nodes, shape, params, blocks, s):
     box = make_box(dim, 1.0, nodes)
     om = make_shape(box, shape, params)
-    assert len(operators._restricted_blocks(om.indices, box, s)[0]) == blocks
+    assert len(operators._restricted_blocks(om, s)[0]) == blocks
     assert _split_spectrum_error(om, box, s) <= 1e-13
 
 
@@ -351,7 +353,7 @@ def test_split_spectrum_matches_the_whole_matrix(dim, nodes, shape, params, bloc
 def test_split_spectrum_in_a_padded_box_matches_the_whole_matrix(dim, shape, params, blocks, s):
     box = make_box(dim, 1.25, 19)  # h = 1/8: four empty nodes beyond |x| = 0.75 at each face
     om = make_shape(box, shape, params)
-    assert len(operators._restricted_blocks(om.indices, box, s)[0]) == blocks
+    assert len(operators._restricted_blocks(om, s)[0]) == blocks
     assert _split_spectrum_error(om, box, s) <= 1e-13
 
 
@@ -392,10 +394,10 @@ def _two_lag_blocks(idx, box, s):
 def test_reflection_blocks_from_one_lag_table_match_the_two_lag_construction(
         dim, halfwidth, nodes, shape, params, exponents):
     box = make_box(dim, halfwidth, nodes)
-    idx = make_shape(box, shape, params).indices
+    om = make_shape(box, shape, params)
     for s in exponents:
-        blocks, invariants = operators._restricted_blocks(idx, box, s)
-        oracle, oracle_invariants = _two_lag_blocks(idx, box, s)
+        blocks, invariants = operators._restricted_blocks(om, s)
+        oracle, oracle_invariants = _two_lag_blocks(om.indices, box, s)
         assert len(blocks) == len(oracle) == 2
         for block, expected in zip(blocks, oracle):
             assert block.shape == expected.shape
@@ -425,13 +427,84 @@ def test_a_mis_assembled_split_misses_the_whole_matrix_invariants(monkeypatch, m
     compare_spectra(om, box, 0.5)
     original = operators._restricted_blocks
 
-    def mutated(idx, box, s):
-        blocks, invariants = original(idx, box, s)
+    def mutated(domain, s):
+        blocks, invariants = original(domain, s)
         return mutate([np.array(block) for block in blocks]), invariants
 
     monkeypatch.setattr(operators, "_restricted_blocks", mutated)
     with pytest.raises(RuntimeError, match="eigenvalues miss the trace"):
         compare_spectra(om, box, 0.5)
+
+
+@pytest.mark.parametrize("dim, nodes, shape, params", [(1, 63, "interval", (-0.5, 0.5)),
+                                                       (1, 63, "interval", (-0.5, 0.25)),
+                                                       (2, 24, "square", (0.5,))])
+def test_compare_spectra_on_a_rectangle_builds_no_eigenbasis(dim, nodes, shape, params):
+    box = make_box(dim, 1.0, nodes)
+    om = make_shape(box, shape, params)
+    for s in (0.5, 1.0):
+        comp = compare_spectra(om, box, s)
+        assert "eigen" not in vars(om)
+        assert np.array_equal(comp.navier, om.spectrum**s)
+    assert np.array_equal(comp.dirichlet, om.spectrum)
+
+
+def _counting_lags(monkeypatch):
+    calls = []
+    original = operators._lags
+
+    def counted(rows, cols, box):
+        calls.append(rows.size)
+        return original(rows, cols, box)
+
+    monkeypatch.setattr(operators, "_lags", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dim, nodes, shape, params", [(1, 63, "interval", (-0.5, 0.5)),
+                                                       (2, 24, "square", (0.5,)),
+                                                       (2, 25, "disk", (0.5,))])
+def test_reflection_split_and_its_lag_table_are_made_once_per_domain(monkeypatch, dim, nodes,
+                                                                     shape, params):
+    box = make_box(dim, 1.0, nodes)
+    om, twin = make_shape(box, shape, params), make_shape(box, shape, params)
+    calls = _counting_lags(monkeypatch)
+    first = [compare_spectra(om, box, s).dirichlet for s in (0.25, 0.5, 0.75)]
+    assert len(calls) == 1 and calls[0] < om.node_count  # one table, of the rows L + F only
+    split = operators._reflection_split(om)
+    assert all(not lag.flags.writeable for pair in split[1] for lag in pair)
+    # a new domain gets its own split; the spectra do not depend on the cache
+    again = [compare_spectra(twin, box, s).dirichlet for s in (0.25, 0.5, 0.75)]
+    assert len(calls) == 2 and operators._reflection_split(twin) is not split
+    for a, b in zip(first, again):
+        assert np.array_equal(a, b)
+
+
+def test_a_mask_the_mirror_does_not_map_onto_itself_gathers_its_whole_matrix(monkeypatch):
+    box = make_box(2, 1.0, 25)
+    om = make_shape(box, "lshape", (1.2,))
+    calls = _counting_lags(monkeypatch)
+    for s in (0.25, 0.5):
+        compare_spectra(om, box, s)
+    assert operators._reflection_split(om) is None
+    assert calls == [om.node_count] * 2  # not kept: it would raise the peak of every exponent
+
+
+def test_a_later_spectra_exponent_holds_at_most_four_and_a_half_blocks():
+    # the spectra-1d benchmark domain: 767 nodes, blocks of 384^2 doubles; the two halves,
+    # the even block as a third array and the odd block, with the symmetry check's two
+    # temporaries on top, took six
+    box = make_box(1, 1.0, 1535)
+    om = make_shape(box, "interval", (-0.5, 0.5))
+    block = 384 * 384 * 8
+    compare_spectra(om, box, 0.5)  # the live set: the lag table and the box spectrum
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        compare_spectra(om, box, 0.55)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * block, f"{peak / block:.2f} blocks"
 
 
 def test_compare_spectra_refuses_an_indefinite_restricted_operator(monkeypatch):

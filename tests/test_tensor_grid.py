@@ -4,8 +4,8 @@ Every lattice helper in ``domain``, ``operators`` and ``extension`` handles
 both dimensions in one path over the axes of ``BoxGrid.shape``.  The
 oracles below are the explicit per-dimension formulas that path replaces:
 node coordinates, neighbour lists, the kernel of B^s and its entries, box
-analysis and synthesis, the Fourier form, the rectangle eigenbasis and the
-named-shape dilation.  Each must agree bit for bit, signed zeros included,
+analysis and synthesis, the Fourier form, the rectangle eigenbasis and
+spectrum, and the named-shape dilation.  Each must agree bit for bit, signed zeros included,
 on 1D and 2D boxes of 1, 2, 7 and 10 nodes per axis, on embedded grids, on
 non-square sets of rows and columns, and at s = 0.02, 0.1, 0.5, 0.9 and 1.
 Box synthesis forms only the bounding box of the rows it returns: its
@@ -28,7 +28,6 @@ from fraclab.domain import (
 )
 from fraclab.extension import _LAYER_BLOCK, _box_analysis, _box_synthesis
 from fraclab.operators import (
-    _cosine_sums,
     _lags,
     _restricted_entries,
     _restricted_kernel,
@@ -76,6 +75,14 @@ def _neighbors(grid, f):
     i, j = divmod(f, n)
     steps = ((i > 0, -n), (i < n - 1, n), (j > 0, -1), (j < n - 1, 1))
     return [f + d for inside, d in steps if inside]
+
+
+def _cosine_sums(f, axis):
+    """sum_j f_j cos(k j pi/(n+1))/(n+1) along ``axis``, k = 0..n+1, from the real FFT
+    of the even extension (0, f, 0, reversed f) of length 2(n+1)."""
+    zero = np.zeros_like(np.take(f, [0], axis=axis))
+    even = np.concatenate([zero, f, zero, np.flip(f, axis=axis)], axis=axis)
+    return np.fft.rfft(even, axis=axis).real / even.shape[axis]
 
 
 def _kernel(box, s):
@@ -353,6 +360,22 @@ def test_rectangle_eigenbasis(dim, n, lo, hi):
     lam, q = _rectangle_eigen(sd)
     _same(sd.eigen.eigenvalues, lam)
     _same(sd.eigen.eigenvectors, q)
+
+
+SPECTRUM_SHAPES = [(1, 63, "interval", (-0.5, 0.5)),  # centred
+                   (1, 63, "interval", (-0.5, 0.25)),  # off-centre
+                   (2, 24, "square", (0.9,)),  # even N
+                   (2, 25, "square", (0.9,))]  # odd N
+
+
+@pytest.mark.parametrize("dim, n, shape, params", SPECTRUM_SHAPES, ids=_ids(SPECTRUM_SHAPES))
+def test_rectangle_spectrum_is_its_eigenbasis_spectrum_without_the_basis(dim, n, shape, params):
+    sd = make_shape(make_box(dim, 1.0, n), shape, params)
+    lam = sd.spectrum
+    assert "eigen" not in vars(sd)
+    assert not lam.flags.writeable
+    _same(lam, _rectangle_eigen(sd)[0])
+    assert sd.eigen.eigenvalues is lam
 
 
 # an asymmetric interval in 1D, a square in 2D: each holds a node of every box
