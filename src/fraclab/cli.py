@@ -25,6 +25,9 @@ when all assertions pass, 1 on an assertion failure, and 2 on usage or
 configuration errors.  Reports are byte-identical across reruns with the
 same config and seed (volatile fields such as wall time stay out of the
 files); every pass/fail records its numeric margin alongside the verdict.
+Every check is made by one constructor, :func:`_verdict`, which passes its
+margin against its tolerance in one of three senses: ``<= tol`` (a gap),
+``> tol`` (a strict slack) or ``>= -tol``; a NaN margin fails in each.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import asdict, dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -249,6 +252,19 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
+# A check's pass rule: a gap stays within its tolerance (<= tol), a strict slack exceeds it
+# (> tol), a slack falls at most tol below zero (>= -tol); a NaN margin fails each.
+_SENSES = {"<= tol": lambda m, tol: m <= tol, "> tol": lambda m, tol: m > tol,
+           ">= -tol": lambda m, tol: m >= -tol}
+
+
+def _verdict(check: str, s: float, margin: float, tolerance: float, sense: str) -> Check:
+    """The verdict of ``check`` at exponent ``s``: ``margin`` against ``tolerance`` in ``sense``."""
+    margin = float(margin)
+    return Check(name=f"{check}[s={s:g}]", margin=margin, tolerance=tolerance,
+                 passed=bool(_SENSES[sense](margin, tolerance)))
+
+
 def _versions() -> dict:
     return {"fraclab": __version__, "numpy": np.__version__, "scipy": scipy.__version__}
 
@@ -308,15 +324,11 @@ def _run_spectra(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Che
         for j, (ln, ld) in enumerate(comp.pairs, start=1):
             rows.append([s, j, ln, ld, ln - ld])
         if s == 1.0:
-            worst = float(np.max(np.abs(comp.margins)))
-            checks.append(Check(name=f"coincidence[s={s:g}]", margin=worst,
-                                tolerance=cfg.tol_coincidence,
-                                passed=worst <= cfg.tol_coincidence))
+            checks.append(_verdict("coincidence", s, np.max(np.abs(comp.margins)),
+                                   cfg.tol_coincidence, "<= tol"))
         else:
-            least = float(np.min(comp.margins))
-            checks.append(Check(name=f"eigenvalue_domination[s={s:g}]", margin=least,
-                                tolerance=cfg.tol_margin,
-                                passed=least > cfg.tol_margin))
+            checks.append(_verdict("eigenvalue_domination", s, np.min(comp.margins),
+                                   cfg.tol_margin, "> tol"))
     return ["s", "j", "lambda_navier", "lambda_dirichlet", "margin"], rows, checks
 
 
@@ -333,9 +345,7 @@ def _run_positivity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[
             witness = int(np.argmin(out))
             rows.append([s, trial, float(out[witness]), witness])
             worst = min(worst, float(out[witness]))
-        checks.append(Check(name=f"positivity_preserving[s={s:g}]", margin=worst,
-                            tolerance=cfg.tol_positivity,
-                            passed=worst >= -cfg.tol_positivity))
+        checks.append(_verdict("positivity_preserving", s, worst, cfg.tol_positivity, ">= -tol"))
     return ["s", "trial", "min_entry", "witness"], rows, checks
 
 
@@ -359,9 +369,7 @@ def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], lis
             slack_hi = q_n_inner - q_n_outer
             rows.append([s, trial, q_d, q_n_outer, q_n_inner, slack_lo, slack_hi])
             worst = min(worst, slack_lo, slack_hi)
-        checks.append(Check(name=f"monotone_chain[s={s:g}]", margin=worst,
-                            tolerance=cfg.tol_chain,
-                            passed=worst >= -cfg.tol_chain))
+        checks.append(_verdict("monotone_chain", s, worst, cfg.tol_chain, ">= -tol"))
     return (
         ["s", "trial", "q_dirichlet", "q_navier_outer", "q_navier_inner",
          "slack_lower", "slack_upper"],
@@ -393,14 +401,10 @@ def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[C
         del navier
         rows.append([s, ident.form_value, ident.energy_value, ident.rel_gap,
                      order.lattice_min, order.interior_min])
-        checks.append(Check(name=f"energy_identity[s={s:g}]", margin=ident.rel_gap,
-                            tolerance=cfg.tol_energy_gap,
-                            passed=ident.rel_gap <= cfg.tol_energy_gap))
-        checks.append(Check(name=f"ordering_lattice[s={s:g}]", margin=order.lattice_min,
-                            tolerance=cfg.tol_positivity,
-                            passed=order.lattice_min >= -cfg.tol_positivity))
-        checks.append(Check(name=f"ordering_interior[s={s:g}]", margin=order.interior_min,
-                            tolerance=0.0, passed=order.interior_min > 0.0))
+        checks += [_verdict("energy_identity", s, ident.rel_gap, cfg.tol_energy_gap, "<= tol"),
+                   _verdict("ordering_lattice", s, order.lattice_min, cfg.tol_positivity,
+                            ">= -tol"),
+                   _verdict("ordering_interior", s, order.interior_min, 0.0, "> tol")]
     return (
         ["s", "form_value", "energy_value", "rel_gap", "ordering_lattice_min",
          "ordering_interior_min"],
@@ -444,11 +448,8 @@ def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Che
                                cfg.sobolev_pad, s)
         gap2 = abs(q2 - reference) / reference
         rows.append(["quotient_doubled", s, 2.0 * cfg.box_halfwidth, q2, reference, gap2])
-        checks.append(Check(name=f"quotient_near_constant[s={s:g}]", margin=gap1,
-                            tolerance=cfg.tol_sobolev_gap,
-                            passed=gap1 <= cfg.tol_sobolev_gap))
-        checks.append(Check(name=f"gap_shrinks_with_box[s={s:g}]", margin=gap1 - gap2,
-                            tolerance=0.0, passed=gap2 < gap1))
+        checks += [_verdict("quotient_near_constant", s, gap1, cfg.tol_sobolev_gap, "<= tol"),
+                   _verdict("gap_shrinks_with_box", s, gap1 - gap2, 0.0, "> tol")]
     return ["record", "s", "parameter", "value", "reference", "rel_gap"], rows, checks
 
 
@@ -467,21 +468,15 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check
     rows, checks, n = [list(r) for r in table], [], len(cfg.alpha_values)
     for j, s in enumerate(cfg.s_values):  # the rows of exponent j are rows j*n..(j+1)*n-1
         ratios = np.array([r.ratio for r in table[j * n:(j + 1) * n]])
-        checks.append(Check(name=f"ratio_lower_bound[s={s:g}]",
-                            margin=float(ratios.min() - 1.0), tolerance=cfg.tol_coincidence,
-                            passed=bool(ratios.min() >= 1.0 - cfg.tol_coincidence)))
-        checks.append(Check(name=f"final_ratio[s={s:g}]", margin=float(ratios[-1]),
-                            tolerance=cfg.tol_ratio_final,
-                            passed=bool(ratios[-1] <= cfg.tol_ratio_final)))
+        checks += [_verdict("ratio_lower_bound", s, ratios.min() - 1.0, cfg.tol_coincidence,
+                            ">= -tol"),
+                   _verdict("final_ratio", s, ratios[-1], cfg.tol_ratio_final, "<= tol")]
         if s == 1.0:
-            worst = float(np.max(np.abs(ratios - 1.0)))
-            checks.append(Check(name="ratio_coincidence[s=1]", margin=worst,
-                                tolerance=cfg.tol_coincidence,
-                                passed=worst <= cfg.tol_coincidence))
+            checks.append(_verdict("ratio_coincidence", s, np.max(np.abs(ratios - 1.0)),
+                                   cfg.tol_coincidence, "<= tol"))
         elif len(ratios) > 1:
-            decrease = float(np.min(ratios[:-1] - ratios[1:]))
-            checks.append(Check(name=f"ratio_decreasing[s={s:g}]", margin=decrease,
-                                tolerance=0.0, passed=decrease > 0.0))
+            checks.append(_verdict("ratio_decreasing", s, np.min(ratios[:-1] - ratios[1:]), 0.0,
+                                   "> tol"))
     return ["s", "alpha", "q_navier", "q_dirichlet", "ratio"], rows, checks
 
 
@@ -564,11 +559,7 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
         "config": report.config,
         "columns": report.columns,
         "rows": [],
-        "checks": [
-            {"name": c.name, "margin": c.margin,
-             "tolerance": c.tolerance, "passed": c.passed}
-            for c in report.checks
-        ],
+        "checks": [asdict(c) for c in report.checks],
         "versions": report.versions,
     }
     # a top-level key starts a line indented by two; no JSON string holds a raw newline

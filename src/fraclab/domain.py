@@ -199,14 +199,20 @@ class SubDomain:
                     a[f_i, pos[g]] = -1.0 / h2
         return sym_matrix(a)
 
+    def _rectangle_sides(self) -> list[int] | None:
+        """Nodes per axis of Omega's bounding box, or None unless Omega fills that box."""
+        sides = [int(np.ptp(axis)) + 1 for axis in np.nonzero(self.mask.reshape(self.grid.shape))]
+        return sides if np.prod(sides) == self.node_count else None
+
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Ascending eigenvalues of :attr:`laplacian`, bitwise ``eigen.eigenvalues``; a
         rectangle's are the sorted Kronecker sum of 1D ones, made without its eigenbasis."""
-        sides = [int(np.ptp(axis)) + 1 for axis in np.nonzero(self.mask.reshape(self.grid.shape))]
-        if np.prod(sides) != self.node_count:
+        sides = self._rectangle_sides()
+        if sides is None:
             return self.eigen.eigenvalues
-        lam = np.sort(reduce(np.add.outer, [_interval_eigenvalues(m, self.grid.h) for m in sides]), None)
+        lam = reduce(np.add.outer, [_interval_eigenvalues(m, self.grid.h) for m in sides])
+        lam = np.sort(lam, None, kind="stable")  # the sort eigen's argsort uses
         lam.flags.writeable = False
         return lam
 
@@ -219,8 +225,8 @@ class SubDomain:
         Kronecker product of 1D sine bases in :attr:`spectrum`'s order; other
         masks go to LAPACK.
         """
-        sides = [int(np.ptp(axis)) + 1 for axis in np.nonzero(self.mask.reshape(self.grid.shape))]
-        if np.prod(sides) != self.node_count:
+        sides = self._rectangle_sides()
+        if sides is None:
             return eigendecompose(self.laplacian)
         lams, qs = zip(*(_interval_eigenbasis(m, self.grid.h) for m in sides))
         lam, q = reduce(np.add.outer, lams).ravel(), reduce(np.kron, qs)

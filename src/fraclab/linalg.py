@@ -103,7 +103,7 @@ def eigendecompose(matrix: np.ndarray, tol: float = 1e-10) -> EigenDecomposition
 
 
 def eigenvalues(matrix: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Ascending eigenvalues of a :func:`sym_matrix` output, without eigenvectors.
+    """Ascending eigenvalues of an exactly symmetric matrix, without eigenvectors.
 
     The spectrum must reproduce the trace and the squared Frobenius norm to
     ``tol`` relative to ``n max|M|`` and ``||M||_F^2``; roundoff leaves 1e-13.

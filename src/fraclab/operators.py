@@ -260,9 +260,9 @@ def _restricted_blocks(domain: SubDomain,
     near[k:, :k] *= w
     near[:k, k:] *= w
     near[k:, k:] *= w * w
-    for block in blocks:  # exactly symmetric: frozen, sym_matrix checks them without a copy
+    for block in blocks:  # exactly symmetric by construction; eigenvalues() refuses any that is not
         block.flags.writeable = False
-    return [sym_matrix(block) for block in blocks], invariants
+    return blocks, invariants
 
 
 def _on_box(domain: SubDomain, box: BoxGrid) -> np.ndarray:

@@ -238,13 +238,51 @@ def test_empty_table_written_as_header_only(tmp_path):
     assert path.read_text().splitlines() == ["j,lambda_navier,lambda_dirichlet,margin"]
 
 
+# Each check's pass rule, stated here apart from cli's own table of senses.
+_PASS_RULES = {
+    "coincidence": lambda margin, tol: margin <= tol,
+    "energy_identity": lambda margin, tol: margin <= tol,
+    "quotient_near_constant": lambda margin, tol: margin <= tol,
+    "final_ratio": lambda margin, tol: margin <= tol,
+    "ratio_coincidence": lambda margin, tol: margin <= tol,
+    "eigenvalue_domination": lambda margin, tol: margin > tol,
+    "ordering_interior": lambda margin, tol: margin > tol,
+    "gap_shrinks_with_box": lambda margin, tol: margin > tol,
+    "ratio_decreasing": lambda margin, tol: margin > tol,
+    "positivity_preserving": lambda margin, tol: margin >= -tol,
+    "monotone_chain": lambda margin, tol: margin >= -tol,
+    "ordering_lattice": lambda margin, tol: margin >= -tol,
+    "ratio_lower_bound": lambda margin, tol: margin >= -tol,
+}
+
+
 def test_every_verdict_recomputable_from_margins():
-    report = run(parse_config(MINIMAL))
-    for check in report.checks:
-        if "coincidence" in check.name:
-            assert check.passed == (check.margin <= check.tolerance)
-        else:
-            assert check.passed == (check.margin > check.tolerance)
+    # small runs of all six experiments in both dimensions, between them every check
+    exponents = {"spectra": "0.5,1", "positivity": "0.5", "monotonicity": "0.5",
+                 "extension": "0.5", "sobolev": "0.25", "sweep": "0.5,1"}
+    for dim, nodes in ((1, 63), (2, 15)):
+        seen = set()
+        for kind, s_values in exponents.items():
+            report = run(parse_config(f"seed = 1\ndim = {dim}\nbox.nodes = {nodes}\ntrials = 3\n"
+                                      f"extension.layers = 16\ns.values = {s_values}\n"), kind=kind)
+            for check in report.checks:
+                name, _, s = check.name.partition("[s=")
+                assert s[:-1] in s_values.split(",") and check.name.endswith("]"), check.name
+                assert type(check.margin) is float and type(check.passed) is bool
+                assert check.passed == _PASS_RULES[name](check.margin, check.tolerance), check
+                seen.add(name)
+        assert seen == set(_PASS_RULES), f"dim {dim}: no run made {set(_PASS_RULES) - seen}"
+
+
+@pytest.mark.parametrize("sense, passes", [
+    ("<= tol", {-1e-9: True, 1e-9: True, 2e-9: False}),
+    ("> tol", {-1e-9: False, 1e-9: False, 2e-9: True}),
+    (">= -tol", {-2e-9: False, -1e-9: True, 0.0: True}),
+])
+def test_each_sense_places_its_boundary_and_fails_a_nan_margin(sense, passes):
+    for margin, passed in {**passes, float("nan"): False}.items():
+        check = cli._verdict("gap", 0.5, margin, 1e-9, sense)
+        assert check.name == "gap[s=0.5]" and check.passed is passed, margin
 
 
 def test_monotonicity_and_positivity_runs_pass():
