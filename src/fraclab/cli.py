@@ -48,6 +48,7 @@ import scipy
 from . import __version__
 from .analysis import (
     SobolevSetup,
+    SweepRow,
     dilation_sweep,
     extremal_function,
     rayleigh_quotient,
@@ -239,13 +240,19 @@ class Check:
 
 @dataclass
 class ExperimentReport:
+    """One experiment's results: ``rows`` is one typed table, a NumPy structured
+    array whose field names are the report's columns."""
+
     kind: str
     config: dict
-    columns: list[str]
-    rows: list[list]
+    rows: np.ndarray
     checks: list[Check]
     wall_time_seconds: float
     versions: dict = field(default_factory=dict)
+
+    @property
+    def columns(self) -> list[str]:
+        return list(self.rows.dtype.names)
 
     @property
     def all_passed(self) -> bool:
@@ -316,23 +323,26 @@ def _mesh_for(cfg: ExperimentConfig, domain: SubDomain, s: float):
     return graded_mesh(cfg.extension_layers, height, gamma)
 
 
-def _run_spectra(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+def _run_spectra(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     box, domain = _build_domain(cfg)
-    rows, checks = [], []
-    for s in cfg.s_values:
+    n, checks = domain.node_count, []
+    rows = np.empty(n * len(cfg.s_values), dtype=[("s", "f8"), ("j", "i8"), ("lambda_navier", "f8"),
+                                                   ("lambda_dirichlet", "f8"), ("margin", "f8")])
+    for block, s in zip(np.split(rows, len(cfg.s_values)), cfg.s_values):
         comp = compare_spectra(domain, box, s)
-        for j, (ln, ld) in enumerate(comp.pairs, start=1):
-            rows.append([s, j, ln, ld, ln - ld])
+        block["s"], block["j"] = s, np.arange(1, n + 1)
+        block["lambda_navier"], block["lambda_dirichlet"] = comp.navier, comp.dirichlet
+        block["margin"] = comp.margins
         if s == 1.0:
             checks.append(_verdict("coincidence", s, np.max(np.abs(comp.margins)),
                                    cfg.tol_coincidence, "<= tol"))
         else:
             checks.append(_verdict("eigenvalue_domination", s, np.min(comp.margins),
                                    cfg.tol_margin, "> tol"))
-    return ["s", "j", "lambda_navier", "lambda_dirichlet", "margin"], rows, checks
+    return rows, checks
 
 
-def _run_positivity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+def _run_positivity(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     box, domain = _build_domain(cfg)
     rng = np.random.default_rng(cfg.seed)
     rows, checks = [], []
@@ -343,13 +353,14 @@ def _run_positivity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[
             u = rng.random(domain.node_count)
             out = diff @ u
             witness = int(np.argmin(out))
-            rows.append([s, trial, float(out[witness]), witness])
+            rows.append((s, trial, out[witness], witness))
             worst = min(worst, float(out[witness]))
         checks.append(_verdict("positivity_preserving", s, worst, cfg.tol_positivity, ">= -tol"))
-    return ["s", "trial", "min_entry", "witness"], rows, checks
+    dtype = [("s", "f8"), ("trial", "i8"), ("min_entry", "f8"), ("witness", "i8")]
+    return np.array(rows, dtype=dtype), checks
 
 
-def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+def _run_monotonicity(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     box = _build_box(cfg)  # the random masks stay far below the mask cap
     rng = np.random.default_rng(cfg.seed)
     max_png = 6 if cfg.dim == 1 else 10
@@ -367,18 +378,15 @@ def _run_monotonicity(cfg: ExperimentConfig) -> tuple[list[str], list[list], lis
             q_d, q_n_outer, q_n_inner = monotonicity_check(inner, outer, box, s, u)
             slack_lo = q_n_outer - q_d
             slack_hi = q_n_inner - q_n_outer
-            rows.append([s, trial, q_d, q_n_outer, q_n_inner, slack_lo, slack_hi])
+            rows.append((s, trial, q_d, q_n_outer, q_n_inner, slack_lo, slack_hi))
             worst = min(worst, slack_lo, slack_hi)
         checks.append(_verdict("monotone_chain", s, worst, cfg.tol_chain, ">= -tol"))
-    return (
-        ["s", "trial", "q_dirichlet", "q_navier_outer", "q_navier_inner",
-         "slack_lower", "slack_upper"],
-        rows,
-        checks,
-    )
+    dtype = [("s", "f8"), ("trial", "i8"), ("q_dirichlet", "f8"), ("q_navier_outer", "f8"),
+             ("q_navier_inner", "f8"), ("slack_lower", "f8"), ("slack_upper", "f8")]
+    return np.array(rows, dtype=dtype), checks
 
 
-def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+def _run_extension(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     lattice = cfg.box_nodes**cfg.dim * (cfg.extension_layers + 1)
     if lattice > _MAX_EXTENSION_VALUES:
         raise ConfigError(f"extension.layers: the Dirichlet extension's distinct-profile lattice "
@@ -399,18 +407,15 @@ def _run_extension(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[C
         del dirichlet
         ident = energy_identity_check(navier)
         del navier
-        rows.append([s, ident.form_value, ident.energy_value, ident.rel_gap,
-                     order.lattice_min, order.interior_min])
+        rows.append((s, ident.form_value, ident.energy_value, ident.rel_gap,
+                     order.lattice_min, order.interior_min))
         checks += [_verdict("energy_identity", s, ident.rel_gap, cfg.tol_energy_gap, "<= tol"),
                    _verdict("ordering_lattice", s, order.lattice_min, cfg.tol_positivity,
                             ">= -tol"),
                    _verdict("ordering_interior", s, order.interior_min, 0.0, "> tol")]
-    return (
-        ["s", "form_value", "energy_value", "rel_gap", "ordering_lattice_min",
-         "ordering_interior_min"],
-        rows,
-        checks,
-    )
+    dtype = [("s", "f8"), ("form_value", "f8"), ("energy_value", "f8"), ("rel_gap", "f8"),
+             ("ordering_lattice_min", "f8"), ("ordering_interior_min", "f8")]
+    return np.array(rows, dtype=dtype), checks
 
 
 def _sobolev_quotient(dim: int, halfwidth: float, nodes: int, pad: int, s: float) -> float:
@@ -426,7 +431,7 @@ def _sobolev_quotient(dim: int, halfwidth: float, nodes: int, pad: int, s: float
     return rayleigh_quotient(form, u, SobolevSetup(n=dim, s=s).critical_exponent)
 
 
-def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+def _run_sobolev(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     n, pad = cfg.box_nodes, cfg.sobolev_pad
     if (pad - 1) * (n + 1) % 2:  # the FFT box's lattice would miss the sampling nodes
         raise ConfigError(f"box.nodes: {n} does not align with the FFT box of sobolev.pad = {pad}; "
@@ -440,20 +445,22 @@ def _run_sobolev(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Che
     rows, checks = [], []
     for s in cfg.s_values:
         reference = sobolev_constant_closed_form(cfg.dim, s)
-        rows.append(["closed_form", s, float(cfg.dim), reference, reference, 0.0])
+        rows.append(("closed_form", s, cfg.dim, reference, reference, 0.0))
         q1 = _sobolev_quotient(cfg.dim, cfg.box_halfwidth, cfg.box_nodes, cfg.sobolev_pad, s)
         gap1 = abs(q1 - reference) / reference
-        rows.append(["quotient", s, cfg.box_halfwidth, q1, reference, gap1])
+        rows.append(("quotient", s, cfg.box_halfwidth, q1, reference, gap1))
         q2 = _sobolev_quotient(cfg.dim, 2.0 * cfg.box_halfwidth, 2 * (cfg.box_nodes + 1) - 1,
                                cfg.sobolev_pad, s)
         gap2 = abs(q2 - reference) / reference
-        rows.append(["quotient_doubled", s, 2.0 * cfg.box_halfwidth, q2, reference, gap2])
+        rows.append(("quotient_doubled", s, 2.0 * cfg.box_halfwidth, q2, reference, gap2))
         checks += [_verdict("quotient_near_constant", s, gap1, cfg.tol_sobolev_gap, "<= tol"),
                    _verdict("gap_shrinks_with_box", s, gap1 - gap2, 0.0, "> tol")]
-    return ["record", "s", "parameter", "value", "reference", "rel_gap"], rows, checks
+    dtype = [("record", "O"), ("s", "f8"), ("parameter", "f8"), ("value", "f8"),
+             ("reference", "f8"), ("rel_gap", "f8")]
+    return np.array(rows, dtype=dtype), checks
 
 
-def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check]]:
+def _run_sweep(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     _, domain = _build_domain(cfg)
     try:
         largest = dilate(domain, cfg.alpha_values[-1])
@@ -465,7 +472,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check
         table = dilation_sweep(u, domain, list(cfg.s_values), list(cfg.alpha_values))
     except ValueError as exc:
         raise ConfigError(f"alpha.values: {exc}") from exc
-    rows, checks, n = [list(r) for r in table], [], len(cfg.alpha_values)
+    checks, n = [], len(cfg.alpha_values)
     for j, s in enumerate(cfg.s_values):  # the rows of exponent j are rows j*n..(j+1)*n-1
         ratios = np.array([r.ratio for r in table[j * n:(j + 1) * n]])
         checks += [_verdict("ratio_lower_bound", s, ratios.min() - 1.0, cfg.tol_coincidence,
@@ -477,7 +484,7 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[list[str], list[list], list[Check
         elif len(ratios) > 1:
             checks.append(_verdict("ratio_decreasing", s, np.min(ratios[:-1] - ratios[1:]), 0.0,
                                    "> tol"))
-    return ["s", "alpha", "q_navier", "q_dirichlet", "ratio"], rows, checks
+    return np.array(table, dtype=[(name, "f8") for name in SweepRow._fields]), checks
 
 
 _RUNNERS = {
@@ -500,14 +507,13 @@ def run(cfg: ExperimentConfig, kind: str | None = None) -> ExperimentReport:
     if resolved not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {resolved!r}")
     start = time.perf_counter()
-    columns, rows, checks = _RUNNERS[resolved](cfg)
+    rows, checks = _RUNNERS[resolved](cfg)
     elapsed = time.perf_counter() - start
     config_echo = cfg.echo()
     config_echo["kind"] = resolved
     return ExperimentReport(
         kind=resolved,
         config=config_echo,
-        columns=columns,
         rows=rows,
         checks=checks,
         wall_time_seconds=elapsed,
@@ -521,7 +527,7 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _cell_texts(row: list) -> tuple[list[str], list[str]]:
+def _cell_texts(row: tuple) -> tuple[list[str], list[str]]:
     """A row's CSV fields and JSON values, each cell formatted to text once.
 
     A finite float or an int (not a bool) is its repr in both files; any
@@ -540,16 +546,20 @@ def _cell_texts(row: list) -> tuple[list[str], list[str]]:
     return fields, values
 
 
+_WRITE_CHUNK = 1024  # table rows turned into Python cells at a time
+
+
 def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
     """Write ``<kind>.csv`` and ``<kind>.json``; identical inputs yield byte-identical files.
 
     The files hold, byte for byte, what ``csv.writer`` over
     :func:`_format_cell` and ``json.dumps(payload, indent=2, sort_keys=True)``
-    would write, but the rows are streamed in one pass to both files, each
-    cell formatted to text once (:func:`_cell_texts`), so no whole-report
-    string is held.  Volatile fields (wall time) are kept out of the files on
-    purpose so that reruns with the same config and seed compare equal byte
-    for byte.
+    would write of ``report.rows.tolist()``, but the typed table is streamed in
+    one pass to both files, _WRITE_CHUNK rows at a time turned into Python
+    cells, each cell formatted to text once (:func:`_cell_texts`), so neither
+    a whole-report string nor the table's Python rows are held.  Volatile
+    fields (wall time) are kept out of the files on purpose so that reruns
+    with the same config and seed compare equal byte for byte.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -570,13 +580,14 @@ def write_report(report: ExperimentReport, out_dir: str | Path) -> list[Path]:
         writer.writerow(report.columns)
         json_fh.write(head + rows_key)
         sep = "\n    "
-        for row in report.rows:
-            fields, values = _cell_texts(row)
-            writer.writerow(fields)
-            json_fh.write(sep + ("[\n      " + ",\n      ".join(values) + "\n    ]"
-                                 if values else "[]"))
-            sep = ",\n    "
-        json_fh.write(("\n  ]" if report.rows else "]") + tail + "\n")
+        for i in range(0, len(report.rows), _WRITE_CHUNK):
+            for row in report.rows[i:i + _WRITE_CHUNK].tolist():
+                fields, values = _cell_texts(row)
+                writer.writerow(fields)
+                json_fh.write(sep + ("[\n      " + ",\n      ".join(values) + "\n    ]"
+                                     if values else "[]"))
+                sep = ",\n    "
+        json_fh.write(("\n  ]" if len(report.rows) else "]") + tail + "\n")
     return [csv_path, json_path]
 
 

@@ -170,8 +170,10 @@ def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
     lam_u, inv = np.unique(lam, return_inverse=True)
     phi = np.empty((m + 1, lam_u.size))
     phi[0], phi[m] = 1.0, 0.0
-    # interior row i holds D_i/k_{i-1}, then tau_i, then phi_i
-    np.multiply.outer((w_right[:-1] + w_left[1:]) / k[:-1], lam_u, out=phi[1:m])
+    # interior row i holds D_i/k_{i-1}, then tau_i, then phi_i; one broadcast operand per
+    # ufunc call, since each such operand costs a buffer of up to 64 KB
+    phi[1:m] = lam_u
+    phi[1:m] *= ((w_right[:-1] + w_left[1:]) / k[:-1])[:, None]
     phi[1:m] += ((k[:-1] + k[1:]) / k[:-1])[:, None]
     rows, tmp = list(phi), np.empty(lam_u.size)
     for i in range(m - 2, 0, -1):
@@ -179,6 +181,7 @@ def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
         np.subtract(rows[i], tmp, out=rows[i])
     for i in range(1, m):
         np.divide(rows[i - 1], rows[i], out=rows[i])
+    del rows, tmp  # before the residual pass's block
     return phi, inv, _residual_and_energies(phi, lam_u, k, w_left, w_right)
 
 
@@ -187,25 +190,41 @@ def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
     pass over cache-sized blocks of _LAYER_BLOCK layers.  The residual
     D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}, D_i = (k_{i-1} + k_i) + w_i lam,
     must stay within tol * max(max|D| max|phi|, 1); D_i is monotone in lam
-    (w_i > 0), so max|D| is read off the least and the largest lam."""
+    (w_i > 0), so max|D| is read off the least and the largest lam.  Every
+    block-sized value is written into one preallocated block ``buf`` with ``out=``:
+    the residual an eighth of a block at a time (its products in the next eighth),
+    then the differences and the squares, so the pass holds about one block beside
+    phi; each ufunc call broadcasts at most one operand, whose buffer is transient."""
     m = phi.shape[0] - 1
     ksum, wsum = k[:-1] + k[1:], w_right[:-1] + w_left[1:]
     d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam.min(), lam.max()])))
     w_node = np.concatenate([w_left[:1], wsum])  # the weight of phi_i^2 in E (phi_M = 0)
     err = phi_max = 0.0  # np.maximum: a NaN entry propagates and fails the check
     grad, mass = np.zeros(lam.size), np.zeros(lam.size)
+    buf = np.empty((min(m, _LAYER_BLOCK), lam.size))
     for b0 in range(0, m, _LAYER_BLOCK):
         b1 = min(b0 + _LAYER_BLOCK, m)
         lo = max(b0, 1)  # interior layers lo..b1-1 and cells b0..b1-1
-        res = ksum[lo - 1:b1 - 1, None] + np.outer(wsum[lo - 1:b1 - 1], lam)
-        res *= phi[lo:b1]
-        res -= k[lo - 1:b1 - 1, None] * phi[lo - 1:b1 - 1]
-        res -= k[lo:b1, None] * phi[lo + 1:b1 + 1]
-        err = np.maximum(err, np.max(np.abs(res)))
-        block = phi[b0:b1 + 1]
-        phi_max = np.maximum(phi_max, np.max(np.abs(block)))
-        grad += k[b0:b1] @ np.diff(block, axis=0) ** 2
-        mass += w_node[b0:b1] @ (block[:-1] * block[:-1])
+        step = -(-(b1 - lo) // 8)
+        for r0 in range(lo, b1, step):
+            r1 = min(r0 + step, b1)
+            res, term = buf[:r1 - r0], buf[step:step + r1 - r0]
+            res[...] = lam
+            res *= wsum[r0 - 1:r1 - 1, None]
+            res += ksum[r0 - 1:r1 - 1, None]
+            res *= phi[r0:r1]
+            np.multiply(phi[r0 - 1:r1 - 1], k[r0 - 1:r1 - 1, None], out=term)
+            res -= term
+            np.multiply(phi[r0 + 1:r1 + 1], k[r0:r1, None], out=term)
+            res -= term
+            err = np.maximum(err, np.max(np.abs(res, out=res)))
+        block, rows = phi[b0:b1 + 1], buf[:b1 - b0]
+        phi_max = np.maximum(phi_max, np.maximum(np.max(block), -np.min(block)))  # max|block|
+        np.subtract(block[1:], block[:-1], out=rows)  # np.diff
+        np.multiply(rows, rows, out=rows)
+        grad += k[b0:b1] @ rows
+        np.multiply(block[:-1], block[:-1], out=rows)
+        mass += w_node[b0:b1] @ rows
     err, scale = float(err), max(float(d_max * phi_max), 1.0)
     if not err <= tol * scale:
         raise RuntimeError(f"extension solve residual {err!r} exceeds tolerance {tol * scale!r}")

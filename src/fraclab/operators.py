@@ -25,6 +25,7 @@ weight, so they discretize integrals.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
 
@@ -107,10 +108,6 @@ class SpectrumComparison:
     def margins(self) -> np.ndarray:
         return self.navier - self.dirichlet
 
-    @property
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.navier.tolist(), self.dirichlet.tolist()))
-
 
 def _check_s(s: float) -> float:
     s = float(s)
@@ -157,9 +154,13 @@ def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
 
 
 def _lags(rows: np.ndarray, cols: np.ndarray, box: BoxGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis, the Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 of two node sets."""
+    """Per axis, the Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 of two node sets,
+    in the narrowest of int16, int32 and int64 that holds N + 1, the largest lag (int16 on every
+    box the CLI accepts); every signed intermediate lies within +-(N + 1) too."""
     n, lags = box.nodes_per_axis, []
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if n + 1 <= np.iinfo(t).max)
     for r, c in zip(np.unravel_index(rows, box.shape), np.unravel_index(cols, box.shape)):
+        r, c = r.astype(dtype), c.astype(dtype)
         toeplitz = np.subtract.outer(r, c)
         np.abs(toeplitz, out=toeplitz)
         hankel = np.add.outer(r, c + (1 - n))
@@ -205,17 +206,23 @@ def _restricted_matrix(domain: SubDomain, s: float) -> np.ndarray:
     return sym_matrix(_restricted_entries(_restricted_kernel(box, s), _lags(idx, idx, box)))
 
 
-@lru_cache(maxsize=1)
+_SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # a domain's split dies with it
+
+
 def _reflection_split(domain: SubDomain) -> tuple[int, list] | None:
     """The count k of Omega's nodes L below the first-axis mirror line and the lag table of L then
-    the nodes F on it, made once per domain; None if the mirror does not map Omega onto itself."""
-    box, idx = domain.grid, domain.indices
-    stride = box.nodes_per_axis ** (box.dim - 1)  # flat step along the first axis
-    twice = 2 * (idx // stride) - (box.nodes_per_axis - 1)  # twice the offset from the mirror line
-    if not np.array_equal(np.sort(idx - twice * stride), idx):
-        return None
-    rows = np.concatenate([idx[twice < 0], idx[twice == 0]])
-    return int(np.count_nonzero(twice < 0)), _lags(rows, rows, box)
+    the nodes F on it, made once per domain and kept while it lives; None if the mirror does not
+    map Omega onto itself."""
+    if domain not in _SPLITS:
+        box, idx = domain.grid, domain.indices
+        stride = box.nodes_per_axis ** (box.dim - 1)  # flat step along the first axis
+        twice = 2 * (idx // stride) - (box.nodes_per_axis - 1)  # twice the offset from the mirror
+        if np.array_equal(np.sort(idx - twice * stride), idx):
+            rows = np.concatenate([idx[twice < 0], idx[twice == 0]])
+            _SPLITS[domain] = int(np.count_nonzero(twice < 0)), _lags(rows, rows, box)
+        else:
+            _SPLITS[domain] = None
+    return _SPLITS[domain]
 
 
 def _restricted_blocks(domain: SubDomain,

@@ -1,5 +1,6 @@
 """Config parsing, experiment runs, report writing, determinism, exit codes."""
 
+import gc
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import weakref
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fraclab
@@ -229,8 +231,8 @@ def test_empty_table_written_as_header_only(tmp_path):
     report = ExperimentReport(
         kind="spectra",
         config={},
-        columns=["j", "lambda_navier", "lambda_dirichlet", "margin"],
-        rows=[],
+        rows=np.empty(0, dtype=[("j", "i8"), ("lambda_navier", "f8"), ("lambda_dirichlet", "f8"),
+                                ("margin", "f8")]),
         checks=[Check(name="noop", margin=0.0, tolerance=1.0, passed=True)],
         wall_time_seconds=0.0,
     )
@@ -392,8 +394,9 @@ def test_sweep_over_exponents_is_the_single_exponent_sweeps_in_turn():
     both = run(parse_config(text + "s.values = 0.5,1\n"), kind="sweep")
     singles = [run(parse_config(text + f"s.values = {s}\n"), kind="sweep") for s in (0.5, 1)]
     assert both.columns == ["s", "alpha", "q_navier", "q_dirichlet", "ratio"]
-    assert both.rows == [row for single in singles for row in single.rows]
-    assert [row[:2] for row in both.rows] == [[s, a] for s in (0.5, 1.0) for a in (1.0, 1.5, 2.0, 3.0)]
+    assert both.rows.tolist() == [row for single in singles for row in single.rows.tolist()]
+    assert [row[:2] for row in both.rows.tolist()] == [(s, a) for s in (0.5, 1.0)
+                                                       for a in (1.0, 1.5, 2.0, 3.0)]
     assert both.checks == [check for single in singles for check in single.checks]
     assert [c.name for c in both.checks] == [
         "ratio_lower_bound[s=0.5]", "final_ratio[s=0.5]", "ratio_decreasing[s=0.5]",
@@ -527,6 +530,23 @@ def test_extension_loop_keeps_one_finished_solution_at_a_time(monkeypatch, text)
     assert identity_checks == [(s, [("navier", s)]) for s in (0.25, 0.75)]
 
 
+def test_a_spectra_run_leaves_no_domain_alive(monkeypatch):
+    # the reflection split lives as long as its domain, and no longer
+    built = []
+
+    def recording(*args):
+        built.append(make_shape(*args))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_shape", recording)
+    run(parse_config("seed = 1\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,1\n"),
+        kind="spectra")
+    assert operators._SPLITS[built[0]] is not None  # the disk was split, and the split is kept
+    domain = weakref.ref(built.pop())
+    gc.collect()
+    assert domain() is None
+
+
 def _bits(values):
     return [float(v).hex() for v in values]
 
@@ -544,8 +564,8 @@ def test_extension_report_matches_the_navier_first_order(text):
         order = extension.extension_ordering_check(
             navier, extension.solve_extension(u, dom, "dirichlet", s, mesh))
         expected.append([s, *ident, *order])
-    _, rows, checks = cli._run_extension(cfg)
-    assert [_bits(row) for row in rows] == [_bits(row) for row in expected]
+    rows, checks = cli._run_extension(cfg)
+    assert [_bits(row) for row in rows.tolist()] == [_bits(row) for row in expected]
     assert [c.name for c in checks] == [f"{name}[s={s:g}]" for s in cfg.s_values
                                         for name in ("energy_identity", "ordering_lattice",
                                                      "ordering_interior")]

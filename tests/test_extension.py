@@ -531,6 +531,45 @@ def test_every_solve_checks_its_residual(monkeypatch, variant):
         assert distinct < lam.size == dom.grid.size
 
 
+def _former_energies(phi, lam, k, w_left, w_right):
+    """The energy sums as the blocked pass once formed them, with np.diff and ** 2."""
+    w_node = np.concatenate([w_left[:1], w_right[:-1] + w_left[1:]])
+    grad, mass = np.zeros(lam.size), np.zeros(lam.size)
+    for b0 in range(0, phi.shape[0] - 1, extension._LAYER_BLOCK):
+        block = phi[b0:b0 + extension._LAYER_BLOCK + 1]
+        grad += k[b0:b0 + extension._LAYER_BLOCK] @ np.diff(block, axis=0) ** 2
+        mass += w_node[b0:b0 + extension._LAYER_BLOCK] @ (block[:-1] * block[:-1])
+    return grad + lam * mass
+
+
+@pytest.mark.parametrize("layers", [16, 64, 100, 1024])
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+def test_energies_written_into_the_block_buffer_are_the_former_sums_bit_for_bit(variant, layers):
+    _, _, lam, _ = _modes("disk", variant)
+    mesh = graded_mesh(layers, 4.0, 2.0)
+    phi, _, energies = _solve_modes(lam, mesh, 0.5)
+    mu, w_left, w_right = _cell_weights(mesh.y, 0.5)
+    k = mu / np.diff(mesh.y) ** 2
+    assert np.array_equal(energies, _former_energies(phi, np.unique(lam), k, w_left, w_right))
+
+
+@pytest.mark.parametrize("layers", [16, 64])
+def test_mode_solve_at_few_layers_peaks_below_two_and_a_half_profile_lattices(layers):
+    # below 128 layers one block is the whole lattice: the profiles and the residual pass's
+    # block buffer take one each; numpy's transient ufunc buffers must stay below half of one
+    dom = make_shape(make_box(2, 1.0, 40), "disk", (0.5,))
+    lam, mesh = dom.eigen.eigenvalues, graded_mesh(layers, 4.0, 2.0)
+    _solve_modes(lam, mesh, 0.5)
+    tracemalloc.start()
+    try:
+        phi = _solve_modes(lam, mesh, 0.5)[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dom.node_count == 332
+    assert peak < 2.5 * phi.nbytes, f"peak {peak / phi.nbytes:.2f} lattices"
+
+
 def _solve_peak(u, dom, variant, mesh):
     """tracemalloc peak of one solve, after a first solve has warmed the caches and been dropped."""
     solve_extension(u, dom, variant, 0.5, mesh)

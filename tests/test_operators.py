@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fraclab.cli import _MAX_BASIS_NODES
 from fraclab.domain import make_box, make_shape, random_connected_mask, random_nested_masks
 from fraclab import linalg, operators
 from fraclab.linalg import eigendecompose
@@ -247,7 +248,7 @@ def test_compare_spectra_first_eigenvalue_dominates():
     om = centered_interval(box, 8)
     comp = compare_spectra(om, box, 0.5)
     assert comp.margins[0] > 1e-9
-    assert len(comp.pairs) == om.node_count
+    assert comp.navier.size == comp.dirichlet.size == om.node_count
 
 
 def test_compare_spectra_margins_shrink_toward_coincidence():
@@ -478,6 +479,24 @@ def test_reflection_split_and_its_lag_table_are_made_once_per_domain(monkeypatch
     assert len(calls) == 2 and operators._reflection_split(twin) is not split
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
+
+
+def test_lag_tables_are_int16_on_every_cli_box_and_int32_beyond():
+    for dim in (1, 2):
+        for nodes in (1, 24, 127, _MAX_BASIS_NODES):
+            box = make_box(dim, 1.0, nodes)
+            rows = np.array([0, box.size // 2, box.size - 1])
+            assert {lag.dtype for pair in operators._lags(rows, rows, box) for lag in pair} == {
+                np.dtype(np.int16)}
+    # a few rows of a box too large for int16: its lags reach N + 1 = 40,001
+    n = 40_000
+    rows = np.array([0, 1, n // 2, n - 2, n - 1])
+    [(toeplitz, hankel)] = operators._lags(rows, rows, make_box(1, 1.0, n))
+    assert toeplitz.dtype == hankel.dtype == np.int32
+    total = np.add.outer(rows, rows) + 2  # x + y + 2 in int64, folded at 2(N + 1)
+    assert np.array_equal(toeplitz, np.abs(np.subtract.outer(rows, rows)))
+    assert np.array_equal(hankel, np.minimum(total, 2 * (n + 1) - total))
+    assert hankel.max() == n + 1 and hankel[-1, -1] == 2
 
 
 def test_a_mask_the_mirror_does_not_map_onto_itself_gathers_its_whole_matrix(monkeypatch):
