@@ -14,7 +14,7 @@ namespaces::
     trials = 50
     extension.layers = 64
     extension.height = 0      # 0 -> 8 * diam(Omega)
-    extension.grading = 0     # 0 -> max(2, 1/(1-s))
+    extension.grading = 0     # 0 -> max(2, 3/(2s) + 0.1)
     sobolev.pad = 2           # FFT box = pad * sampling box
     tol.margin = 1e-9
 

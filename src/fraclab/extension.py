@@ -6,23 +6,25 @@ domain, with trace u at y = 0.  The *navier* variant clamps w = 0 on the
 lateral boundary of Omega; the *dirichlet* variant extends over the whole
 box.  The minimizing energy reproduces the corresponding quadratic form up
 to the constant factor 2s/C_s with C_s = 4^s Gamma(1+s)/Gamma(1-s), and the
-fractional operator itself is recovered from the y -> 0 boundary layer,
-where w(x, y) ~ u(x) + c(x) y^(2s).
+fractional operator itself is C_s/(2s) times the Dirichlet-to-Neumann map
+u -> -lim y^(1-2s) dw/dy at y = 0, the co-normal trace.
 
 Discretization: expand in the eigenbasis of the in-plane Laplacian (the
 energy decouples mode by mode), and solve a piecewise-linear finite element
 problem in y on a graded mesh y_k = Y (k/M)^gamma.  A mode's problem depends
 only on its in-plane eigenvalue and is linear in its datum coefficient, so
-it is solved once per distinct eigenvalue with unit datum, by a ratio sweep
-(the UL factorization, three ufunc calls per layer) on one layer-major
-lattice of profiles; one pass over cache-sized blocks of layers checks its
-residual and sums its energies.  Both syntheses read that lattice a block
-of layers at a time, gathered into modes and scaled: the navier one through
-Omega's eigenvectors, the dirichlet one on Omega's bounding box only; both
-solutions hold Omega's nodes.  The singular weight y^(1-2s) is integrated
-exactly over every cell; the in-plane stiffness term uses the layer-lumped
-cell weights, which keeps the assembled system an M-matrix: the discrete
-maximum principle, and with it w_dirichlet >= w_navier for u >= 0, is exact.
+it is solved once per distinct eigenvalue with unit datum, by a sigma sweep
+(sigma_i = phi_{i-1}/phi_i - 1, a sum of positive terms) on one layer-major
+lattice of profiles, whose energy, the discrete Dirichlet-to-Neumann map
+E_h(lam), is read off sigma_1; one pass over small blocks of layers checks
+its residual.  Both syntheses read that lattice a block of layers at a time,
+gathered into modes and scaled: the navier one through Omega's eigenvectors,
+the dirichlet one on Omega's bounding box only; both solutions hold Omega's
+nodes, and the same synthesis of c0_j E_h(lam_j) gives the co-normal trace.
+The singular weight y^(1-2s) is integrated exactly over every cell; the
+in-plane stiffness term uses the layer-lumped cell weights, which keeps the
+assembled system an M-matrix: the discrete maximum principle, and with it
+w_dirichlet >= w_navier for u >= 0, is exact.
 """
 
 from __future__ import annotations
@@ -93,8 +95,9 @@ class ExtensionMesh:
 
 
 def default_grading(s: float) -> float:
-    """Grading exponent resolving the y^(2s) boundary layer: max(2, 1/(1-s))."""
-    return max(2.0, 1.0 / (1.0 - s))
+    """Grading exponent resolving the y^(2s) boundary layer: max(2, 3/(2s) + 0.1), just above
+    the 3/(2s) of Nochetto, Otarola and Salgado (Found. Comput. Math. 15, 2015)."""
+    return max(2.0, 3.0 / (2.0 * s) + 0.1)
 
 
 def graded_mesh(layers: int, height: float, gamma: float) -> ExtensionMesh:
@@ -109,12 +112,14 @@ def graded_mesh(layers: int, height: float, gamma: float) -> ExtensionMesh:
 
 @dataclass(frozen=True)
 class ExtensionSolution:
-    """Solution lattice of one extension solve and its weighted energy.
+    """Solution lattice of one extension solve, its weighted energy and its co-normal trace.
 
     ``datum`` is the trace u on Omega's nodes exactly as given.
     ``values[i, k]`` is w at Omega's i-th node and y-layer k, for either
     variant.  ``values[:, 0]`` reproduces the datum to roundoff and
-    ``values[:, -1]`` is zero (truncation).
+    ``values[:, -1]`` is zero (truncation).  ``dtn`` is the discrete
+    Dirichlet-to-Neumann map applied to the datum, sum_j c0_j E_h(lam_j) q_j
+    on Omega's nodes, and ``energy`` is h^dim sum_j c0_j^2 E_h(lam_j).
     """
 
     variant: str
@@ -123,6 +128,7 @@ class ExtensionSolution:
     mesh: ExtensionMesh
     datum: np.ndarray = field(repr=False)
     values: np.ndarray = field(repr=False)
+    dtn: np.ndarray = field(repr=False)
     energy: float
 
     def __post_init__(self):
@@ -132,6 +138,7 @@ class ExtensionSolution:
             raise ValueError(f"energy must be finite and nonnegative, got {self.energy}")
         self.datum.flags.writeable = False
         self.values.flags.writeable = False
+        self.dtn.flags.writeable = False
 
 
 def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -149,20 +156,19 @@ def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
-    """Per-mode tridiagonal solves: a ratio sweep, vectorized over distinct eigenvalues.
+    """Per-mode tridiagonal solves by a sigma sweep, vectorized over distinct eigenvalues.
 
-    Each eigenmode with in-plane eigenvalue lam_j minimizes
-    sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
-    subject to c_0 given and c_M = 0 (M >= 4).  The sweep, its residual check and
-    the energy sums run once per distinct lam_j (exact equality) on the unit-datum
-    profile phi: mode j is c0_j phi, of energy c0_j^2 E(phi).  The ratio sweep, the
-    UL factorization of the M-matrix rows D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1},
-    runs tau_i = phi_{i-1}/phi_i = D_i/k_{i-1} - (k_i/k_{i-1})/tau_{i+1} backward
-    (tau_M = inf), then phi_i = phi_{i-1}/tau_i forward: three ufunc calls per
-    layer on rows of the layer-major (M+1, n_distinct) lattice.  Diagonal
-    dominance keeps tau_i >= 1 + lam w_i/k_{i-1}, so 0 < phi <= 1 (Higham,
-    Accuracy and Stability, 9.5).  Returns that lattice (row 0 ones, row M
-    +0.0), ``inv`` with lam = unique(lam)[inv] and the unit energies E(phi).
+    Mode j minimizes sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
+    with c_0 given and c_M = 0 (M >= 4): it is c0_j times the unit-datum profile phi of its
+    distinct lam_j (exact equality), of energy c0_j^2 E_h(lam_j).  With sigma_i =
+    phi_{i-1}/phi_i - 1 the rows D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1} read k_{i-1} sigma_i
+    = k_i sigma_{i+1}/(1 + sigma_{i+1}) + lam w_i (the factor 1 at i = M - 1): no term cancels.
+    It runs backward on v_i = k_{i-1} sigma_i/k_i = lam w_i/k_i + v_{i+1}/(k_i/k_{i+1} + v_{i+1}),
+    three ufunc calls per layer on rows of the layer-major (M+1, n_distinct) lattice, then
+    phi_i = phi_{i-1}/(1 + sigma_i) forward, one call per layer; 0 < phi <= 1.  The energy is
+    the discrete Dirichlet-to-Neumann map E_h(lam) = k_0 sigma_1/(1 + sigma_1) + lam wl_0, a
+    Stieltjes continued fraction in lam tending to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).
+    Returns the lattice (row 0 ones, row M +0.0), ``inv`` (lam = unique(lam)[inv]) and E_h.
     """
     m = mesh.layers
     mu, w_left, w_right = _cell_weights(mesh.y, s)
@@ -170,65 +176,55 @@ def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
     lam_u, inv = np.unique(lam, return_inverse=True)
     phi = np.empty((m + 1, lam_u.size))
     phi[0], phi[m] = 1.0, 0.0
-    # interior row i holds D_i/k_{i-1}, then tau_i, then phi_i; one broadcast operand per
+    # interior row i holds v_i, then 1 + sigma_i, then phi_i; one broadcast operand per
     # ufunc call, since each such operand costs a buffer of up to 64 KB
     phi[1:m] = lam_u
-    phi[1:m] *= ((w_right[:-1] + w_left[1:]) / k[:-1])[:, None]
-    phi[1:m] += ((k[:-1] + k[1:]) / k[:-1])[:, None]
+    phi[1:m] *= ((w_right[:-1] + w_left[1:]) / k[1:])[:, None]
+    phi[m - 1] += 1.0  # phi_M = 0: sigma_M is infinite
     rows, tmp = list(phi), np.empty(lam_u.size)
     for i in range(m - 2, 0, -1):
-        np.divide(k[i] / k[i - 1], rows[i + 1], out=tmp)
-        np.subtract(rows[i], tmp, out=rows[i])
+        np.add(rows[i + 1], k[i] / k[i + 1], out=tmp)
+        np.divide(rows[i + 1], tmp, out=tmp)
+        rows[i] += tmp
+    e_unit = k[0] * rows[1] / (k[0] / k[1] + rows[1]) + lam_u * w_left[0]
+    phi[1:m] *= (k[1:] / k[:-1])[:, None]
+    phi[1:m] += 1.0
     for i in range(1, m):
         np.divide(rows[i - 1], rows[i], out=rows[i])
-    del rows, tmp  # before the residual pass's block
-    return phi, inv, _residual_and_energies(phi, lam_u, k, w_left, w_right)
+    del rows, tmp  # before the residual pass's buffer
+    _residual_check(phi, lam_u, k, w_left, w_right)
+    return phi, inv, e_unit
 
 
-def _residual_and_energies(phi, lam, k, w_left, w_right, tol=1e-10):
-    """Check the layer-major profiles' residual and return their energies, in one
-    pass over cache-sized blocks of _LAYER_BLOCK layers.  The residual
-    D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}, D_i = (k_{i-1} + k_i) + w_i lam,
-    must stay within tol * max(max|D| max|phi|, 1); D_i is monotone in lam
-    (w_i > 0), so max|D| is read off the least and the largest lam.  Every
-    block-sized value is written into one preallocated block ``buf`` with ``out=``:
-    the residual an eighth of a block at a time (its products in the next eighth),
-    then the differences and the squares, so the pass holds about one block beside
-    phi; each ufunc call broadcasts at most one operand, whose buffer is transient."""
+def _residual_check(phi, lam, k, w_left, w_right, tol=1e-10):
+    """Check that the residual D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1} of the layer-major
+    profiles, D_i = (k_{i-1} + k_i) + w_i lam, stays within tol * max(max|D| max|phi|, 1); D_i
+    is monotone in lam (w_i > 0), so max|D| is read off the least and the largest lam.  The
+    residual of an eighth of min(M - 1, _LAYER_BLOCK) layers at a time and its products go
+    into one preallocated buffer; each ufunc call broadcasts at most one operand, whose buffer
+    is transient."""
     m = phi.shape[0] - 1
     ksum, wsum = k[:-1] + k[1:], w_right[:-1] + w_left[1:]
     d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam.min(), lam.max()])))
-    w_node = np.concatenate([w_left[:1], wsum])  # the weight of phi_i^2 in E (phi_M = 0)
-    err = phi_max = 0.0  # np.maximum: a NaN entry propagates and fails the check
-    grad, mass = np.zeros(lam.size), np.zeros(lam.size)
-    buf = np.empty((min(m, _LAYER_BLOCK), lam.size))
-    for b0 in range(0, m, _LAYER_BLOCK):
-        b1 = min(b0 + _LAYER_BLOCK, m)
-        lo = max(b0, 1)  # interior layers lo..b1-1 and cells b0..b1-1
-        step = -(-(b1 - lo) // 8)
-        for r0 in range(lo, b1, step):
-            r1 = min(r0 + step, b1)
-            res, term = buf[:r1 - r0], buf[step:step + r1 - r0]
-            res[...] = lam
-            res *= wsum[r0 - 1:r1 - 1, None]
-            res += ksum[r0 - 1:r1 - 1, None]
-            res *= phi[r0:r1]
-            np.multiply(phi[r0 - 1:r1 - 1], k[r0 - 1:r1 - 1, None], out=term)
-            res -= term
-            np.multiply(phi[r0 + 1:r1 + 1], k[r0:r1, None], out=term)
-            res -= term
-            err = np.maximum(err, np.max(np.abs(res, out=res)))
-        block, rows = phi[b0:b1 + 1], buf[:b1 - b0]
-        phi_max = np.maximum(phi_max, np.maximum(np.max(block), -np.min(block)))  # max|block|
-        np.subtract(block[1:], block[:-1], out=rows)  # np.diff
-        np.multiply(rows, rows, out=rows)
-        grad += k[b0:b1] @ rows
-        np.multiply(block[:-1], block[:-1], out=rows)
-        mass += w_node[b0:b1] @ rows
+    # np.maximum: a NaN entry propagates and fails the check
+    err, phi_max = 0.0, np.maximum(np.max(phi), -np.min(phi))
+    step = -(-min(m - 1, _LAYER_BLOCK) // 8)
+    buf = np.empty((2, step, lam.size))
+    for r0 in range(1, m, step):
+        r1 = min(r0 + step, m)
+        res, term = buf[0, :r1 - r0], buf[1, :r1 - r0]
+        res[...] = lam
+        res *= wsum[r0 - 1:r1 - 1, None]
+        res += ksum[r0 - 1:r1 - 1, None]
+        res *= phi[r0:r1]
+        np.multiply(phi[r0 - 1:r1 - 1], k[r0 - 1:r1 - 1, None], out=term)
+        res -= term
+        np.multiply(phi[r0 + 1:r1 + 1], k[r0:r1, None], out=term)
+        res -= term
+        err = np.maximum(err, np.max(np.abs(res, out=res)))
     err, scale = float(err), max(float(d_max * phi_max), 1.0)
     if not err <= tol * scale:
         raise RuntimeError(f"extension solve residual {err!r} exceeds tolerance {tol * scale!r}")
-    return grad + lam * mass
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -256,23 +252,23 @@ def _scaled_blocks(phi, inv, c0):
         del block  # before the next gather
 
 
-def _box_synthesis(phi, inv, c0, grid: BoxGrid, rows: np.ndarray) -> np.ndarray:
-    """Values at the box nodes ``rows`` of the modes c0_j phi[:, inv_j], last layer +0.0:
-    layer k is q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of c0_j phi[k, inv_j]
-    and I, J the axis ranges of the bounding box of ``rows``, by one batched matmul per
-    axis on each block of layers, an (L,) + grid.shape array."""
+def _box_synthesis(grid: BoxGrid, rows: np.ndarray):
+    """The synthesis at the box nodes ``rows``: a function writing into ``out`` (rows.size, L)
+    the values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k being
+    q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of block[k] and I, J the axis
+    ranges of the bounding box of ``rows``, by one batched matmul per axis."""
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
     idx = np.unravel_index(rows, grid.shape)
     lo, hi = [int(i.min()) for i in idx], [int(i.max()) + 1 for i in idx]
     local = np.ravel_multi_index([i - i0 for i, i0 in zip(idx, lo)], np.subtract(hi, lo))
-    values = np.zeros((rows.size, phi.shape[0]))
-    for ks, block in _scaled_blocks(phi, inv, c0):
+
+    def synthesize(block, out):
         block = block.reshape((-1,) + grid.shape)
         for a in range(grid.dim - 1):  # the first axis: [k, i, b]
             block = np.matmul(q[lo[a]:hi[a]], block)
         block = np.matmul(block, q[lo[-1]:hi[-1]].T)  # [k, i, j]
-        values[:, ks] = block.reshape(block.shape[0], -1)[:, local].T
-    return values
+        out[...] = block.reshape(block.shape[0], -1)[:, local].T
+    return synthesize
 
 
 def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
@@ -281,7 +277,9 @@ def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
 
     ``u`` holds values on Omega's nodes and Y is the mesh height.  The
     navier variant solves on Omega's nodes with zero lateral values; the
-    dirichlet variant zero-extends u and solves over the whole box.
+    dirichlet variant zero-extends u and solves over the whole box.  The
+    layers and the Dirichlet-to-Neumann map of the datum come out of one
+    synthesis: Omega's eigenvectors (navier) or the box's sine basis (dirichlet).
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
@@ -297,17 +295,22 @@ def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
 
     if variant == "dirichlet":
         lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
-        phi, inv, e_unit = _solve_modes(lam, mesh, s)
-        w = _box_synthesis(phi, inv, c0, domain.grid, domain.indices)
-    else:  # Omega's eigenvectors times each block of layers, written in place
+        synthesize = _box_synthesis(domain.grid, domain.indices)
+    else:
         q = domain.eigen.eigenvectors
-        phi, inv, e_unit = _solve_modes(domain.eigen.eigenvalues, mesh, s)
-        c0, w = q.T @ vals, np.zeros((domain.node_count, mesh.layers + 1))
-        for ks, block in _scaled_blocks(phi, inv, c0):
-            np.matmul(q, block.T, out=w[:, ks])
-    energy = float(domain.grid.h ** domain.grid.dim * (c0**2 * e_unit[inv]).sum())
+        lam, c0 = domain.eigen.eigenvalues, q.T @ vals
+
+        def synthesize(block, out):
+            np.matmul(q, block.T, out=out)
+    phi, inv, e_unit = _solve_modes(lam, mesh, s)
+    w = np.zeros((domain.node_count, mesh.layers + 1))
+    for ks, block in _scaled_blocks(phi, inv, c0):
+        synthesize(block, w[:, ks])
+    flux, dtn = c0 * e_unit[inv], np.empty((domain.node_count, 1))
+    synthesize(flux[None], dtn)
+    energy = float(domain.grid.h ** domain.grid.dim * (c0 @ flux))
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
-                             datum=vals, values=w, energy=max(energy, 0.0))
+                             datum=vals, values=w, dtn=dtn[:, 0], energy=energy)
 
 
 class IdentityCheck(NamedTuple):
@@ -334,20 +337,14 @@ def energy_identity_check(sol: ExtensionSolution) -> IdentityCheck:
     return IdentityCheck(form_value=form, energy_value=rhs, rel_gap=abs(form - rhs) / denom)
 
 
-def trace_limit(sol: ExtensionSolution, fit_layers: int = 4) -> np.ndarray:
-    """Recover the fractional operator applied to the datum from the y -> 0 layer.
+def trace_limit(sol: ExtensionSolution) -> np.ndarray:
+    """The fractional operator applied to the datum, read off the discrete DtN map.
 
-    Fits w(x, y) ~ u(x) + c(x) y^(2s) by least squares over the first
-    ``fit_layers`` y-layers and returns -C_s c(x) on Omega's nodes.  Fewer
-    than 3 usable layers make the one-parameter fit meaningless and raise.
+    Returns (C_s/2s) sum_j c0_j E_h(lam_j) q_j on Omega's nodes: the
+    co-normal trace of the solution, which tends to A^s u as the y-mesh is
+    refined, since (C_s/2s) d_s lam^s = lam^s.
     """
-    usable = min(fit_layers, sol.mesh.layers - 1)
-    if usable < 3:
-        raise ValueError(f"trace fit ill-conditioned: only {usable} usable layers (< 3)")
-    yk = sol.mesh.y[1 : usable + 1]
-    basis = yk ** (2.0 * sol.s)
-    coeff = ((sol.values[:, 1 : usable + 1] - sol.datum[:, None]) @ basis) / np.sum(basis**2)
-    return -extension_constant(sol.s) * coeff
+    return extension_constant(sol.s) / (2.0 * sol.s) * sol.dtn
 
 
 class OrderingCheck(NamedTuple):

@@ -1,5 +1,6 @@
 """Extension-solver checks: closed forms, energy identity, ordering, traces."""
 
+import math
 import tracemalloc
 from functools import reduce
 
@@ -12,7 +13,7 @@ from fraclab.extension import (
     ExtensionMesh,
     _box_analysis,
     _cell_weights,
-    _residual_and_energies,
+    _residual_check,
     _solve_modes,
     default_grading,
     energy_identity_check,
@@ -66,9 +67,12 @@ def test_mesh_validation():
 
 
 def test_default_grading():
-    assert default_grading(0.5) == 2.0
-    assert default_grading(0.25) == 2.0
-    assert default_grading(0.75) == pytest.approx(4.0)
+    # just above 3/(2s), never below 2
+    assert default_grading(0.5) == pytest.approx(3.1)
+    assert default_grading(0.25) == pytest.approx(6.1)
+    assert default_grading(0.1) == pytest.approx(15.1)
+    assert default_grading(0.75) == pytest.approx(2.1)
+    assert default_grading(0.9) == 2.0
 
 
 def test_solve_extension_zero_datum(unit_interval):
@@ -162,7 +166,7 @@ def test_trace_limit_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(32, 8.0, 2.0)
     sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
-    assert np.allclose(trace_limit(sol), 0.0)
+    assert np.all(trace_limit(sol) == 0.0)
 
 
 def test_trace_limit_half_exponent_closed_form(unit_interval):
@@ -176,31 +180,31 @@ def test_trace_limit_half_exponent_closed_form(unit_interval):
     assert np.linalg.norm(got - target) / np.linalg.norm(target) <= 0.05
 
 
-@pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
-def test_trace_limit_matches_matrix_operators(embedded_interval, s):
+@pytest.mark.parametrize("grading", ["default", 10.0])
+@pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
+def test_trace_limit_matches_matrix_operators(embedded_interval, s, grading):
     box, dom, u, height = embedded_interval
-    mesh = graded_mesh(96, height, default_grading(s))
-    sol_d = solve_extension(u, dom, "dirichlet", s, mesh)
-    sol_n = solve_extension(u, dom, "navier", s, mesh)
-    trace_d = trace_limit(sol_d)
-    trace_n = trace_limit(sol_n)
+    mesh = graded_mesh(96, height, default_grading(s) if grading == "default" else grading)
+    trace_d = trace_limit(solve_extension(u, dom, "dirichlet", s, mesh))
+    trace_n = trace_limit(solve_extension(u, dom, "navier", s, mesh))
     ref_d = dirichlet_operator(dom, box, s).apply(u)
     ref_n = navier_operator(dom, s).apply(u)
-    assert np.linalg.norm(trace_d - ref_d) / np.linalg.norm(ref_d) <= 0.10
-    assert np.linalg.norm(trace_n - ref_n) / np.linalg.norm(ref_n) <= 0.10
-    # the fitted boundary-layer difference recovers the gap operator
+    assert np.linalg.norm(trace_d - ref_d) / np.linalg.norm(ref_d) <= 0.02
+    assert np.linalg.norm(trace_n - ref_n) / np.linalg.norm(ref_n) <= 0.02
+    # the difference of the two co-normal traces recovers the gap operator
     gap_ref = difference_operator(dom, box, s) @ u
-    gap_fit = trace_n - trace_d
-    assert np.linalg.norm(gap_fit - gap_ref) / np.linalg.norm(gap_ref) <= 0.15
+    gap = trace_n - trace_d
+    assert np.linalg.norm(gap - gap_ref) / np.linalg.norm(gap_ref) <= 0.02
 
 
-def test_trace_limit_needs_three_layers(unit_interval):
-    dom, x = unit_interval
-    mesh = graded_mesh(8, 8.0, 2.0)
-    u = np.sin(np.pi * x)
-    sol = solve_extension(u, dom, "navier", 0.5, mesh)
-    with pytest.raises(ValueError):
-        trace_limit(sol, fit_layers=2)
+@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
+def test_trace_limit_is_the_energy_density(embedded_interval, variant):
+    # energy = h^dim sum_j c0_j^2 E_h(lam_j) = h^dim <u, sum_j c0_j E_h(lam_j) q_j>
+    box, dom, u, height = embedded_interval
+    sol = solve_extension(u, dom, variant, 0.5, graded_mesh(48, height, 2.0))
+    assert not sol.dtn.flags.writeable
+    assert box.h * u @ sol.dtn == pytest.approx(sol.energy, rel=1e-13)
+    assert np.allclose(trace_limit(sol), sol.dtn, rtol=1e-14, atol=0.0)  # C_s/(2s) = 1 at s = 1/2
 
 
 def test_discrete_maximum_principle(embedded_interval):
@@ -406,12 +410,10 @@ def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant
         for sweep, values in ((coef, sol.values), (ref_coef, ref_values)):
             assert np.all(np.abs(sweep - exact) <= bound)
             assert np.all(np.abs(values - exact_values) <= values_bound)
-    if grading == 2.0:
-        # at the default grading (gamma = 10 for s = 0.9) some energies sit below their roundoff
-        # floor on either path, so there they are held to the propagated bound only
-        assert np.all(np.abs(energies - ref_energies) <= 1e-13 * np.abs(ref_energies))
-        ref_energy = float(dom.grid.h**dom.grid.dim * ref_energies.sum())
-        assert abs(sol.energy - ref_energy) <= 1e-13 * ref_energy
+    # the energies read off sigma_1 are the former energy sums to roundoff on both gradings
+    assert np.all(np.abs(energies - ref_energies) <= 1e-13 * np.abs(ref_energies))
+    ref_energy = float(dom.grid.h**dom.grid.dim * ref_energies.sum())
+    assert abs(sol.energy - ref_energy) <= 1e-13 * ref_energy
 
 
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
@@ -466,7 +468,7 @@ def test_residual_check_catches_a_perturbed_coefficient(variant, s):
     k = mu / np.diff(mesh.y) ** 2
     diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam)
     coef = np.ascontiguousarray(_mode_major_sweep(lam, c0, mesh, s)[0].T)
-    _residual_and_energies(coef, lam, k, w_left, w_right)
+    _residual_check(coef, lam, k, w_left, w_right)
     # row r of diag is interior layer r + 1; moving c there moves its residual by diag * delta
     r, j = np.unravel_index(np.argmax(np.abs(diag)), diag.shape)
     tol = 1e-10
@@ -476,7 +478,7 @@ def test_residual_check_catches_a_perturbed_coefficient(variant, s):
     scale = max(np.abs(diag).max() * np.abs(bad).max(), 1.0)
     assert abs(diag[r, j]) * delta >= 100.0 * tol * scale
     with pytest.raises(RuntimeError, match="residual"):
-        _residual_and_energies(bad, lam, k, w_left, w_right)
+        _residual_check(bad, lam, k, w_left, w_right)
 
 
 @pytest.mark.parametrize("layers", [64, 1024])
@@ -494,7 +496,7 @@ def test_blocked_residual_is_the_lattice_residual_bit_for_bit(variant, layers):
         err, scale = _lattice_residual(lam, k, w_left, w_right, lattice)
         assert err > tol * scale
         with pytest.raises(RuntimeError) as caught:
-            _residual_and_energies(lattice, lam, k, w_left, w_right, tol=tol)
+            _residual_check(lattice, lam, k, w_left, w_right, tol=tol)
         assert str(caught.value) == (f"extension solve residual {err!r} "
                                      f"exceeds tolerance {tol * scale!r}")
 
@@ -506,10 +508,10 @@ def test_residual_check_catches_a_nan_entry():
     mu, w_left, w_right = _cell_weights(mesh.y, 0.5)
     k = mu / np.diff(mesh.y) ** 2
     phi = np.ascontiguousarray(_mode_major_sweep(lam, np.ones(lam.size), mesh, 0.5)[0].T)
-    _residual_and_energies(phi, lam, k, w_left, w_right)
+    _residual_check(phi, lam, k, w_left, w_right)
     phi[10, 3] = np.nan
     with pytest.raises(RuntimeError, match="residual"):
-        _residual_and_energies(phi, lam, k, w_left, w_right)
+        _residual_check(phi, lam, k, w_left, w_right)
 
 
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
@@ -520,9 +522,9 @@ def test_every_solve_checks_its_residual(monkeypatch, variant):
 
     def spy(phi, lam, *args, **kwargs):
         seen.append((phi.shape, lam.shape))
-        return _residual_and_energies(phi, lam, *args, **kwargs)
+        return _residual_check(phi, lam, *args, **kwargs)
 
-    monkeypatch.setattr(extension, "_residual_and_energies", spy)
+    monkeypatch.setattr(extension, "_residual_check", spy)
     solve_extension(u, dom, variant, 0.5, mesh)
     distinct = np.unique(lam).size
     assert seen == [((mesh.layers + 1, distinct), (distinct,))]
@@ -531,26 +533,24 @@ def test_every_solve_checks_its_residual(monkeypatch, variant):
         assert distinct < lam.size == dom.grid.size
 
 
-def _former_energies(phi, lam, k, w_left, w_right):
-    """The energy sums as the blocked pass once formed them, with np.diff and ** 2."""
-    w_node = np.concatenate([w_left[:1], w_right[:-1] + w_left[1:]])
-    grad, mass = np.zeros(lam.size), np.zeros(lam.size)
-    for b0 in range(0, phi.shape[0] - 1, extension._LAYER_BLOCK):
-        block = phi[b0:b0 + extension._LAYER_BLOCK + 1]
-        grad += k[b0:b0 + extension._LAYER_BLOCK] @ np.diff(block, axis=0) ** 2
-        mass += w_node[b0:b0 + extension._LAYER_BLOCK] @ (block[:-1] * block[:-1])
-    return grad + lam * mass
+def _dtn_constant(s):
+    """d_s = 2^(1-2s) Gamma(1-s)/Gamma(s): the unit-datum extension energy is d_s lam^s."""
+    return 2.0 ** (1.0 - 2.0 * s) * math.gamma(1.0 - s) / math.gamma(s)
 
 
-@pytest.mark.parametrize("layers", [16, 64, 100, 1024])
-@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
-def test_energies_written_into_the_block_buffer_are_the_former_sums_bit_for_bit(variant, layers):
-    _, _, lam, _ = _modes("disk", variant)
-    mesh = graded_mesh(layers, 4.0, 2.0)
-    phi, _, energies = _solve_modes(lam, mesh, 0.5)
-    mu, w_left, w_right = _cell_weights(mesh.y, 0.5)
-    k = mu / np.diff(mesh.y) ** 2
-    assert np.array_equal(energies, _former_energies(phi, np.unique(lam), k, w_left, w_right))
+@pytest.mark.parametrize("s, grading", [(s, "default") for s in np.arange(1, 10) / 10]
+                         + [(0.9, 10.0)])
+def test_mode_energies_converge_to_the_continuum_dtn_map_at_second_order(s, grading):
+    # 400 in-plane eigenvalues spanning a 2D box's spectrum; exp(-2 sqrt(2.5) 8.6) < 1e-11
+    # makes the truncation at Y = 8.6 invisible, so E_h(lam) is held to d_s lam^s itself
+    lam = np.geomspace(2.5, 16382.0, 400)
+    gamma = default_grading(s) if grading == "default" else grading
+    errors = []
+    for layers in (64, 256):
+        e_unit = _solve_modes(lam, graded_mesh(layers, 8.6, gamma), s)[2]
+        errors.append(np.max(np.abs(e_unit / (_dtn_constant(s) * lam**s) - 1.0)))
+    order = np.log(errors[0] / errors[1]) / np.log(4.0)
+    assert order >= 1.8, f"errors {errors}, observed order {order:.2f}"
 
 
 @pytest.mark.parametrize("layers", [16, 64])

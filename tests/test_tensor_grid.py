@@ -26,7 +26,7 @@ from fraclab.domain import (
     make_box,
     make_shape,
 )
-from fraclab.extension import _LAYER_BLOCK, _box_analysis, _box_synthesis
+from fraclab.extension import _LAYER_BLOCK, _box_analysis, _box_synthesis, _scaled_blocks
 from fraclab.operators import (
     _lags,
     _restricted_entries,
@@ -264,6 +264,14 @@ def test_kernel_and_restricted_entries(dim, n, s):
 EPS = np.finfo(float).eps
 
 
+def _synthesized(phi, inv, c0, grid, rows):
+    """The dirichlet solve's values of the modes c0_j phi[:, inv_j] on ``rows``, last layer +0.0."""
+    values, synthesize = np.zeros((rows.size, phi.shape[0])), _box_synthesis(grid, rows)
+    for ks, block in _scaled_blocks(phi, inv, c0):
+        synthesize(block, values[:, ks])
+    return values
+
+
 def _check_synthesis(grid, rows, rng):
     """Box synthesis of random profiles against both oracles on ``rows``.
 
@@ -282,7 +290,7 @@ def _check_synthesis(grid, rows, rng):
         phi = rng.standard_normal((layers + 1, lam_u.size))
         phi[-1] = 0.0  # the truncation layer of every profile
         coef = (phi[:-1, inv] * c0).T
-        new = _box_synthesis(phi, inv, c0, grid, rows)
+        new = _synthesized(phi, inv, c0, grid, rows)
         assert new.shape == (rows.size, layers + 1)
         _same(new[:, :-1], _bounding_box_synthesis(coef, grid, rows))
         bound = 4.0 * EPS * (abs_basis @ np.abs(coef))[rows]
