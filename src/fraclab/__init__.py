@@ -11,13 +11,13 @@ __version__ = "0.1.0"
 from .analysis import (
     QuotientResult,
     SobolevSetup,
-    SweepRow,
     dilation_sweep,
     extremal_function,
     gamma,
     lp_norm,
     minimize_quotient,
     rayleigh_quotient,
+    sobolev_check,
     sobolev_constant_closed_form,
 )
 from .domain import (
@@ -33,6 +33,7 @@ from .domain import (
 from .extension import (
     ExtensionMesh,
     ExtensionSolution,
+    compare_extensions,
     default_grading,
     energy_identity_check,
     extension_constant,
@@ -49,14 +50,16 @@ from .linalg import (
     sym_matrix,
 )
 from .operators import (
-    SpectrumComparison,
+    Certificate,
     SymOperator,
     compare_spectra,
     difference_operator,
     dirichlet_operator,
     fourier_form,
+    monotone_chain,
     monotonicity_check,
     navier_operator,
+    positivity_check,
 )
 
 __all__ = [
@@ -65,14 +68,14 @@ __all__ = [
     "make_box", "make_shape", "parse_shape_spec",
     "extend_by_zero", "dilate",
     "EigenDecomposition", "sym_matrix", "eigendecompose", "eigenvalues", "spectral_power",
-    "SymOperator", "SpectrumComparison",
-    "navier_operator", "dirichlet_operator",
-    "fourier_form", "difference_operator", "compare_spectra", "monotonicity_check",
+    "Certificate", "SymOperator", "navier_operator", "dirichlet_operator",
+    "fourier_form", "difference_operator", "compare_spectra", "positivity_check",
+    "monotonicity_check", "monotone_chain",
     "ExtensionMesh", "ExtensionSolution", "graded_mesh", "default_grading",
     "solve_extension", "energy_identity_check", "trace_limit",
-    "extension_ordering_check",
-    "SobolevSetup", "QuotientResult", "SweepRow",
+    "extension_ordering_check", "compare_extensions",
+    "SobolevSetup", "QuotientResult",
     "gamma", "extension_constant", "sobolev_constant_closed_form",
-    "extremal_function", "lp_norm", "rayleigh_quotient",
+    "extremal_function", "lp_norm", "rayleigh_quotient", "sobolev_check",
     "minimize_quotient", "dilation_sweep",
 ]

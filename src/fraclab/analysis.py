@@ -7,32 +7,32 @@ best constant on the whole space,
 
 attained (up to dilation, translation and scaling) by the profile
 U(x) = (1 + |x|^2)^((2s-n)/2).  This module evaluates the constant and the
-profile, computes discrete L_p norms and Rayleigh quotients, minimizes the
-quotient over a subdomain by normalized gradient descent, and sweeps
-dilations alpha*Omega, where the spectral form decreases toward the
-restricted one.
+profile, computes discrete L_p norms and Rayleigh quotients, certifies the
+FFT quotient of the profile against the constant, minimizes the quotient
+over a subdomain by normalized gradient descent, and sweeps dilations
+alpha*Omega, where the spectral form decreases toward the restricted one.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain, dilate, extend_by_zero
-from .operators import SymOperator, _form, _restricted_matrix, navier_operator
+from .domain import BoxGrid, GridFunction, SubDomain, dilate, extend_by_zero, make_box
+from .operators import (Certificate, SymOperator, _certify, _form, _restricted_matrix,
+                        fourier_form, navier_operator)
 
 __all__ = [
     "SobolevSetup",
     "QuotientResult",
-    "SweepRow",
     "gamma",
     "sobolev_constant_closed_form",
     "extremal_function",
     "lp_norm",
     "rayleigh_quotient",
+    "sobolev_check",
     "minimize_quotient",
     "dilation_sweep",
 ]
@@ -100,6 +100,33 @@ def rayleigh_quotient(form_value: float, u: GridFunction, p: float) -> float:
     if denom == 0.0:
         raise ZeroDivisionError("Rayleigh quotient undefined for u = 0")
     return float(form_value) / denom
+
+
+def _fft_quotient(dim: int, s: float, halfwidth: float, nodes: int, pad: int) -> float:
+    """The quotient of the profile sampled on the box of ``halfwidth`` and ``nodes`` per axis,
+    its form the Fourier multiplier form on a box ``pad`` times as wide."""
+    u = extremal_function(make_box(dim, halfwidth, nodes), dim, s)
+    form = fourier_form(u, make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1), s)
+    return rayleigh_quotient(form, u, SobolevSetup(n=dim, s=s).critical_exponent)
+
+
+def sobolev_check(dim: int, s: float, halfwidth: float, nodes: int, pad: int) -> Certificate:
+    """The FFT quotient of the optimizer profile against the closed-form constant.
+
+    The profile is sampled on the box of ``halfwidth`` and ``nodes`` per
+    axis, then on the doubled box (2 halfwidth, 2 (nodes + 1) - 1 nodes).
+    Rows: the constant, then each quotient with its relative gap to it.  The
+    margins are the first gap (quotient_near_constant) and how much doubling
+    the box shrinks it (gap_shrinks_with_box).
+    """
+    reference = sobolev_constant_closed_form(dim, s)
+    q1 = _fft_quotient(dim, s, halfwidth, nodes, pad)
+    q2 = _fft_quotient(dim, s, 2.0 * halfwidth, 2 * (nodes + 1) - 1, pad)
+    gap1, gap2 = abs(q1 - reference) / reference, abs(q2 - reference) / reference
+    return _certify({"quotient_near_constant": gap1, "gap_shrinks_with_box": gap1 - gap2},
+                    record=["closed_form", "quotient", "quotient_doubled"], s=s,
+                    parameter=[dim, halfwidth, 2.0 * halfwidth], value=[reference, q1, q2],
+                    reference=reference, rel_gap=[0.0, gap1, gap2])
 
 
 @dataclass(frozen=True)
@@ -176,25 +203,20 @@ def minimize_quotient(
     )
 
 
-class SweepRow(NamedTuple):
-    s: float
-    alpha: float
-    q_navier: float
-    q_dirichlet: float
-    ratio: float
-
-
 def dilation_sweep(
     u: np.ndarray, domain: SubDomain, s_values: list[float], alphas: list[float]
-) -> list[SweepRow]:
-    """Spectral form on alpha*Omega versus the restricted form, per exponent and dilation.
+) -> list[Certificate]:
+    """Spectral form on alpha*Omega versus the restricted form, one certificate per exponent.
 
     Omega is a named shape; ``u`` lives on its nodes and is zero-extended
     into each dilate.  Every dilate is made once, on Omega's own box, and
     serves every exponent; one that comes within h of its boundary raises.
-    Rows run over the dilations for each exponent in turn.  Ratios are >= 1
-    up to roundoff and decrease toward 1, strictly only while the lattice
-    resolves each dilate, so two factors that give the same mask raise.
+    Rows run over the dilations.  Ratios are >= 1 up to roundoff
+    (ratio_lower_bound: the least ratio - 1), equal 1 at s = 1
+    (ratio_coincidence: the largest |ratio - 1|), and decrease toward 1
+    (final_ratio: the last one), strictly only while the lattice resolves
+    each dilate (ratio_decreasing at s < 1: the least drop from one factor to
+    the next), so two factors that give the same mask raise.
     """
     alphas = [float(a) for a in alphas]
     if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
@@ -217,10 +239,16 @@ def dilation_sweep(
         v = np.zeros(dil.node_count)
         v[np.searchsorted(dil.indices, base_idx)] = vals
         dilates.append((alpha, dil, v))
-    rows = []
+    certificates = []
     for s in s_values:
         q_dir = _form(_restricted_matrix(domain, s), vals, domain.grid)
-        for alpha, dil, v in dilates:
-            q_nav = navier_operator(dil, s).form(v)
-            rows.append(SweepRow(s, alpha, q_nav, q_dir, q_nav / q_dir))
-    return rows
+        q_nav = np.array([navier_operator(dil, s).form(v) for _, dil, v in dilates])
+        ratio = q_nav / q_dir
+        margins = {"ratio_lower_bound": ratio.min() - 1.0, "final_ratio": ratio[-1]}
+        if s == 1.0:
+            margins["ratio_coincidence"] = np.max(np.abs(ratio - 1.0))
+        elif ratio.size > 1:
+            margins["ratio_decreasing"] = np.min(ratio[:-1] - ratio[1:])
+        certificates.append(_certify(margins, s=s, alpha=alphas, q_navier=q_nav,
+                                     q_dirichlet=q_dir, ratio=ratio))
+    return certificates

@@ -27,9 +27,12 @@ same config and seed (volatile fields such as wall time stay out of the
 files); every pass/fail records its numeric margin alongside the verdict.
 Positivity reads the least entry of N - D itself, so neither the seed nor
 ``trials`` enters it; exponents that share a check name are refused.
-Every check is made by one constructor, :func:`_verdict`, which passes its
-margin against its tolerance in one of three senses: ``<= tol`` (a gap),
-``> tol`` (a strict slack) or ``>= -tol``; a NaN margin fails in each.
+The runners only set up and refuse, then return per exponent the library's
+:class:`~fraclab.operators.Certificate` of the claim, whose rows become the
+report's.  Each certificate margin is a check, made by one constructor,
+:func:`_verdict`, with the tolerance and sense ``_CHECKS`` gives it:
+``<= tol`` (a gap), ``> tol`` (a strict slack) or ``>= -tol``; a NaN margin
+fails in each.
 """
 
 from __future__ import annotations
@@ -48,32 +51,10 @@ import numpy.random  # numpy imports it lazily; load it at start-up, not inside 
 import scipy
 
 from . import __version__
-from .analysis import (
-    SobolevSetup,
-    SweepRow,
-    dilation_sweep,
-    extremal_function,
-    rayleigh_quotient,
-    sobolev_constant_closed_form,
-)
-from .domain import (
-    BoxGrid,
-    SubDomain,
-    dilate,
-    make_box,
-    make_shape,
-    parse_shape_spec,
-    random_nested_masks,
-)
-from .extension import (
-    cell_stiffness,
-    default_grading,
-    energy_identity_check,
-    extension_ordering_check,
-    graded_mesh,
-    solve_extension,
-)
-from .operators import compare_spectra, difference_operator, fourier_form, monotonicity_check
+from .analysis import dilation_sweep, sobolev_check
+from .domain import BoxGrid, SubDomain, dilate, make_box, make_shape, parse_shape_spec
+from .extension import cell_stiffness, compare_extensions, default_grading, graded_mesh
+from .operators import _CHAIN_GROWTH, Certificate, compare_spectra, monotone_chain, positivity_check
 
 __all__ = [
     "ConfigError",
@@ -269,10 +250,26 @@ class ExperimentReport:
 _SENSES = {"<= tol": lambda m, tol: m <= tol, "> tol": lambda m, tol: m > tol,
            ">= -tol": lambda m, tol: m >= -tol}
 
+# Each check's tolerance, an ExperimentConfig field (a tol.* key) or None for 0, and its sense.
+_CHECKS = {
+    "eigenvalue_domination": ("tol_margin", "> tol"),
+    "coincidence": ("tol_coincidence", "<= tol"),
+    "positivity_preserving": ("tol_positivity", ">= -tol"),
+    "monotone_chain": ("tol_chain", ">= -tol"),
+    "energy_identity": ("tol_energy_gap", "<= tol"),
+    "ordering_lattice": ("tol_positivity", ">= -tol"),
+    "ordering_interior": (None, "> tol"),
+    "quotient_near_constant": ("tol_sobolev_gap", "<= tol"),
+    "gap_shrinks_with_box": (None, "> tol"),
+    "ratio_lower_bound": ("tol_coincidence", ">= -tol"),
+    "final_ratio": ("tol_ratio_final", "<= tol"),
+    "ratio_coincidence": ("tol_coincidence", "<= tol"),
+    "ratio_decreasing": (None, "> tol"),
+}
+
 
 def _verdict(check: str, s: float, margin: float, tolerance: float, sense: str) -> Check:
     """The verdict of ``check`` at exponent ``s``: ``margin`` against ``tolerance`` in ``sense``."""
-    margin = float(margin)
     return Check(name=f"{check}[s={s:g}]", margin=margin, tolerance=tolerance,
                  passed=bool(_SENSES[sense](margin, tolerance)))
 
@@ -301,6 +298,9 @@ def _build_domain(cfg: ExperimentConfig) -> SubDomain:
     except ValueError as exc:
         raise ConfigError(f"shape: {exc}") from exc
     _check_mask(domain, "shape")
+    if domain.node_count == box.size:  # Omega is the box: N = D, and every strict claim is void
+        raise ConfigError(f"shape: the mask holds all {box.size} nodes of its box; "
+                          "raise box.halfwidth or shrink the shape")
     return domain
 
 
@@ -331,67 +331,27 @@ def _mesh_for(cfg: ExperimentConfig, domain: SubDomain, s: float):
     return mesh
 
 
-def _run_spectra(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
+def _run_spectra(cfg: ExperimentConfig) -> list[Certificate]:
     domain = _build_domain(cfg)
-    n, checks = domain.node_count, []
-    rows = np.empty(n * len(cfg.s_values), dtype=[("s", "f8"), ("j", "i8"), ("lambda_navier", "f8"),
-                                                   ("lambda_dirichlet", "f8"), ("margin", "f8")])
-    for block, s in zip(np.split(rows, len(cfg.s_values)), cfg.s_values):
-        comp = compare_spectra(domain, s)
-        block["s"], block["j"] = s, np.arange(1, n + 1)
-        block["lambda_navier"], block["lambda_dirichlet"] = comp.navier, comp.dirichlet
-        block["margin"] = comp.margins
-        if s == 1.0:
-            checks.append(_verdict("coincidence", s, np.max(np.abs(comp.margins)),
-                                   cfg.tol_coincidence, "<= tol"))
-        else:
-            checks.append(_verdict("eigenvalue_domination", s, np.min(comp.margins),
-                                   cfg.tol_margin, "> tol"))
-    return rows, checks
+    return [compare_spectra(domain, s) for s in cfg.s_values]
 
 
-def _run_positivity(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
-    # N - D maps every u >= 0 to (N - D)u >= 0 exactly when its least entry is >= 0; a row names
-    # the box nodes of that entry's row and column, the first in row-major order (row <= col)
+def _run_positivity(cfg: ExperimentConfig) -> list[Certificate]:
     domain = _build_domain(cfg)
-    rows, checks = [], []
-    for s in cfg.s_values:
-        diff = difference_operator(domain, s)
-        i, j = np.unravel_index(np.argmin(diff), diff.shape)  # a NaN entry is the least
-        rows.append((s, diff[i, j], domain.indices[i], domain.indices[j]))
-        checks.append(_verdict("positivity_preserving", s, diff[i, j], cfg.tol_positivity,
-                               ">= -tol"))
-    dtype = [("s", "f8"), ("least_entry", "f8"), ("row", "i8"), ("col", "i8")]
-    return np.array(rows, dtype=dtype), checks
+    return [positivity_check(domain, s) for s in cfg.s_values]
 
 
-def _run_monotonicity(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
+def _run_monotonicity(cfg: ExperimentConfig) -> list[Certificate]:
     box = _build_box(cfg)  # the random masks stay far below the mask cap
-    rng = np.random.default_rng(cfg.seed)
-    max_png = 6 if cfg.dim == 1 else 10
-    if box.size < 2 * max_png + 1:
-        raise ConfigError(f"box.nodes: the random outer masks take up to {2 * max_png + 1} "
+    largest = 2 * _CHAIN_GROWTH[cfg.dim] + 1
+    if box.size < largest:
+        raise ConfigError(f"box.nodes: the random outer masks take up to {largest} "
                           f"nodes, more than the box's {box.size}; raise box.nodes")
-    rows, checks = [], []
-    for s in cfg.s_values:
-        worst = np.inf
-        for trial in range(cfg.trials):
-            inner_size = int(rng.integers(2, max_png + 1))
-            outer_size = inner_size + int(rng.integers(1, max_png + 2))
-            inner, outer = random_nested_masks(box, inner_size, outer_size, rng)
-            u = rng.standard_normal(inner.node_count)
-            q_d, q_n_outer, q_n_inner = monotonicity_check(inner, outer, s, u)
-            slack_lo = q_n_outer - q_d
-            slack_hi = q_n_inner - q_n_outer
-            rows.append((s, trial, q_d, q_n_outer, q_n_inner, slack_lo, slack_hi))
-            worst = min(worst, slack_lo, slack_hi)
-        checks.append(_verdict("monotone_chain", s, worst, cfg.tol_chain, ">= -tol"))
-    dtype = [("s", "f8"), ("trial", "i8"), ("q_dirichlet", "f8"), ("q_navier_outer", "f8"),
-             ("q_navier_inner", "f8"), ("slack_lower", "f8"), ("slack_upper", "f8")]
-    return np.array(rows, dtype=dtype), checks
+    rng = np.random.default_rng(cfg.seed)
+    return [monotone_chain(box, s, cfg.trials, rng) for s in cfg.s_values]
 
 
-def _run_extension(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
+def _run_extension(cfg: ExperimentConfig) -> list[Certificate]:
     lattice = cfg.box_nodes**cfg.dim * (cfg.extension_layers + 1)
     if lattice > _MAX_EXTENSION_VALUES:
         raise ConfigError(f"extension.layers: the Dirichlet extension's distinct-profile lattice "
@@ -403,69 +363,25 @@ def _run_extension(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     domain = _build_domain(cfg)
     meshes = [_mesh_for(cfg, domain, s) for s in cfg.s_values]  # each refused before any solve
     u = _ground_state(domain)
-    rows, checks = [], []
-    for s, mesh in zip(cfg.s_values, meshes):
-        # Least memory: Dirichlet solve with no solution alive, identity check with Navier's alone
-        dirichlet = solve_extension(u, domain, "dirichlet", s, mesh)
-        navier = solve_extension(u, domain, "navier", s, mesh)
-        order = extension_ordering_check(navier, dirichlet)
-        del dirichlet
-        ident = energy_identity_check(navier)
-        del navier
-        rows.append((s, ident.form_value, ident.energy_value, ident.rel_gap,
-                     order.lattice_min, order.interior_min))
-        checks += [_verdict("energy_identity", s, ident.rel_gap, cfg.tol_energy_gap, "<= tol"),
-                   _verdict("ordering_lattice", s, order.lattice_min, cfg.tol_positivity,
-                            ">= -tol"),
-                   _verdict("ordering_interior", s, order.interior_min, 0.0, "> tol")]
-    dtype = [("s", "f8"), ("form_value", "f8"), ("energy_value", "f8"), ("rel_gap", "f8"),
-             ("ordering_lattice_min", "f8"), ("ordering_interior_min", "f8")]
-    return np.array(rows, dtype=dtype), checks
+    return [compare_extensions(u, domain, s, mesh) for s, mesh in zip(cfg.s_values, meshes)]
 
 
-def _sobolev_quotient(cfg: ExperimentConfig, halfwidth: float, nodes: int, s: float) -> float:
-    dim, pad = cfg.dim, cfg.sobolev_pad
-    if (pad * (nodes + 1)) ** dim > _MAX_FFT_NODES:
-        raise ConfigError(
-            f"FFT box too large: (pad*(box.nodes+1))^dim exceeds {_MAX_FFT_NODES}; "
-            "reduce box.nodes or sobolev.pad"
-        )
-    grid = make_box(dim, halfwidth, nodes)
-    u = extremal_function(grid, dim, s)
-    fft_box = make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1)
-    form = fourier_form(u, fft_box, s)
-    return rayleigh_quotient(form, u, SobolevSetup(n=dim, s=s).critical_exponent)
-
-
-def _run_sobolev(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
+def _run_sobolev(cfg: ExperimentConfig) -> list[Certificate]:
     n, pad = cfg.box_nodes, cfg.sobolev_pad
     if (pad - 1) * (n + 1) % 2:  # the FFT box's lattice would miss the sampling nodes
         raise ConfigError(f"box.nodes: {n} does not align with the FFT box of sobolev.pad = {pad}; "
                           f"the nearest aligned values are box.nodes = {n - 1} and {n + 1}")
     for s in cfg.s_values:
         if cfg.dim <= 2.0 * s:
-            raise ConfigError(
-                f"sobolev experiment requires dim > 2s, got dim={cfg.dim}, s={s}; "
-                "lower s or raise dim"
-            )
-    rows, checks = [], []
-    for s in cfg.s_values:
-        reference = sobolev_constant_closed_form(cfg.dim, s)
-        rows.append(("closed_form", s, cfg.dim, reference, reference, 0.0))
-        q1 = _sobolev_quotient(cfg, cfg.box_halfwidth, cfg.box_nodes, s)
-        gap1 = abs(q1 - reference) / reference
-        rows.append(("quotient", s, cfg.box_halfwidth, q1, reference, gap1))
-        q2 = _sobolev_quotient(cfg, 2.0 * cfg.box_halfwidth, 2 * (cfg.box_nodes + 1) - 1, s)
-        gap2 = abs(q2 - reference) / reference
-        rows.append(("quotient_doubled", s, 2.0 * cfg.box_halfwidth, q2, reference, gap2))
-        checks += [_verdict("quotient_near_constant", s, gap1, cfg.tol_sobolev_gap, "<= tol"),
-                   _verdict("gap_shrinks_with_box", s, gap1 - gap2, 0.0, "> tol")]
-    dtype = [("record", "O"), ("s", "f8"), ("parameter", "f8"), ("value", "f8"),
-             ("reference", "f8"), ("rel_gap", "f8")]
-    return np.array(rows, dtype=dtype), checks
+            raise ConfigError(f"sobolev experiment requires dim > 2s, got dim={cfg.dim}, s={s}; "
+                              "lower s or raise dim")
+    if (pad * 2 * (n + 1)) ** cfg.dim > _MAX_FFT_NODES:  # the FFT box of the doubled box
+        raise ConfigError(f"FFT box too large: (pad*(box.nodes+1))^dim exceeds {_MAX_FFT_NODES}; "
+                          "reduce box.nodes or sobolev.pad")
+    return [sobolev_check(cfg.dim, s, cfg.box_halfwidth, n, pad) for s in cfg.s_values]
 
 
-def _run_sweep(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
+def _run_sweep(cfg: ExperimentConfig) -> list[Certificate]:
     domain = _build_domain(cfg)
     try:
         largest = dilate(domain, cfg.alpha_values[-1])
@@ -474,22 +390,9 @@ def _run_sweep(cfg: ExperimentConfig) -> tuple[np.ndarray, list[Check]]:
     _check_mask(largest, "alpha.values")
     u = _ground_state(domain)
     try:
-        table = dilation_sweep(u, domain, list(cfg.s_values), list(cfg.alpha_values))
+        return dilation_sweep(u, domain, list(cfg.s_values), list(cfg.alpha_values))
     except ValueError as exc:
         raise ConfigError(f"alpha.values: {exc}") from exc
-    checks, n = [], len(cfg.alpha_values)
-    for j, s in enumerate(cfg.s_values):  # the rows of exponent j are rows j*n..(j+1)*n-1
-        ratios = np.array([r.ratio for r in table[j * n:(j + 1) * n]])
-        checks += [_verdict("ratio_lower_bound", s, ratios.min() - 1.0, cfg.tol_coincidence,
-                            ">= -tol"),
-                   _verdict("final_ratio", s, ratios[-1], cfg.tol_ratio_final, "<= tol")]
-        if s == 1.0:
-            checks.append(_verdict("ratio_coincidence", s, np.max(np.abs(ratios - 1.0)),
-                                   cfg.tol_coincidence, "<= tol"))
-        elif len(ratios) > 1:
-            checks.append(_verdict("ratio_decreasing", s, np.min(ratios[:-1] - ratios[1:]), 0.0,
-                                   "> tol"))
-    return np.array(table, dtype=[(name, "f8") for name in SweepRow._fields]), checks
 
 
 _RUNNERS = {
@@ -512,7 +415,11 @@ def run(cfg: ExperimentConfig, kind: str | None = None) -> ExperimentReport:
     if resolved not in _RUNNERS:
         raise ConfigError(f"unknown experiment kind {resolved!r}")
     start = time.perf_counter()
-    rows, checks = _RUNNERS[resolved](cfg)
+    certificates = _RUNNERS[resolved](cfg)
+    rows = np.concatenate([c.rows for c in certificates])
+    checks = [_verdict(name, s, margin, getattr(cfg, key) if key else 0.0, sense)
+              for s, c in zip(cfg.s_values, certificates) for name, margin in c.margins.items()
+              for key, sense in [_CHECKS[name]]]
     elapsed = time.perf_counter() - start
     return ExperimentReport(kind=resolved, config={**asdict(cfg), "kind": resolved}, rows=rows,
                             checks=checks, wall_time_seconds=elapsed,

@@ -32,18 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
-from typing import NamedTuple
 
 import numpy as np
 
 from .domain import BoxGrid, SubDomain, _interval_eigenbasis, extend_by_zero
-from .operators import dirichlet_operator, navier_operator
+from .operators import Certificate, _certify, _fields, dirichlet_operator, navier_operator
 
 __all__ = [
     "ExtensionMesh",
     "ExtensionSolution",
-    "IdentityCheck",
-    "OrderingCheck",
     "graded_mesh",
     "default_grading",
     "cell_stiffness",
@@ -51,6 +48,7 @@ __all__ = [
     "energy_identity_check",
     "trace_limit",
     "extension_ordering_check",
+    "compare_extensions",
     "extension_constant",
 ]
 
@@ -326,19 +324,14 @@ def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
                              datum=vals, values=w, dtn=dtn[:, 0], energy=energy)
 
 
-class IdentityCheck(NamedTuple):
-    form_value: float
-    energy_value: float
-    rel_gap: float
-
-
-def energy_identity_check(sol: ExtensionSolution) -> IdentityCheck:
+def energy_identity_check(sol: ExtensionSolution) -> Certificate:
     """Compare the fractional quadratic form with (C_s/2s) times the extension energy.
 
     The form is that of ``sol.variant`` at ``sol.s`` on ``sol.domain``,
     evaluated at the solution's datum.  The two sides agree in the
-    continuum; discretely the relative gap is the y-mesh error and must
-    shrink under simultaneous refinement.
+    continuum; discretely the relative gap, the margin (energy_identity), is
+    the y-mesh error and must shrink under simultaneous refinement.  One row:
+    s, the form, the energy side and their relative gap.
     """
     s, domain = sol.s, sol.domain
     if sol.variant == "navier":
@@ -346,8 +339,9 @@ def energy_identity_check(sol: ExtensionSolution) -> IdentityCheck:
     else:
         form = dirichlet_operator(domain, domain.grid, s).form(sol.datum)
     rhs = extension_constant(s) / (2.0 * s) * sol.energy
-    denom = max(abs(form), 1e-300)
-    return IdentityCheck(form_value=form, energy_value=rhs, rel_gap=abs(form - rhs) / denom)
+    rel_gap = abs(form - rhs) / max(abs(form), 1e-300)
+    return _certify({"energy_identity": rel_gap}, s=s, form_value=form, energy_value=rhs,
+                    rel_gap=rel_gap)
 
 
 def trace_limit(sol: ExtensionSolution) -> np.ndarray:
@@ -360,19 +354,15 @@ def trace_limit(sol: ExtensionSolution) -> np.ndarray:
     return extension_constant(sol.s) / (2.0 * sol.s) * sol.dtn
 
 
-class OrderingCheck(NamedTuple):
-    lattice_min: float
-    interior_min: float
-
-
 def extension_ordering_check(navier: ExtensionSolution,
-                             dirichlet: ExtensionSolution) -> OrderingCheck:
+                             dirichlet: ExtensionSolution) -> Certificate:
     """Pointwise ordering of the two extensions of one nonnegative trace.
 
     Takes a navier and a dirichlet solution of the same domain, exponent,
-    mesh and datum u >= 0, and returns the minimum of
-    W = w_dirichlet - w_navier over Omega's closed y-lattice and over the
-    interior layers 0 < y < Y.  The discrete maximum principle makes W >= 0,
+    mesh and datum u >= 0.  Its margins are the minima of
+    W = w_dirichlet - w_navier over Omega's closed y-lattice (ordering_lattice)
+    and over the interior layers 0 < y < Y (ordering_interior), and its one
+    row holds s and both.  The discrete maximum principle makes W >= 0,
     with strict sign inside whenever u is not identically zero, up to solver
     roundoff.
     """
@@ -390,7 +380,23 @@ def extension_ordering_check(navier: ExtensionSolution,
     if np.any(navier.datum < 0):
         raise ValueError("boundary datum must be entrywise nonnegative")
     w_diff = dirichlet.values - navier.values
-    return OrderingCheck(
-        lattice_min=float(w_diff.min()),
-        interior_min=float(w_diff[:, 1:-1].min()),
-    )
+    lattice, interior = w_diff.min(), w_diff[:, 1:-1].min()
+    return _certify({"ordering_lattice": lattice, "ordering_interior": interior}, s=navier.s,
+                    ordering_lattice_min=lattice, ordering_interior_min=interior)
+
+
+def compare_extensions(u: np.ndarray, domain: SubDomain, s: float,
+                       mesh: ExtensionMesh) -> Certificate:
+    """The energy identity of the navier extension of ``u`` and the ordering of both, joined.
+
+    Least memory: the dirichlet solve runs with no solution alive, and the
+    identity check with the navier solution alone.
+    """
+    dirichlet = solve_extension(u, domain, "dirichlet", s, mesh)
+    navier = solve_extension(u, domain, "navier", s, mesh)
+    order = extension_ordering_check(navier, dirichlet)
+    del dirichlet
+    ident = energy_identity_check(navier)
+    del navier
+    return _certify({**ident.margins, **order.margins},
+                    **{**_fields(ident.rows), **_fields(order.rows)})

@@ -31,19 +31,21 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenvalues
+from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenvalues, random_nested_masks
 from .linalg import (EigenDecomposition, check_spectrum, eigendecompose, eigenvalues,
                      spectral_power, sym_matrix)
 
 __all__ = [
+    "Certificate",
     "SymOperator",
-    "SpectrumComparison",
     "navier_operator",
     "dirichlet_operator",
     "fourier_form",
     "difference_operator",
     "compare_spectra",
+    "positivity_check",
     "monotonicity_check",
+    "monotone_chain",
 ]
 
 _KINDS = ("navier", "dirichlet")
@@ -92,21 +94,28 @@ def _form(matrix: np.ndarray, v: np.ndarray, grid: BoxGrid) -> float:
     return grid.h**grid.dim * float(v @ (matrix @ v))
 
 
-@dataclass(frozen=True)
-class SpectrumComparison:
-    """Ascending eigenvalue pairs of the two fractional operators on Omega."""
+@dataclass(frozen=True, eq=False)
+class Certificate:
+    """One claim at one exponent: ``margins`` maps the name of each of its checks to its signed
+    margin, in print order, and ``rows`` is the witness they are read from, the claim's typed
+    report rows (a NumPy structured array whose field names are the report's columns)."""
 
-    s: float
-    navier: np.ndarray
-    dirichlet: np.ndarray
+    rows: np.ndarray
+    margins: dict[str, float]
 
-    def __post_init__(self):
-        if self.navier.shape != self.dirichlet.shape:
-            raise ValueError("spectra have different lengths")
 
-    @property
-    def margins(self) -> np.ndarray:
-        return self.navier - self.dirichlet
+def _certify(margins: dict, **columns) -> Certificate:
+    """Certify ``margins`` over ``columns``: arrays as long as the rows, or scalars repeated."""
+    columns = {name: np.asarray(v) for name, v in columns.items()}
+    rows = np.empty(max(v.size for v in columns.values()),
+                    dtype=[(name, v.dtype) for name, v in columns.items()])
+    for name, v in columns.items():
+        rows[name] = v
+    return Certificate(rows=rows, margins={name: float(m) for name, m in margins.items()})
+
+
+def _fields(rows: np.ndarray) -> dict[str, np.ndarray]:
+    return {name: rows[name] for name in rows.dtype.names}
 
 
 def _check_s(s: float) -> float:
@@ -303,14 +312,14 @@ def difference_operator(domain: SubDomain, s: float) -> np.ndarray:
     return sym_matrix(nav.matrix - _restricted_matrix(domain, nav.s))
 
 
-def compare_spectra(domain: SubDomain, s: float) -> SpectrumComparison:
-    """Ascending eigenvalues of both fractional operators on Omega's own box and their margins.
+def compare_spectra(domain: SubDomain, s: float) -> Certificate:
+    """Eigenvalue domination lambda_j(D) < lambda_j(N) on Omega's own box, or coincidence at s = 1.
 
     Neither operator is built: the spectral eigenvalues are Omega's cached
     spectrum to the power s (no eigenbasis on a rectangle), the restricted
     ones those of the reflection blocks of P B^s P^T (:func:`_restricted_blocks`),
     each solved and checked on its own, then merged and checked against the
-    whole matrix's trace and Frobenius norm.
+    whole matrix's trace and Frobenius norm.  Certified by :func:`_spectra_certificate`.
     """
     s = _check_s(s)
     if s == 1.0:
@@ -321,17 +330,39 @@ def compare_spectra(domain: SubDomain, s: float) -> SpectrumComparison:
     _require_positive_definite("dirichlet", np.min(dirichlet))
     if s != 1.0:
         check_spectrum(dirichlet, *invariants)
-    return SpectrumComparison(s=s, navier=domain.spectrum**s,
-                              dirichlet=np.sort(dirichlet))
+    return _spectra_certificate(s, domain.spectrum**s, np.sort(dirichlet))
+
+
+def _spectra_certificate(s: float, navier: np.ndarray, dirichlet: np.ndarray) -> Certificate:
+    """Rows j, lambda_N,j, lambda_D,j and their margin lambda_N,j - lambda_D,j, both spectra
+    ascending; the check's margin is the least of those, or the largest |.| at s = 1."""
+    margin = navier - dirichlet
+    claim = ({"coincidence": np.max(np.abs(margin))} if s == 1.0
+             else {"eigenvalue_domination": np.min(margin)})
+    return _certify(claim, s=s, j=np.arange(1, margin.size + 1), lambda_navier=navier,
+                    lambda_dirichlet=dirichlet, margin=margin)
+
+
+def positivity_check(domain: SubDomain, s: float) -> Certificate:
+    """N - D maps every u >= 0 to (N - D)u >= 0 exactly when its least entry is >= 0.
+
+    The row holds that entry (the margin, positivity_preserving) and the box nodes of its row
+    and column, the first in row-major order (row <= col); a NaN entry is the least.
+    """
+    diff = difference_operator(domain, s)
+    i, j = np.unravel_index(np.argmin(diff), diff.shape)
+    return _certify({"positivity_preserving": diff[i, j]}, s=s, least_entry=diff[i, j],
+                    row=domain.indices[i], col=domain.indices[j])
 
 
 def monotonicity_check(inner: SubDomain, outer: SubDomain, s: float,
-                       u: np.ndarray) -> tuple[float, float, float]:
-    """The chain (restricted form, spectral form on Omega', spectral form on Omega).
+                       u: np.ndarray) -> Certificate:
+    """The chain q_D(Omega) <= q_N(Omega') <= q_N(Omega) of the forms of u, Omega inside Omega'.
 
-    For u supported in Omega and Omega inside Omega' inside their common
-    box, the triple is nondecreasing left to right, exactly at matrix level.
-    Only the restricted matrix is formed for the restricted form, from the kernel.
+    For u supported in Omega and Omega inside Omega' inside their common box
+    the chain holds exactly at matrix level.  One row: the three forms and
+    both slacks; the margin (monotone_chain) is the lesser slack.  Only the
+    restricted matrix is formed for the restricted form, from the kernel.
     """
     if inner.grid != outer.grid:
         raise ValueError(f"masks are made on different boxes: the inner one on {inner.grid}, "
@@ -347,7 +378,31 @@ def monotonicity_check(inner: SubDomain, outer: SubDomain, s: float,
     v_outer[np.searchsorted(idx_outer, idx_inner)] = v
     q_outer = navier_operator(outer, s).form(v_outer)
     q_restricted = _form(_restricted_matrix(inner, s), v, inner.grid)
-    return q_restricted, q_outer, q_inner
+    lower, upper = q_outer - q_restricted, q_inner - q_outer
+    return _certify({"monotone_chain": np.minimum(lower, upper)}, q_dirichlet=q_restricted,
+                    q_navier_outer=q_outer, q_navier_inner=q_inner, slack_lower=lower,
+                    slack_upper=upper)
+
+
+_CHAIN_GROWTH = {1: 6, 2: 10}  # G per dimension: see monotone_chain
+
+
+def monotone_chain(box: BoxGrid, s: float, trials: int, rng: np.random.Generator) -> Certificate:
+    """:func:`monotonicity_check` on ``trials`` random nested mask pairs of ``box``.
+
+    Each trial draws from ``rng``, in this order, the size of Omega (2 to G
+    nodes), that of Omega' (1 to G + 1 nodes more), both masks, and a
+    standard normal u on Omega.  One row per trial; the margin is the least slack.
+    """
+    grow, pairs = _CHAIN_GROWTH[box.dim], []
+    for _ in range(trials):
+        inner_size = int(rng.integers(2, grow + 1))
+        outer_size = inner_size + int(rng.integers(1, grow + 2))
+        inner, outer = random_nested_masks(box, inner_size, outer_size, rng)
+        pairs.append(monotonicity_check(inner, outer, s, rng.standard_normal(inner.node_count)))
+    return _certify({"monotone_chain": np.min([c.margins["monotone_chain"] for c in pairs])},
+                    s=s, trial=np.arange(trials),
+                    **_fields(np.concatenate([c.rows for c in pairs])))
 
 
 def fourier_form(u: GridFunction, box: BoxGrid, s: float) -> float:

@@ -73,9 +73,9 @@ def test_criterion_1_eigenvalue_domination():
     for omega, box in ((omega1, box1), (omega2, box2)):
         for s in S_GRID:
             comp = compare_spectra(omega, float(s))
-            worst_margin = min(worst_margin, float(np.min(comp.margins)))
+            worst_margin = min(worst_margin, float(np.min(comp.rows["margin"])))
         comp1 = compare_spectra(omega, 1.0)
-        worst_coincidence = max(worst_coincidence, float(np.max(np.abs(comp1.margins))))
+        worst_coincidence = max(worst_coincidence, float(np.max(np.abs(comp1.rows["margin"]))))
     elapsed = time.perf_counter() - start
     ok = worst_margin > 1e-9 and worst_coincidence <= 1e-10 and elapsed <= 120.0
     _verdict(1, "eigenvalue domination",
@@ -146,7 +146,8 @@ def test_criterion_4_domain_monotonicity_chain():
             inner, outer = random_nested_masks(box, inner_size, outer_size, rng)
             u = rng.standard_normal(inner.node_count)
             s = float(rng.choice([0.25, 0.5, 0.75]))
-            q_d, q_outer, q_inner = monotonicity_check(inner, outer, s, u)
+            row = monotonicity_check(inner, outer, s, u).rows[0]
+            q_d, q_outer, q_inner = row["q_dirichlet"], row["q_navier_outer"], row["q_navier_inner"]
             worst = min(worst, q_outer - q_d, q_inner - q_outer)
     elapsed = time.perf_counter() - start
     ok = worst >= -1e-10
@@ -160,8 +161,8 @@ def test_criterion_5_dilation_limit():
     box = make_box(1, 24.0, 383)
     omega = make_shape(box, "interval", (-1.0, 1.0))
     u = ground_state(omega)
-    rows = dilation_sweep(u, omega, [0.5], [1.0, 2.0, 4.0, 8.0, 16.0])
-    ratios = [r.ratio for r in rows]
+    (sweep,) = dilation_sweep(u, omega, [0.5], [1.0, 2.0, 4.0, 8.0, 16.0])
+    ratios = list(sweep.rows["ratio"])
     decreasing = all(a > b for a, b in zip(ratios, ratios[1:]))
     elapsed = time.perf_counter() - start
     ok = decreasing and ratios[-1] <= 1.05 and min(ratios) >= 1.0 - 1e-10
@@ -184,16 +185,16 @@ def test_criterion_6_extension_energy_identity():
     for layers in (32, 128):
         mesh = graded_mesh(layers, 8.0, default_grading(0.5))
         chk = energy_identity_check(solve_extension(u, omega, "navier", 0.5, mesh))
-        gaps[layers] = chk.rel_gap
-        values[layers] = chk
+        gaps[layers] = chk.margins["energy_identity"]
+        values[layers] = chk.rows[0]
     chk = values[128]
-    near_form = abs(chk.form_value - target) <= 0.03 * target
-    near_energy = abs(chk.energy_value - target) <= 0.03 * target
+    near_form = abs(chk["form_value"] - target) <= 0.03 * target
+    near_energy = abs(chk["energy_value"] - target) <= 0.03 * target
     improvement = gaps[32] / gaps[128]
     elapsed = time.perf_counter() - start
     ok = near_form and near_energy and improvement >= 1.5 and elapsed <= 60.0
     _verdict(6, "extension energy identity at s=1/2", ok,
-             f"form {chk.form_value:.6f}, energy side {chk.energy_value:.6f} "
+             f"form {chk['form_value']:.6f}, energy side {chk['energy_value']:.6f} "
              f"(target {target:.6f}); gap {gaps[32]:.2e} -> {gaps[128]:.2e} "
              f"(x{improvement:.1f})", elapsed)
     assert near_form and near_energy
@@ -213,8 +214,8 @@ def test_criterion_7_extension_ordering():
         mesh = graded_mesh(64, height, default_grading(s))
         chk = extension_ordering_check(solve_extension(u, omega, "navier", s, mesh),
                                        solve_extension(u, omega, "dirichlet", s, mesh))
-        worst_lattice = min(worst_lattice, chk.lattice_min)
-        worst_interior = min(worst_interior, chk.interior_min)
+        worst_lattice = min(worst_lattice, chk.margins["ordering_lattice"])
+        worst_interior = min(worst_interior, chk.margins["ordering_interior"])
     elapsed = time.perf_counter() - start
     ok = worst_lattice >= -1e-8 and worst_interior > 0.0
     _verdict(7, "extension ordering w_dirichlet >= w_navier", ok,

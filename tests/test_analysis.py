@@ -214,34 +214,36 @@ def test_dilation_sweep_single_alpha_ratio_at_least_one():
     box = make_box(1, 8.0, 255)
     om = make_shape(box, "interval", (-1.0, 1.0))
     u = np.abs(om.eigen.eigenvectors[:, 0])
-    rows = dilation_sweep(u, om, [0.5], [1.0])
-    assert len(rows) == 1
-    assert rows[0].ratio >= 1.0 - 1e-10
+    (sweep,) = dilation_sweep(u, om, [0.5], [1.0])
+    assert len(sweep.rows) == 1
+    assert sweep.rows[0]["ratio"] >= 1.0 - 1e-10
 
 
 def test_dilation_sweep_s1_ratios_are_one():
     box = make_box(1, 8.0, 255)
     om = make_shape(box, "interval", (-1.0, 1.0))
     u = np.abs(om.eigen.eigenvectors[:, 0])
-    for row in dilation_sweep(u, om, [1.0], [1.0, 2.0, 4.0]):
-        assert row.ratio == pytest.approx(1.0, abs=1e-12)
+    for row in dilation_sweep(u, om, [1.0], [1.0, 2.0, 4.0])[0].rows:
+        assert row["ratio"] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_dilation_sweep_over_exponents_is_the_single_exponent_sweeps_in_turn():
     box = make_box(1, 8.0, 255)
     om = make_shape(box, "interval", (-1.0, 1.0))
     u = np.abs(om.eigen.eigenvectors[:, 0])
-    rows = dilation_sweep(u, om, [0.5, 1.0], [1.0, 2.0, 4.0])
-    assert rows == dilation_sweep(u, om, [0.5], [1.0, 2.0, 4.0]) + dilation_sweep(u, om, [1.0], [1.0, 2.0, 4.0])
-    assert [(r.s, r.alpha) for r in rows] == [(s, a) for s in (0.5, 1.0) for a in (1.0, 2.0, 4.0)]
+    both = dilation_sweep(u, om, [0.5, 1.0], [1.0, 2.0, 4.0])
+    singles = dilation_sweep(u, om, [0.5], [1.0, 2.0, 4.0]) + dilation_sweep(u, om, [1.0], [1.0, 2.0, 4.0])
+    assert [c.rows.tolist() for c in both] == [c.rows.tolist() for c in singles]
+    assert [c.margins for c in both] == [c.margins for c in singles]
+    assert [(r["s"], r["alpha"]) for c in both for r in c.rows] == [(s, a) for s in (0.5, 1.0) for a in (1.0, 2.0, 4.0)]
 
 
 def test_dilation_sweep_ratios_decrease_toward_one():
     box = make_box(1, 24.0, 383)
     om = make_shape(box, "interval", (-1.0, 1.0))
     u = np.abs(om.eigen.eigenvectors[:, 0])
-    rows = dilation_sweep(u, om, [0.5], [1.0, 2.0, 4.0, 8.0, 16.0])
-    ratios = [r.ratio for r in rows]
+    (sweep,) = dilation_sweep(u, om, [0.5], [1.0, 2.0, 4.0, 8.0, 16.0])
+    ratios = list(sweep.rows["ratio"])
     assert all(r >= 1.0 - 1e-10 for r in ratios)
     assert all(a > b for a, b in zip(ratios, ratios[1:]))
     assert ratios[-1] <= 1.05

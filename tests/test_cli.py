@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import fraclab
-from fraclab import cli, domain, extension, linalg, operators
+from fraclab import analysis, cli, domain, extension, linalg, operators
 from fraclab.cli import (
     Check,
     ConfigError,
@@ -347,6 +347,10 @@ def test_resource_guard_reports_hint():
         run(parse_config(text), kind="spectra")
 
 
+# Masks that hold every node of their box (127 in 1D, 576 in 2D), where N = D.
+WHOLE_BOX = [(1, "interval:-1,1"), (1, "interval:-0.99,0.99"), (2, "square:2"), (2, "square:1.88")]
+
+
 @pytest.mark.parametrize("kind, text, field", [
     ("spectra", "dim = 1\nbox.nodes = 6000\n", "box.nodes"),
     ("monotonicity", "dim = 2\nbox.nodes = 6000\n", "box.nodes"),
@@ -359,6 +363,9 @@ def test_resource_guard_reports_hint():
     ("positivity", "dim = 1\nshape = interval:-2,2\n", "shape"),       # outside the box
     ("sweep", "dim = 2\nshape = disk:0.05\n", "shape"),                # no node inside
     ("extension", "dim = 2\nbox.nodes = 2\n", "shape"),                # no node inside
+    *[(kind, f"dim = {dim}\nshape = {shape}\n", "shape")                # the whole box: N = D
+      for kind in ("spectra", "positivity", "extension")
+      for dim, shape in WHOLE_BOX],
 ])
 def test_resource_guard_names_the_field(tmp_path, capsys, kind, text, field):
     path = tmp_path / "big.cfg"
@@ -366,6 +373,24 @@ def test_resource_guard_names_the_field(tmp_path, capsys, kind, text, field):
     assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 2
     assert f"error: {field}:" in capsys.readouterr().err
     assert not list(tmp_path.glob(f"{kind}.*"))
+
+
+@pytest.mark.parametrize("dim, shape, nodes", [(1, "interval:-1,1", 127), (2, "square:2", 576)])
+def test_a_whole_box_refusal_names_the_node_count_and_the_way_out(tmp_path, capsys, dim, shape,
+                                                                   nodes):
+    path = tmp_path / "whole.cfg"
+    path.write_text(f"seed = 1\ndim = {dim}\nshape = {shape}\n")
+    assert main(["positivity", "--config", str(path), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (f"error: shape: the mask holds all {nodes} nodes of its "
+                                       "box; raise box.halfwidth or shrink the shape\n")
+
+
+@pytest.mark.parametrize("kind", ["spectra", "positivity", "extension"])
+def test_a_mask_one_node_short_of_its_box_runs(tmp_path, kind):
+    path = tmp_path / "short.cfg"
+    path.write_text("seed = 1\nshape = interval:-0.99,0.98\n")
+    assert cli._build_domain(parse_config(path.read_text())).node_count == 126
+    assert main([kind, "--config", str(path), "--out", str(tmp_path)]) == 0
 
 
 def test_box_beyond_the_old_dense_basis_cap_runs(tmp_path, capsys):
@@ -536,8 +561,8 @@ def test_extension_loop_keeps_one_finished_solution_at_a_time(monkeypatch, text)
         identity_checks.append((sol.s, alive()))
         return check(sol)
 
-    monkeypatch.setattr(cli, "solve_extension", solving)
-    monkeypatch.setattr(cli, "energy_identity_check", checking)
+    monkeypatch.setattr(extension, "solve_extension", solving)
+    monkeypatch.setattr(extension, "energy_identity_check", checking)
     run(parse_config(text), kind="extension")
     assert dirichlet_starts == [[], []]
     assert identity_checks == [(s, [("navier", s)]) for s in (0.25, 0.75)]
@@ -576,8 +601,9 @@ def test_extension_report_matches_the_navier_first_order(text):
         ident = extension.energy_identity_check(navier)
         order = extension.extension_ordering_check(
             navier, extension.solve_extension(u, dom, "dirichlet", s, mesh))
-        expected.append([s, *ident, *order])
-    rows, checks = cli._run_extension(cfg)
+        expected.append([*ident.rows[0].tolist(), *order.rows[0].tolist()[1:]])
+    report = run(cfg, kind="extension")
+    rows, checks = report.rows, report.checks
     assert [_bits(row) for row in rows.tolist()] == [_bits(row) for row in expected]
     assert [c.name for c in checks] == [f"{name}[s={s:g}]" for s in cfg.s_values
                                         for name in ("energy_identity", "ordering_lattice",
@@ -585,23 +611,24 @@ def test_extension_report_matches_the_navier_first_order(text):
     assert _bits(c.margin for c in checks) == _bits(v for row in expected for v in row[3:])
 
 
-@pytest.mark.parametrize("kind, text, work, message", [
-    ("extension", "s.values = 0.25,0.5,0.75,1\n", "solve_extension",
+@pytest.mark.parametrize("kind, text, module, work, message", [
+    ("extension", "s.values = 0.25,0.5,0.75,1\n", extension, "solve_extension",
      r"extension experiment needs s strictly inside \(0, 1\)"),
-    ("extension", "s.values = 0.5,0.01\n", "solve_extension",
+    ("extension", "s.values = 0.5,0.01\n", extension, "solve_extension",
      r"extension.grading: the mesh of s = 0.01, grading 150.1 and 64 layers is too steep"),
-    ("sobolev", "s.values = 0.1,0.2,0.3,0.6\n", "_sobolev_quotient",
+    ("sobolev", "s.values = 0.1,0.2,0.3,0.6\n", analysis, "_fft_quotient",
      r"sobolev experiment requires dim > 2s, got dim=1, s=0.6;"),
 ], ids=["extension", "extension-steep-mesh", "sobolev"])
-def test_refused_exponents_are_refused_before_any_work(monkeypatch, kind, text, work, message):
+def test_refused_exponents_are_refused_before_any_work(monkeypatch, kind, text, module, work,
+                                                       message):
     calls = []
-    original = getattr(cli, work)
+    original = getattr(module, work)
 
     def counting(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, work, counting)
+    monkeypatch.setattr(module, work, counting)
     with pytest.raises(ConfigError, match=message):
         run(parse_config("seed = 1\n" + text), kind=kind)
     assert calls == []
@@ -676,14 +703,15 @@ def test_positivity_reads_neither_the_seed_nor_the_trials(tmp_path, capsys, dim)
 
 
 def _mutated_difference(monkeypatch, mutate):
-    """Make cli's N - D pass through ``mutate`` (a function of a writable copy)."""
-    original = cli.difference_operator
+    """Make the N - D that positivity_check reads pass through ``mutate`` (a function of a
+    writable copy)."""
+    original = operators.difference_operator
 
     def mutated(domain, s):
         diff = np.array(original(domain, s))
         return linalg.sym_matrix(mutate(diff))
 
-    monkeypatch.setattr(cli, "difference_operator", mutated)
+    monkeypatch.setattr(operators, "difference_operator", mutated)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -145,19 +145,20 @@ def test_energy_identity_half_exponent(unit_interval):
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
     chk = energy_identity_check(solve_extension(u, dom, "navier", 0.5, mesh))
+    (row,) = chk.rows
     # C_s/(2s) = 1 at s = 1/2: both sides approximate pi/2
-    assert chk.form_value == pytest.approx(np.pi / 2.0, rel=1e-4)
-    assert chk.energy_value == pytest.approx(np.pi / 2.0, rel=1e-2)
-    assert chk.rel_gap <= 0.01
+    assert row["form_value"] == pytest.approx(np.pi / 2.0, rel=1e-4)
+    assert row["energy_value"] == pytest.approx(np.pi / 2.0, rel=1e-2)
+    assert row["rel_gap"] == chk.margins["energy_identity"] <= 0.01
 
 
 def test_energy_identity_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(16, 8.0, 2.0)
     sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
-    chk = energy_identity_check(sol)
-    assert chk.form_value == 0.0
-    assert chk.energy_value == 0.0
+    (row,) = energy_identity_check(sol).rows
+    assert row["form_value"] == 0.0
+    assert row["energy_value"] == 0.0
 
 
 def test_energy_identity_quarter_exponent_self_convergence(unit_interval):
@@ -166,7 +167,8 @@ def test_energy_identity_quarter_exponent_self_convergence(unit_interval):
     gaps = {}
     for layers in (64, 128):
         mesh = graded_mesh(layers, 8.0, 2.0)
-        gaps[layers] = energy_identity_check(solve_extension(u, dom, "navier", 0.25, mesh)).rel_gap
+        gaps[layers] = energy_identity_check(solve_extension(u, dom, "navier", 0.25, mesh)).margins[
+            "energy_identity"]
     assert gaps[64] <= 0.05
     assert gaps[128] < gaps[64]
 
@@ -175,7 +177,7 @@ def test_energy_identity_dirichlet_variant(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(96, height, 2.0)
     chk = energy_identity_check(solve_extension(u, dom, "dirichlet", 0.5, mesh))
-    assert chk.rel_gap <= 0.05
+    assert chk.margins["energy_identity"] <= 0.05
 
 
 def test_trace_limit_zero_datum(unit_interval):
@@ -246,8 +248,7 @@ def test_extension_ordering_zero_datum(embedded_interval):
     box, dom, _, height = embedded_interval
     mesh = graded_mesh(16, height, 2.0)
     chk = extension_ordering_check(*_both_variants(np.zeros(dom.node_count), dom, 0.5, mesh))
-    assert chk.lattice_min == 0.0
-    assert chk.interior_min == 0.0
+    assert chk.margins == {"ordering_lattice": 0.0, "ordering_interior": 0.0}
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
@@ -255,8 +256,9 @@ def test_extension_ordering_ground_state(embedded_interval, s):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(64, height, default_grading(s))
     chk = extension_ordering_check(*_both_variants(u, dom, s, mesh))
-    assert chk.lattice_min >= -1e-8
-    assert chk.interior_min > 0.0
+    assert chk.margins["ordering_lattice"] >= -1e-8
+    assert chk.margins["ordering_interior"] > 0.0
+    assert chk.rows.tolist() == [(s, *chk.margins.values())]
 
 
 def test_extension_ordering_rejects_signed_datum(embedded_interval):

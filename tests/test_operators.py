@@ -240,15 +240,15 @@ def test_compare_spectra_s1_margins_vanish():
     box = make_box(1, 1.0, 32)
     om = centered_interval(box, 8)
     comp = compare_spectra(om, 1.0)
-    assert np.max(np.abs(comp.margins)) <= 1e-10
+    assert np.max(np.abs(comp.rows["margin"])) <= 1e-10
 
 
 def test_compare_spectra_first_eigenvalue_dominates():
     box = make_box(1, 1.0, 64)
     om = centered_interval(box, 8)
     comp = compare_spectra(om, 0.5)
-    assert comp.margins[0] > 1e-9
-    assert comp.navier.size == comp.dirichlet.size == om.node_count
+    assert comp.rows["margin"][0] > 1e-9
+    assert comp.rows["lambda_navier"].size == comp.rows["lambda_dirichlet"].size == om.node_count
 
 
 def test_compare_spectra_margins_shrink_toward_coincidence():
@@ -258,7 +258,7 @@ def test_compare_spectra_margins_shrink_toward_coincidence():
 
     def rel_margin(domain, s):
         comp = compare_spectra(domain, s)
-        return float(np.min(comp.margins / comp.navier))
+        return float(np.min(comp.rows["margin"] / comp.rows["lambda_navier"]))
 
     m_by_s = [rel_margin(om, s) for s in (0.5, 0.9, 1.0)]
     assert m_by_s[0] > m_by_s[1] > m_by_s[2]
@@ -286,7 +286,7 @@ def test_compare_spectra_full_sweep_positive_margins(dim):
     smallest = np.inf
     for s in np.round(np.arange(0.1, 1.0, 0.1), 1):
         comp = compare_spectra(om, float(s))
-        smallest = min(smallest, float(np.min(comp.margins)))
+        smallest = min(smallest, float(np.min(comp.rows["margin"])))
     assert smallest > 1e-9
 
 
@@ -301,9 +301,9 @@ def test_compare_spectra_matches_the_dense_operators(dim, nodes, shape, params, 
     box = make_box(dim, 1.0, nodes)
     om = make_shape(box, shape, params)
     comp = compare_spectra(om, s)
-    assert np.array_equal(comp.navier, navier_operator(om, s).eigen.eigenvalues)
+    assert np.array_equal(comp.rows["lambda_navier"], navier_operator(om, s).eigen.eigenvalues)
     dense = dirichlet_operator(om, box, s).eigen.eigenvalues
-    assert np.max(np.abs(comp.dirichlet - dense) / dense) <= 1e-11
+    assert np.max(np.abs(comp.rows["lambda_dirichlet"] - dense) / dense) <= 1e-11
 
 
 @pytest.mark.parametrize("dim, nodes, shape, params", SPECTRA_CASES)
@@ -327,7 +327,7 @@ SPLIT_S = [0.02, 0.1, 0.5, 0.9]
 
 def _split_spectrum_error(om, box, s):
     whole = np.linalg.eigvalsh(dirichlet_operator(om, box, s).matrix)
-    return np.max(np.abs(compare_spectra(om, s).dirichlet - whole)) / whole[-1]
+    return np.max(np.abs(compare_spectra(om, s).rows["lambda_dirichlet"] - whole)) / whole[-1]
 
 
 @pytest.mark.parametrize("s", SPLIT_S)
@@ -446,8 +446,8 @@ def test_compare_spectra_on_a_rectangle_builds_no_eigenbasis(dim, nodes, shape, 
     for s in (0.5, 1.0):
         comp = compare_spectra(om, s)
         assert "eigen" not in vars(om)
-        assert np.array_equal(comp.navier, om.spectrum**s)
-    assert np.array_equal(comp.dirichlet, om.spectrum)
+        assert np.array_equal(comp.rows["lambda_navier"], om.spectrum**s)
+    assert np.array_equal(comp.rows["lambda_dirichlet"], om.spectrum)
 
 
 def _counting_lags(monkeypatch):
@@ -470,12 +470,12 @@ def test_reflection_split_and_its_lag_table_are_made_once_per_domain(monkeypatch
     box = make_box(dim, 1.0, nodes)
     om, twin = make_shape(box, shape, params), make_shape(box, shape, params)
     calls = _counting_lags(monkeypatch)
-    first = [compare_spectra(om, s).dirichlet for s in (0.25, 0.5, 0.75)]
+    first = [compare_spectra(om, s).rows["lambda_dirichlet"] for s in (0.25, 0.5, 0.75)]
     assert len(calls) == 1 and calls[0] < om.node_count  # one table, of the rows L + F only
     split = operators._reflection_split(om)
     assert all(not lag.flags.writeable for pair in split[1] for lag in pair)
     # a new domain gets its own split; the spectra do not depend on the cache
-    again = [compare_spectra(twin, s).dirichlet for s in (0.25, 0.5, 0.75)]
+    again = [compare_spectra(twin, s).rows["lambda_dirichlet"] for s in (0.25, 0.5, 0.75)]
     assert len(calls) == 2 and operators._reflection_split(twin) is not split
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
@@ -570,12 +570,18 @@ def test_positivity_ground_state():
 
 # -------------------------------------------------------- monotonicity check
 
+def chain_forms(inner, outer, s, u):
+    """The forms q_D(Omega), q_N(Omega') and q_N(Omega) of monotonicity_check's one row."""
+    row = monotonicity_check(inner, outer, s, u).rows[0]
+    return row["q_dirichlet"], row["q_navier_outer"], row["q_navier_inner"]
+
+
 def test_monotonicity_equal_masks_middle_equals_right():
     box = make_box(1, 1.0, 64)
     om = centered_interval(box, 8)
     rng = np.random.default_rng(3)
     u = rng.standard_normal(om.node_count)
-    q_d, q_outer, q_inner = monotonicity_check(om, om, 0.5, u)
+    q_d, q_outer, q_inner = chain_forms(om, om, 0.5, u)
     assert q_outer == pytest.approx(q_inner, rel=1e-12)
     assert q_d <= q_outer + 1e-10
 
@@ -586,7 +592,7 @@ def test_monotonicity_s1_all_equal():
     outer = centered_interval(box, 16)
     rng = np.random.default_rng(4)
     u = rng.standard_normal(inner.node_count)
-    q_d, q_outer, q_inner = monotonicity_check(inner, outer, 1.0, u)
+    q_d, q_outer, q_inner = chain_forms(inner, outer, 1.0, u)
     assert q_d == pytest.approx(q_inner, rel=1e-10)
     assert q_outer == pytest.approx(q_inner, rel=1e-10)
 
@@ -597,7 +603,7 @@ def test_monotonicity_strict_chain():
     outer = centered_interval(box, 16)
     rng = np.random.default_rng(5)
     u = rng.standard_normal(inner.node_count)
-    q_d, q_outer, q_inner = monotonicity_check(inner, outer, 0.5, u)
+    q_d, q_outer, q_inner = chain_forms(inner, outer, 0.5, u)
     assert q_d < q_outer < q_inner
 
 
@@ -619,7 +625,7 @@ def test_monotonicity_random_nested_property():
         inner, outer = random_nested_masks(box, int(rng.integers(2, 7)), int(rng.integers(8, 16)), rng)
         u = rng.standard_normal(inner.node_count)
         for s in (0.25, 0.5, 0.75):
-            q_d, q_outer, q_inner = monotonicity_check(inner, outer, s, u)
+            q_d, q_outer, q_inner = chain_forms(inner, outer, s, u)
             assert q_d <= q_outer + 1e-10
             assert q_outer <= q_inner + 1e-10
 
@@ -638,7 +644,7 @@ def test_monotonicity_and_difference_form_the_restricted_matrix_without_its_eige
         return eigendecompose(matrix, *args, **kwargs)
 
     monkeypatch.setattr(operators, "eigendecompose", counting)
-    assert monotonicity_check(inner, outer, 0.5, u)[0] == restricted.form(u)
+    assert chain_forms(inner, outer, 0.5, u)[0] == restricted.form(u)
     assert calls == []
     diff = difference_operator(inner, 0.5)
     assert np.array_equal(diff, spectral - restricted.matrix)
