@@ -33,6 +33,10 @@ report's.  Each certificate margin is a check, made by one constructor,
 :func:`_verdict`, with the tolerance and sense ``_CHECKS`` gives it:
 ``<= tol`` (a gap), ``> tol`` (a strict slack) or ``>= -tol``; a NaN margin
 fails in each.
+
+Start-up loads numpy and fraclab only, not scipy or ``numpy.random`` (which pulls in hashlib and
+OpenSSL): a ``kind = monotonicity`` config loads the generator when parsed, a config without the
+key run by that subcommand at its first draw.  The report's ``versions`` are fraclab's and numpy's.
 """
 
 from __future__ import annotations
@@ -47,8 +51,6 @@ from dataclasses import asdict, dataclass, field, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
-import numpy.random  # numpy imports it lazily; load it at start-up, not inside a run
-import scipy
 
 from . import __version__
 from .analysis import dilation_sweep, sobolev_check
@@ -211,6 +213,8 @@ def parse_config(text: str) -> ExperimentConfig:
         problems.append(f"tol.ratio_final: must be >= 1, got {cfg.tol_ratio_final}")
     if problems:
         raise ConfigError("invalid configuration:\n  " + "\n  ".join(problems))
+    if cfg.kind == "monotonicity":  # the one kind that draws: load the generator in set-up
+        import numpy.random  # noqa: F401
     return cfg
 
 
@@ -423,8 +427,7 @@ def run(cfg: ExperimentConfig, kind: str | None = None) -> ExperimentReport:
     elapsed = time.perf_counter() - start
     return ExperimentReport(kind=resolved, config={**asdict(cfg), "kind": resolved}, rows=rows,
                             checks=checks, wall_time_seconds=elapsed,
-                            versions={"fraclab": __version__, "numpy": np.__version__,
-                                      "scipy": scipy.__version__})
+                            versions={"fraclab": __version__, "numpy": np.__version__})
 
 
 def _format_cell(value) -> str:

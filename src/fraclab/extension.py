@@ -36,7 +36,7 @@ from functools import reduce
 import numpy as np
 
 from .domain import BoxGrid, SubDomain, _interval_eigenbasis, extend_by_zero
-from .operators import Certificate, _certify, _fields, dirichlet_operator, navier_operator
+from .operators import Certificate, _certify, _fields, _navier_form, dirichlet_operator
 
 __all__ = [
     "ExtensionMesh",
@@ -335,7 +335,7 @@ def energy_identity_check(sol: ExtensionSolution) -> Certificate:
     """
     s, domain = sol.s, sol.domain
     if sol.variant == "navier":
-        form = navier_operator(domain, s).form(sol.datum)
+        form = _navier_form(domain, s, sol.datum)
     else:
         form = dirichlet_operator(domain, domain.grid, s).form(sol.datum)
     rhs = extension_constant(s) / (2.0 * s) * sol.energy

@@ -138,6 +138,15 @@ def navier_operator(domain: SubDomain, s: float) -> SymOperator:
     return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=domain, s=s)
 
 
+def _navier_form(domain: SubDomain, s: float, v: np.ndarray) -> float:
+    """The spectral form h^dim sum_j lambda_j^s (q_j^T v)^2 of ``v``, read off Omega's cached
+    eigenbasis without forming A^s; at s = 1 the Laplacian's own form, as :func:`navier_operator`."""
+    if (s := _check_s(s)) == 1.0:
+        return _form(domain.laplacian, v, domain.grid)
+    c = v @ domain.eigen.eigenvectors
+    return domain.grid.h**domain.grid.dim * float(domain.eigen.eigenvalues**s @ (c * c))
+
+
 @lru_cache(maxsize=1)
 def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
     """The symbol of B^s: the cosine transform of the box spectrum to the power s.
@@ -361,8 +370,8 @@ def monotonicity_check(inner: SubDomain, outer: SubDomain, s: float,
 
     For u supported in Omega and Omega inside Omega' inside their common box
     the chain holds exactly at matrix level.  One row: the three forms and
-    both slacks; the margin (monotone_chain) is the lesser slack.  Only the
-    restricted matrix is formed for the restricted form, from the kernel.
+    both slacks; the margin (monotone_chain) is the lesser slack.  The spectral forms are read
+    off each eigenbasis (:func:`_navier_form`); only the restricted matrix is formed, from the kernel.
     """
     if inner.grid != outer.grid:
         raise ValueError(f"masks are made on different boxes: the inner one on {inner.grid}, "
@@ -373,10 +382,10 @@ def monotonicity_check(inner: SubDomain, outer: SubDomain, s: float,
     v = np.asarray(u, dtype=float)
     if v.shape != (inner.node_count,):
         raise ValueError(f"expected {inner.node_count} values on the inner mask")
-    q_inner = navier_operator(inner, s).form(v)
+    q_inner = _navier_form(inner, s, v)
     v_outer = np.zeros(outer.node_count)
     v_outer[np.searchsorted(idx_outer, idx_inner)] = v
-    q_outer = navier_operator(outer, s).form(v_outer)
+    q_outer = _navier_form(outer, s, v_outer)
     q_restricted = _form(_restricted_matrix(inner, s), v, inner.grid)
     lower, upper = q_outer - q_restricted, q_inner - q_outer
     return _certify({"monotone_chain": np.minimum(lower, upper)}, q_dirichlet=q_restricted,

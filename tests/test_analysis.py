@@ -1,8 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
+from fraclab import analysis
 from fraclab.analysis import (
     SobolevSetup,
     dilation_sweep,
@@ -13,7 +15,7 @@ from fraclab.analysis import (
     rayleigh_quotient,
     sobolev_constant_closed_form,
 )
-from fraclab.domain import GridFunction, extend_by_zero, make_box, make_shape
+from fraclab.domain import GridFunction, dilate, extend_by_zero, make_box, make_shape
 from fraclab.extension import extension_constant
 from fraclab.operators import fourier_form, navier_operator
 
@@ -257,3 +259,28 @@ def test_dilation_sweep_capacity_error():
         dilation_sweep(u, om, [0.5], [1.0, 16.0])
     with pytest.raises(ValueError):
         dilation_sweep(u, om, [0.5], [2.0, 2.0])  # not increasing
+
+
+@pytest.mark.parametrize("s", [0.0, 1.5])
+def test_dilation_sweep_refuses_an_exponent_outside_0_1(s):
+    om = make_shape(make_box(1, 4.0, 127), "interval", (-1.0, 1.0))
+    with pytest.raises(ValueError, match="fractional exponent must lie in"):
+        dilation_sweep(np.ones(om.node_count), om, [0.5, s], [1.0, 2.0])
+
+
+def test_dilation_sweep_holds_one_dilate_at_a_time(monkeypatch):
+    om = make_shape(make_box(2, 2.0, 31), "disk", (0.5,))
+    made, alive, navier_form = [], [], analysis._navier_form
+
+    def tracked(domain, alpha):
+        made.append(weakref.ref(dil := dilate(domain, alpha)))
+        return dil
+
+    def counted(domain, s, v):
+        alive.append(sum(ref() is not None for ref in made))
+        return navier_form(domain, s, v)
+
+    monkeypatch.setattr(analysis, "dilate", tracked)
+    monkeypatch.setattr(analysis, "_navier_form", counted)
+    analysis.dilation_sweep(np.abs(om.eigen.eigenvectors[:, 0]), om, [0.5, 1.0], [1.0, 1.5, 2.0])
+    assert alive == [1] * 6

@@ -78,10 +78,10 @@ def test_chain_margin_is_the_least_slack_over_the_trials(dim, nodes, grow, s):
         outer_size = inner_size + int(rng.integers(1, grow + 2))
         inner, outer = random_nested_masks(box, inner_size, outer_size, rng)
         u = rng.standard_normal(inner.node_count)
-        q_n_inner = navier_operator(inner, s).form(u)
+        q_n_inner = operators._navier_form(inner, s, u)
         v = np.zeros(outer.node_count)
         v[np.searchsorted(outer.indices, inner.indices)] = u
-        q_n_outer = navier_operator(outer, s).form(v)
+        q_n_outer = operators._navier_form(outer, s, v)
         q_d = operators._form(operators._restricted_matrix(inner, s), u, box)
         slack_lo, slack_hi = q_n_outer - q_d, q_n_inner - q_n_outer
         rows.append((s, trial, q_d, q_n_outer, q_n_inner, slack_lo, slack_hi))
@@ -166,12 +166,7 @@ def test_domination_fails_with_the_spectra_swapped(monkeypatch, tmp_path, capsys
 @pytest.mark.parametrize("dim", [1, 2])
 def test_chain_fails_with_the_operators_swapped(monkeypatch, tmp_path, capsys, dim):
     navier, restricted = operators.navier_operator, operators._restricted_matrix
-
-    def swapped_navier(domain, s):  # N's eigenbasis, so it stays positive definite, D's matrix
-        op = navier(domain, s)
-        return operators.SymOperator(matrix=restricted(domain, s), eigen=op.eigen,
-                                     kind="navier", domain=domain, s=op.s)
-
-    monkeypatch.setattr(operators, "navier_operator", swapped_navier)
+    monkeypatch.setattr(operators, "_navier_form",  # D's form where N's is read
+                        lambda domain, s, v: operators._form(restricted(domain, s), v, domain.grid))
     monkeypatch.setattr(operators, "_restricted_matrix", lambda domain, s: navier(domain, s).matrix)
     _fails_at_every_exponent(tmp_path, capsys, "monotonicity", dim, "monotone_chain")

@@ -167,14 +167,44 @@ def test_non_finite_values_are_refused(tmp_path, capsys, kind, key, value, rest)
     assert not list(tmp_path.glob(f"{kind}.*"))
 
 
-def test_cli_import_leaves_out_heavy_scipy_modules():
-    # every CLI start pays for what fraclab.cli imports
+# scipy, and numpy.random with the hashlib (OpenSSL) it pulls in, loaded in a fresh process
+_HEAVY = ("scipy", "numpy.random", "_hashlib")
+
+
+def _loaded_after(code: str, cwd: Path) -> list[str]:
     src = Path(fraclab.__file__).resolve().parents[1]
-    code = ("import sys, fraclab.cli; "
-            "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src)})
-    assert out.stdout.strip() == "[]"
+    code += f"; import json, sys; print(json.dumps(sorted(m for m in {_HEAVY!r} if m in sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=cwd,
+                         check=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("kind, dim", [(None, 0)] + [
+    (kind, dim) for kind in ("spectra", "positivity", "extension", "sweep") for dim in (1, 2)])
+def test_cli_import_leaves_out_heavy_scipy_modules(tmp_path, kind, dim):
+    # every CLI start pays for what fraclab.cli imports, and no run but monotonicity draws
+    code = "import fraclab.cli"
+    if kind is not None:
+        (tmp_path / "cfg").write_text(f"seed = 1\ndim = {dim}\n")
+        code += f"; assert fraclab.cli.main([{kind!r}, '--config', 'cfg', '--out', 'out']) == 0"
+    assert _loaded_after(code, tmp_path) == []
+    assert kind is None or (tmp_path / "out" / f"{kind}.json").exists()
+
+
+def test_a_monotonicity_config_loads_the_generator_when_parsed(tmp_path):
+    code = "import fraclab.cli; fraclab.cli.parse_config('kind = monotonicity\\nseed = 1\\n')"
+    assert _loaded_after(code, tmp_path) == ["_hashlib", "numpy.random"]
+
+
+def test_monotonicity_without_a_kind_key_writes_the_same_report(tmp_path):
+    # with the key the generator loads when the config is parsed, without it at the first draw
+    keys = "seed = 3\ndim = 2\ntrials = 4\ns.values = 0.5\n"
+    for name, text in (("keyed", "kind = monotonicity\n" + keys), ("bare", keys)):
+        (tmp_path / f"{name}.cfg").write_text(text)
+        assert main(["monotonicity", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)]) == 0
+    for report in ("monotonicity.csv", "monotonicity.json"):
+        assert (tmp_path / "keyed" / report).read_bytes() == (tmp_path / "bare" / report).read_bytes()
 
 
 def test_config_echo_round_trips_into_report():
@@ -507,6 +537,16 @@ def test_spectra_builds_no_operator_and_no_eigenvectors(monkeypatch, text, expec
                 monkeypatch.setattr(module, name, counting)
     assert run(parse_config(text), kind="spectra").all_passed
     assert calls == expected
+
+
+@pytest.mark.parametrize("kind", ["monotonicity", "extension", "sweep"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_form_experiments_read_the_spectral_form_without_its_matrix(monkeypatch, kind, dim):
+    calls, original = [], operators.spectral_power
+    monkeypatch.setattr(operators, "spectral_power",
+                        lambda *args: calls.append(args) or original(*args))
+    assert run(parse_config(f"seed = 1\ndim = {dim}\n"), kind=kind).all_passed
+    assert calls == []
 
 
 @pytest.mark.parametrize("text", ["dim = 2\n", "dim = 1\nbox.nodes = 24\n"])

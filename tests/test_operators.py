@@ -94,6 +94,25 @@ def test_navier_rejects_bad_exponent():
             navier_operator(om, s)
 
 
+NAVIER_FORM_DOMAINS = {
+    "interval": lambda: make_shape(make_box(1, 1.0, 127), "interval", (-0.25, 0.25)),
+    "square": lambda: make_shape(make_box(2, 1.0, 24), "square", (0.5,)),
+    "disk": lambda: make_shape(make_box(2, 1.0, 24), "disk", (0.5,)),
+    "lshape": lambda: make_shape(make_box(2, 1.0, 24), "lshape", (1.0,)),
+    "random": lambda: random_connected_mask(make_box(2, 1.0, 12), 30, np.random.default_rng(11)),
+}
+
+
+@pytest.mark.parametrize("name", NAVIER_FORM_DOMAINS)
+def test_navier_form_off_the_eigenbasis_matches_the_dense_operator(name):
+    dom = NAVIER_FORM_DOMAINS[name]()
+    v = np.random.default_rng(2).standard_normal(dom.node_count)
+    for s in (0.05, 0.25, 0.5, 0.75, 0.95):
+        dense = navier_operator(dom, s).form(v)
+        assert abs(operators._navier_form(dom, s, v) - dense) <= 1e-13 * abs(dense)
+    assert operators._navier_form(dom, 1.0, v) == navier_operator(dom, 1.0).form(v)  # bitwise
+
+
 def test_dirichlet_s1_coincides_exactly():
     box = make_box(1, 1.0, 32)
     om = centered_interval(box, 8)
@@ -650,6 +669,14 @@ def test_monotonicity_and_difference_form_the_restricted_matrix_without_its_eige
     assert np.array_equal(diff, spectral - restricted.matrix)
     assert not diff.flags.writeable
     assert calls == []
+
+
+@pytest.mark.parametrize("s", [0.0, 1.5])
+def test_monotonicity_refuses_an_exponent_outside_0_1(s):
+    box = make_box(1, 1.0, 64)
+    inner, outer = centered_interval(box, 8), centered_interval(box, 16)
+    with pytest.raises(ValueError, match="fractional exponent must lie in"):
+        monotonicity_check(inner, outer, s, np.ones(inner.node_count))
 
 
 def test_monotonicity_rejects_non_nested():
