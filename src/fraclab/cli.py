@@ -1,32 +1,20 @@
 """Configuration-driven experiment runner and report writer.
 
 Experiments are described by flat key-value text files with dotted
-namespaces::
+namespaces (``box.nodes = 127``): one key per :class:`ExperimentConfig`
+field, its first "_" read as "." (``_FIELDS``).  README's "Config
+reference" lists every key with its default, and a test ties that list to
+``_FIELDS``.
 
-    kind = spectra            # optional; must match the subcommand if given
-    seed = 123                # required; seeds the random inputs (monotonicity)
-    dim = 1
-    shape = interval:-0.25,0.25
-    box.halfwidth = 1.0
-    box.nodes = 127
-    s.values = 0.25,0.5,0.75
-    alpha.values = 1,1.5,2,3
-    trials = 50               # random mask pairs per exponent (monotonicity)
-    extension.layers = 64
-    extension.height = 0      # 0 -> 8 * diam(Omega)
-    extension.grading = 0     # 0 -> max(2, 3/(2s) + 0.1)
-    sobolev.pad = 2           # FFT box = pad * sampling box
-    tol.margin = 1e-9
-
-Each subcommand (spectra, positivity, monotonicity, extension, sobolev,
-sweep) runs its experiment, writes ``<kind>.csv`` and ``<kind>.json`` into
-the output directory, prints one line per asserted inequality, and exits 0
-when all assertions pass, 1 on an assertion failure, and 2 on usage or
-configuration errors.  Reports are byte-identical across reruns with the
-same config and seed (volatile fields such as wall time stay out of the
-files); every pass/fail records its numeric margin alongside the verdict.
-Positivity reads the least entry of N - D itself, so neither the seed nor
-``trials`` enters it; exponents that share a check name are refused.
+Each subcommand, one per ``EXPERIMENT_KINDS`` entry, runs its experiment,
+writes ``<kind>.csv`` and ``<kind>.json`` into the output directory, prints
+one line per asserted inequality, and exits 0 when all assertions pass, 1
+on an assertion failure, and 2 on usage or configuration errors.  Reports
+are byte-identical across reruns with the same config and seed (volatile
+fields such as wall time stay out of the files); every pass/fail records
+its numeric margin alongside the verdict.  Positivity reads the least entry
+of N - D itself, so neither the seed nor ``trials`` enters it; exponents
+that share a check name are refused.
 The runners only set up and refuse, then return per exponent the library's
 :class:`~fraclab.operators.Certificate` of the claim, whose rows become the
 report's.  Each certificate margin is a check, made by one constructor,
@@ -68,8 +56,6 @@ __all__ = [
     "write_report",
     "main",
 ]
-
-EXPERIMENT_KINDS = ("spectra", "positivity", "monotonicity", "extension", "sobolev", "sweep")
 
 # Caps on the dense objects a run builds, so a misconfigured run fails fast
 # instead of exhausting memory: the per-axis N x N sine basis of the box, the
@@ -407,6 +393,7 @@ _RUNNERS = {
     "sobolev": _run_sobolev,
     "sweep": _run_sweep,
 }
+EXPERIMENT_KINDS = tuple(_RUNNERS)
 
 
 def run(cfg: ExperimentConfig, kind: str | None = None) -> ExperimentReport:

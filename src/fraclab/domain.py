@@ -260,7 +260,8 @@ def make_box(dim: int, halfwidth: float, nodes_per_axis: int) -> BoxGrid:
 
 # Shape registry: membership tests use strict interior (open shapes), matching
 # homogeneous Dirichlet exterior values; each entry also knows its extent
-# (max |coordinate|) and how its parameters scale under dilation.
+# (max |coordinate|).  Each is given about the origin, so dilate scales all
+# of its parameters alike.
 
 def _interval_inside(coords, a, b):
     x = coords[:, 0]
@@ -283,17 +284,10 @@ def _disk_inside(coords, r):
 
 _SHAPES = {
     "interval": dict(dim=1, nparams=2, inside=_interval_inside,
-                     extent=lambda a, b: max(abs(a), abs(b)),
-                     scale=lambda alpha, a, b: (alpha * a, alpha * b)),
-    "square": dict(dim=2, nparams=1, inside=_square_inside,
-                   extent=lambda side: side / 2.0,
-                   scale=lambda alpha, side: (alpha * side,)),
-    "lshape": dict(dim=2, nparams=1, inside=_lshape_inside,
-                   extent=lambda side: side / 2.0,
-                   scale=lambda alpha, side: (alpha * side,)),
-    "disk": dict(dim=2, nparams=1, inside=_disk_inside,
-                 extent=lambda r: r,
-                 scale=lambda alpha, r: (alpha * r,)),
+                     extent=lambda a, b: max(abs(a), abs(b))),
+    "square": dict(dim=2, nparams=1, inside=_square_inside, extent=lambda side: side / 2.0),
+    "lshape": dict(dim=2, nparams=1, inside=_lshape_inside, extent=lambda side: side / 2.0),
+    "disk": dict(dim=2, nparams=1, inside=_disk_inside, extent=lambda r: r),
 }
 
 
@@ -378,9 +372,8 @@ def dilate(domain: SubDomain, alpha: float) -> SubDomain:
         raise ValueError(f"only named shapes dilate, not a {domain.shape!r} mask")
     grid = domain.grid
     h = grid.h
-    info = _SHAPES[domain.shape]
-    new_params = info["scale"](alpha, *domain.params)
-    extent = info["extent"](*new_params)
+    new_params = tuple(alpha * p for p in domain.params)
+    extent = _SHAPES[domain.shape]["extent"](*new_params)
     if extent > grid.halfwidth - h:
         needed = extent + 2.0 * h
         steps = int(np.ceil((needed - grid.halfwidth) / h))

@@ -19,8 +19,10 @@ the domain-monotonicity chain are exact here up to roundoff and can be
 tested sharply.  An FFT-based periodic multiplier form provides an
 independent cross-check of the restricted form.
 
-Quadratic forms returned by :meth:`SymOperator.form` carry the h^dim volume
-weight, so they discretize integrals.
+Quadratic forms carry the h^dim volume weight, so they discretize
+integrals: the claims read the spectral one off Omega's cached eigenbasis
+(:func:`_navier_form`) and the restricted one off its matrix (:func:`_form`),
+as does :meth:`SymOperator.form`.
 """
 
 from __future__ import annotations
@@ -331,13 +333,12 @@ def compare_spectra(domain: SubDomain, s: float) -> Certificate:
     whole matrix's trace and Frobenius norm.  Certified by :func:`_spectra_certificate`.
     """
     s = _check_s(s)
-    if s == 1.0:
+    if s == 1.0:  # D is A_Omega, whose spectrum is positive by construction
         dirichlet = domain.spectrum
     else:
         blocks, invariants = _restricted_blocks(domain, s)
         dirichlet = np.concatenate([eigenvalues(block) for block in blocks])
-    _require_positive_definite("dirichlet", np.min(dirichlet))
-    if s != 1.0:
+        _require_positive_definite("dirichlet", np.min(dirichlet))
         check_spectrum(dirichlet, *invariants)
     return _spectra_certificate(s, domain.spectrum**s, np.sort(dirichlet))
 

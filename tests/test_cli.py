@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import re
 import subprocess
 import sys
 import weakref
@@ -205,6 +206,60 @@ def test_monotonicity_without_a_kind_key_writes_the_same_report(tmp_path):
                      "--out", str(tmp_path / name)]) == 0
     for report in ("monotonicity.csv", "monotonicity.json"):
         assert (tmp_path / "keyed" / report).read_bytes() == (tmp_path / "bare" / report).read_bytes()
+
+
+# fraclab.__all__ before the package read its names off the layers
+PACKAGE_NAMES = (
+    "__version__", "BoxGrid", "SubDomain", "GridFunction", "make_box", "make_shape",
+    "parse_shape_spec", "extend_by_zero", "dilate", "EigenDecomposition", "sym_matrix",
+    "eigendecompose", "eigenvalues", "spectral_power", "Certificate", "SymOperator",
+    "navier_operator", "dirichlet_operator", "fourier_form", "difference_operator",
+    "compare_spectra", "positivity_check", "monotonicity_check", "monotone_chain",
+    "ExtensionMesh", "ExtensionSolution", "graded_mesh", "default_grading", "solve_extension",
+    "energy_identity_check", "trace_limit", "extension_ordering_check", "compare_extensions",
+    "SobolevSetup", "QuotientResult", "gamma", "extension_constant",
+    "sobolev_constant_closed_form", "extremal_function", "lp_norm", "rayleigh_quotient",
+    "sobolev_check", "minimize_quotient", "dilation_sweep",
+)
+
+
+def test_the_package_exports_each_layers_public_names():
+    layers = (domain, linalg, operators, extension, analysis)
+    assert fraclab.__all__ == ["__version__", *(name for m in layers for name in m.__all__)]
+    assert len(set(fraclab.__all__)) == len(fraclab.__all__)
+    for name in fraclab.__all__[1:]:
+        owner, = (m for m in layers if name in m.__all__)
+        assert getattr(fraclab, name) is getattr(owner, name)
+    assert set(PACKAGE_NAMES) <= set(fraclab.__all__) and len(PACKAGE_NAMES) == 44
+
+
+README = (Path(__file__).parents[1] / "README.md").read_text()
+
+
+def _readme_section(heading: str) -> list[str]:
+    """The lines of README from ``heading`` up to the next heading of any level."""
+    lines = README.split(heading + "\n", 1)[1].splitlines()
+    return lines[:next(i for i, line in enumerate(lines) if line.startswith("#"))]
+
+
+def test_readme_config_reference_lists_every_key_in_order():
+    section = _readme_section("### Config reference")
+    block = section[section.index("```ini") + 1:]
+    block = block[:block.index("```")]
+    assert [line.split("=", 1)[0].strip() for line in block] == list(cli._FIELDS)
+
+
+def test_readme_checks_table_gives_each_check_its_tolerance_and_sense():
+    senses = {"margin ≤ tol": "<= tol", "margin > tol": "> tol", "margin ≥ −tol": ">= -tol"}
+    rows = []
+    for line in _readme_section("### Checks"):
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)[1:-1]]
+        if len(cells) != 6 or not cells[1].startswith("`"):
+            continue  # prose, the header or the rule under it
+        tolerance = cells[4].strip("`")
+        rows.append((re.match(r"`(\w+)`", cells[1]).group(1), (
+            None if tolerance == "0" else tolerance.replace(".", "_", 1), senses[cells[5]])))
+    assert dict(rows) == cli._CHECKS and len(rows) == 13
 
 
 def test_config_echo_round_trips_into_report():

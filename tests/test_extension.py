@@ -7,7 +7,7 @@ from functools import reduce
 import numpy as np
 import pytest
 
-from fraclab import extension
+from fraclab import domain, extension, operators
 from fraclab.domain import _interval_eigenbasis, extend_by_zero, make_box, make_shape
 from fraclab.extension import (
     ExtensionMesh,
@@ -178,6 +178,25 @@ def test_energy_identity_dirichlet_variant(embedded_interval):
     mesh = graded_mesh(96, height, 2.0)
     chk = energy_identity_check(solve_extension(u, dom, "dirichlet", 0.5, mesh))
     assert chk.margins["energy_identity"] <= 0.05
+
+
+def test_dirichlet_energy_identity_reads_the_form_without_an_eigensolve(monkeypatch):
+    # D's form is read off its matrix; a SymOperator would factor the 120-node D to read it
+    dom = make_shape(make_box(2, 1.0, 24), "disk", (0.5,))
+    sol = solve_extension(np.ones(dom.node_count), dom, "dirichlet", 0.5,
+                          graded_mesh(64, 8.0, default_grading(0.5)))
+    sizes, original = [], operators.eigendecompose
+
+    def counting(matrix):
+        sizes.append(len(matrix))
+        return original(matrix)
+
+    for module in (domain, operators):
+        monkeypatch.setattr(module, "eigendecompose", counting)
+    form = energy_identity_check(sol).rows["form_value"][0]
+    assert sizes == []
+    monkeypatch.undo()
+    assert form == dirichlet_operator(dom, dom.grid, 0.5).form(sol.datum)
 
 
 def test_trace_limit_zero_datum(unit_interval):

@@ -185,19 +185,25 @@ def _rectangle_eigen(sd):
     return np.ascontiguousarray(lam), np.ascontiguousarray(q)
 
 
-def _dilated_shape(grid, alpha):
-    """The mask of alpha times ``_SHAPE[dim]`` on ``grid``, or None once it comes within h of a face."""
+def _dilated_shape(grid, name, params, alpha):
+    """The mask of alpha times the named shape on ``grid``, or None once it comes within h of a face."""
+    p = [alpha * v for v in params]
     if grid.dim == 1:
-        a, b = alpha * -0.4, alpha * 0.2
+        a, b = p
         if max(abs(a), abs(b)) > grid.halfwidth - grid.h:
             return None
         x = grid.axis_nodes()
         return (x > a) & (x < b)
-    half = alpha * 0.8 / 2.0
+    half = p[0] if name == "disk" else p[0] / 2.0
     if half > grid.halfwidth - grid.h:
         return None
     xx, yy = np.meshgrid(grid.axis_nodes(), grid.axis_nodes(), indexing="ij")
-    return (np.maximum(np.abs(xx), np.abs(yy)) < half).ravel()
+    if name == "disk":
+        return (np.hypot(xx, yy) < half).ravel()
+    inside = np.maximum(np.abs(xx), np.abs(yy)) < half
+    if name == "lshape":
+        inside &= ~((xx >= 0.0) & (yy <= 0.0))
+    return inside.ravel()
 
 
 # --- the comparisons ----------------------------------------------------
@@ -305,7 +311,7 @@ def test_box_analysis_and_synthesis(dim, n):
     datum = rng.standard_normal(grid.size)
     for new, old in zip(_box_analysis(datum, grid), _analysis(datum, grid)):
         _same(new, old)
-    for rows in (make_shape(grid, *_SHAPE[dim]).indices, np.arange(grid.size)):
+    for rows in (make_shape(grid, *_SHAPES[dim][0]).indices, np.arange(grid.size)):
         _check_synthesis(grid, rows, rng)
 
 
@@ -386,20 +392,25 @@ def test_rectangle_spectrum_is_its_eigenbasis_spectrum_without_the_basis(dim, n,
     assert sd.eigen.eigenvalues is lam
 
 
-# an asymmetric interval in 1D, a square in 2D: each holds a node of every box
-_SHAPE = {1: ("interval", (-0.4, 0.2)), 2: ("square", (0.8,))}
+# an asymmetric interval in 1D, a square, an L-shape and a disk in 2D: each holds a node of
+# every box but the L-shape, whose notch holds the one node of the 1-node box
+_SHAPES = {1: [("interval", (-0.4, 0.2))],
+           2: [("square", (0.8,)), ("lshape", (0.8,)), ("disk", (0.5,))]}
 DILATIONS = [(dim, n, alpha) for dim, n in BOXES for alpha in (1.0, 1.5, 2.0, 3.0)]
 
 
 @pytest.mark.parametrize("dim, n, alpha", DILATIONS, ids=_ids(DILATIONS))
 def test_named_shape_dilation(dim, n, alpha):
     grid = make_box(dim, 1.0, n)
-    om = make_shape(grid, *_SHAPE[dim])
-    expect = _dilated_shape(grid, alpha)
-    if expect is None:
-        with pytest.raises(ValueError, match="dilated shape needs box halfwidth"):
-            dilate(om, alpha)
-        return
-    dilated = dilate(om, alpha)
-    assert dilated.grid is grid and dilated.shape == om.shape
-    _same(dilated.mask, expect)
+    for name, params in _SHAPES[dim]:
+        if grid.size == 1 and name == "lshape":
+            continue
+        om = make_shape(grid, name, params)
+        expect = _dilated_shape(grid, name, params, alpha)
+        if expect is None:
+            with pytest.raises(ValueError, match="dilated shape needs box halfwidth"):
+                dilate(om, alpha)
+            continue
+        dilated = dilate(om, alpha)
+        assert dilated.grid is grid and dilated.shape == name
+        _same(dilated.mask, expect)
