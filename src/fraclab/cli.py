@@ -60,7 +60,7 @@ __all__ = [
 # Caps on the dense objects a run builds, so a misconfigured run fails fast
 # instead of exhausting memory: the per-axis N x N sine basis of the box, the
 # |Omega| x |Omega| matrices and eigenbases of every mask factored densely,
-# and the Dirichlet extension's distinct-profile lattice (<= N^dim x (layers + 1)).
+# and the extension sweep's modes x layers work (<= N^dim x (layers + 1)).
 _MAX_BASIS_NODES = 5000
 _MAX_MASK_NODES = 5000
 _MAX_EXTENSION_VALUES = 1 << 22
@@ -342,11 +342,11 @@ def _run_monotonicity(cfg: ExperimentConfig) -> list[Certificate]:
 
 
 def _run_extension(cfg: ExperimentConfig) -> list[Certificate]:
-    lattice = cfg.box_nodes**cfg.dim * (cfg.extension_layers + 1)
-    if lattice > _MAX_EXTENSION_VALUES:
-        raise ConfigError(f"extension.layers: the Dirichlet extension's distinct-profile lattice "
-                          f"could exceed {_MAX_EXTENSION_VALUES} values (box.nodes^dim * "
-                          f"(extension.layers + 1) = {lattice} bounds it); "
+    work = cfg.box_nodes**cfg.dim * (cfg.extension_layers + 1)
+    if work > _MAX_EXTENSION_VALUES:
+        raise ConfigError(f"extension.layers: the extension sweep's modes x layers work "
+                          f"could exceed {_MAX_EXTENSION_VALUES} mode-layers (box.nodes^dim * "
+                          f"(extension.layers + 1) = {work} bounds it); "
                           "reduce extension.layers or box.nodes")
     if max(cfg.s_values) >= 1.0:
         raise ConfigError("extension experiment needs s strictly inside (0, 1)")

@@ -13,14 +13,14 @@ Discretization: expand in the eigenbasis of the in-plane Laplacian (the
 energy decouples mode by mode), and solve a piecewise-linear finite element
 problem in y on a graded mesh y_k = Y (k/M)^gamma.  A mode's problem depends
 only on its in-plane eigenvalue and is linear in its datum coefficient, so
-it is solved once per distinct eigenvalue with unit datum, by a sigma sweep
-(sigma_i = phi_{i-1}/phi_i - 1, a sum of positive terms) on one layer-major
-lattice of profiles, whose energy, the discrete Dirichlet-to-Neumann map
-E_h(lam), is read off sigma_1; one pass over small blocks of layers checks
-its residual.  Both syntheses read that lattice a block of layers at a time,
-gathered into modes and scaled: the navier one through Omega's eigenvectors,
-the dirichlet one on Omega's bounding box only; both solutions hold Omega's
-nodes, and the same synthesis of c0_j E_h(lam_j) gives the co-normal trace.
+it is solved once per distinct eigenvalue with unit datum, by one sigma sweep
+(sigma_i = phi_{i-1}/phi_i - 1, a sum of positive terms) for all variants at
+hand, streamed a block of layers at a time from checkpoints; the energy, the
+discrete Dirichlet-to-Neumann map E_h(lam), is read off sigma_1, and every
+block checks its residual.  Each block is gathered into modes, scaled and
+synthesized: the navier one through Omega's eigenvectors, the dirichlet one on
+Omega's bounding box only, at Omega's nodes; the same synthesis of
+c0_j E_h(lam_j) gives the co-normal trace.
 The singular weight y^(1-2s) is integrated exactly over every cell; the
 in-plane stiffness term uses the layer-lumped cell weights, which keeps the
 assembled system an M-matrix: the discrete maximum principle, and with it
@@ -167,76 +167,99 @@ def cell_stiffness(mesh: ExtensionMesh, s: float) -> np.ndarray:
     return k
 
 
-def _solve_modes(lam: np.ndarray, mesh: ExtensionMesh, s: float):
-    """Per-mode tridiagonal solves by a sigma sweep, vectorized over distinct eigenvalues.
+def _sweep(modes, mesh: ExtensionMesh, s: float):
+    """The unit-datum profiles phi of every set (lam, c0, synthesize) of ``modes``, streamed.
 
-    Mode j minimizes sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k c_{k+1}^2)
-    with c_0 given and c_M = 0 (M >= 4): it is c0_j times the unit-datum profile phi of its
-    distinct lam_j (exact equality), of energy c0_j^2 E_h(lam_j).  With sigma_i =
-    phi_{i-1}/phi_i - 1 the rows D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1} read k_{i-1} sigma_i
-    = k_i sigma_{i+1}/(1 + sigma_{i+1}) + lam w_i (the factor 1 at i = M - 1): no term cancels.
-    It runs backward on v_i = k_{i-1} sigma_i/k_i = lam w_i/k_i + v_{i+1}/(k_i/k_{i+1} + v_{i+1}),
-    three ufunc calls per layer on rows of the layer-major (M+1, n_distinct) lattice, then
-    phi_i = phi_{i-1}/(1 + sigma_i) forward, one call per layer; 0 < phi <= 1.  The energy is
-    the discrete Dirichlet-to-Neumann map E_h(lam) = k_0 sigma_1/(1 + sigma_1) + lam wl_0, a
-    Stieltjes continued fraction in lam tending to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).
-    Returns the lattice (row 0 ones, row M +0.0), ``inv`` (lam = unique(lam)[inv]) and E_h.
+    Mode j of a set minimizes sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k
+    c_{k+1}^2) with c_0 given and c_M = 0 (M >= 4): it is c0_j times the profile of its lam_j
+    (exact equality), of energy c0_j^2 E_h(lam_j).  With sigma_i = phi_{i-1}/phi_i - 1 the rows
+    D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1} read k_{i-1} sigma_i = k_i sigma_{i+1}/(1 +
+    sigma_{i+1}) + lam w_i (the factor 1 at i = M - 1): no term cancels.  It runs backward on
+    v_i = k_{i-1} sigma_i/k_i = lam w_i/k_i + v_{i+1}/(k_i/k_{i+1} + v_{i+1}), three ufunc calls
+    per layer on a row of the sets' distinct lam, keeping v at each block's first layer only,
+    then each block of at least _LAYER_BLOCK layers below M (all if fewer) recomputes its v
+    rows and runs phi_i = phi_{i-1}/(1 + sigma_i) forward; 0 < phi <= 1.  The energy is the
+    discrete Dirichlet-to-Neumann map E_h(lam) = k_0 sigma_1/(1 + sigma_1) + lam wl_0, tending
+    to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).  Returns each set's flux c0_j E_h(lam_j)
+    and a generator of (ks, values), values[v] the synthesis of c0_j phi[ks, lam_j] over set
+    v's modes; the last block done, each set's residual (:func:`_residual`) is held to its own
+    1e-10 max(max|D| max|phi|, 1), max|D| read off its extreme lam (w_i > 0).
     """
     m = mesh.layers
     _, w_left, w_right = _cell_weights(mesh.y, s)
     k = cell_stiffness(mesh, s)
-    lam_u, inv = np.unique(lam, return_inverse=True)
-    phi = np.empty((m + 1, lam_u.size))
-    phi[0], phi[m] = 1.0, 0.0
-    # interior row i holds v_i, then 1 + sigma_i, then phi_i; one broadcast operand per
-    # ufunc call, since each such operand costs a buffer of up to 64 KB
-    phi[1:m] = lam_u
-    phi[1:m] *= ((w_right[:-1] + w_left[1:]) / k[1:])[:, None]
-    phi[m - 1] += 1.0  # phi_M = 0: sigma_M is infinite
-    rows, tmp = list(phi), np.empty(lam_u.size)
-    for i in range(m - 2, 0, -1):
-        np.add(rows[i + 1], k[i] / k[i + 1], out=tmp)
-        np.divide(rows[i + 1], tmp, out=tmp)
-        rows[i] += tmp
-    e_unit = k[0] * rows[1] / (k[0] / k[1] + rows[1]) + lam_u * w_left[0]
-    phi[1:m] *= (k[1:] / k[:-1])[:, None]
-    phi[1:m] += 1.0
-    for i in range(1, m):
-        np.divide(rows[i - 1], rows[i], out=rows[i])
-    del rows, tmp  # before the residual pass's buffer
-    _residual_check(phi, lam_u, k, w_left, w_right)
-    return phi, inv, e_unit
+    wsum = w_right[:-1] + w_left[1:]
+    c, g = wsum / k[1:], k[1:] / k[:-1]  # at i - 1: layer i's factor of lam, and k_i/k_{i-1}
+    lam, inv = np.unique(np.concatenate([mode[0] for mode in modes]), return_inverse=True)
+    invs = np.split(inv, np.cumsum([mode[0].size for mode in modes])[:-1])
+    blocks = max(m // _LAYER_BLOCK, 1)
+    edges = [m * b // blocks for b in range(blocks + 1)]
+    # block b holds layers a <= i < e; buf[t] holds its layer a - 1 + t, up to layer e
+    buf = np.empty((max(np.diff(edges)) + 2, lam.size))
+    tops, tmp = np.empty((blocks, lam.size)), np.empty(lam.size)  # tops[b] = v_e
+
+    def backward(b):  # v_i into buf[i - a + 1] for a <= i < e, from v_e; phi_0 = 1 at i = 0
+        a, e = edges[b], edges[b + 1]
+        lo, buf[1] = max(a, 1), 1.0
+        np.multiply.outer(c[lo - 1:e - 1], lam, out=buf[lo - a + 1:e - a + 1])
+        if e == m:
+            buf[m - a] += 1.0  # phi_M = 0: sigma_M is infinite
+        buf[e - a + 1] = 0.0 if e == m else tops[b]
+        for i in range(min(e, m - 1) - 1, lo - 1, -1):
+            np.add(buf[i - a + 2], k[i] / k[i + 1], out=tmp)
+            np.divide(buf[i - a + 2], tmp, out=tmp)
+            buf[i - a + 1] += tmp
+
+    for b in range(blocks - 1, -1, -1):
+        backward(b)
+        tops[b - 1] = buf[1]  # tops[-1] is never read: the last block ends at phi_M
+    e_unit = k[0] * buf[2] / (k[0] / k[1] + buf[2]) + lam * w_left[0]
+
+    def stream():
+        err, phi_max = np.zeros(lam.size), np.ones(lam.size)  # phi_0 = 1
+        for b in range(blocks):
+            a, e = edges[b], edges[b + 1]
+            backward(b)
+            lo, hi = max(a, 1), min(e, m - 1)
+            sigma = buf[lo - a + 1:hi - a + 2]  # 1 + sigma_i for lo <= i <= hi
+            sigma *= g[lo - 1:hi, None]
+            sigma += 1.0
+            for t in range(lo - a + 1, hi - a + 2):
+                np.divide(buf[t - 1], buf[t], out=buf[t])
+            _residual(buf[lo - a:e - a + 2], lam, k, wsum, lo, err, phi_max)
+            values = []
+            for (_, c0, synthesize), iv in zip(modes, invs):
+                block = buf[1:e - a + 1].take(iv, axis=1)
+                block *= c0
+                values.append(synthesize(block))
+            yield slice(a, e), values
+            buf[0] = buf[e - a]  # phi_{e-1}, the next block's first neighbour
+        ksum = k[:-1] + k[1:]
+        for (lam_v, _, _), iv in zip(modes, invs):
+            d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam_v.min(), lam_v.max()])))
+            res = float(err[iv].max())
+            bound = _RESIDUAL_TOL * max(float(d_max * phi_max[iv].max()), 1.0)
+            if not res <= bound:
+                raise RuntimeError(f"extension solve residual {res!r} exceeds tolerance {bound!r}")
+
+    return [c0 * e_unit[iv] for (_, c0, _), iv in zip(modes, invs)], stream()
 
 
-def _residual_check(phi, lam, k, w_left, w_right):
-    """Check that the residual D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1} of the layer-major
-    profiles, D_i = (k_{i-1} + k_i) + w_i lam, stays within 1e-10 max(max|D| max|phi|, 1); D_i
-    is monotone in lam (w_i > 0), so max|D| is read off the least and the largest lam.  The
-    residual of an eighth of min(M - 1, _LAYER_BLOCK) layers at a time and its products go
-    into one preallocated buffer; each ufunc call broadcasts at most one operand, whose buffer
-    is transient."""
-    m = phi.shape[0] - 1
-    ksum, wsum = k[:-1] + k[1:], w_right[:-1] + w_left[1:]
-    d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam.min(), lam.max()])))
-    # np.maximum: a NaN entry propagates and fails the check
-    err, phi_max = 0.0, np.maximum(np.max(phi), -np.min(phi))
-    step = -(-min(m - 1, _LAYER_BLOCK) // 8)
-    buf = np.empty((2, step, lam.size))
-    for r0 in range(1, m, step):
-        r1 = min(r0 + step, m)
-        res, term = buf[0, :r1 - r0], buf[1, :r1 - r0]
-        res[...] = lam
-        res *= wsum[r0 - 1:r1 - 1, None]
-        res += ksum[r0 - 1:r1 - 1, None]
-        res *= phi[r0:r1]
-        np.multiply(phi[r0 - 1:r1 - 1], k[r0 - 1:r1 - 1, None], out=term)
-        res -= term
-        np.multiply(phi[r0 + 1:r1 + 1], k[r0:r1, None], out=term)
-        res -= term
-        err = np.maximum(err, np.max(np.abs(res, out=res)))
-    err, bound = float(err), _RESIDUAL_TOL * max(float(d_max * phi_max), 1.0)
-    if not err <= bound:
-        raise RuntimeError(f"extension solve residual {err!r} exceeds tolerance {bound!r}")
+def _residual(phi, lam, k, wsum, i0, err, phi_max):
+    """Raise err and phi_max, per column, to |D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}|,
+    D_i = (k_{i-1} + k_i) + w_i lam, and |phi_i| over layers i0 <= i < i0 + n of ``phi`` (layers
+    i0 - 1 to i0 + n); a NaN propagates.  Each ufunc call broadcasts at most one operand."""
+    n = len(phi) - 2
+    below, at = k[i0 - 1:i0 - 1 + n], k[i0:i0 + n]
+    res = np.multiply.outer(wsum[i0 - 1:i0 - 1 + n], lam)
+    res += (below + at)[:, None]
+    res *= phi[1:-1]
+    term = phi[:-2] * below[:, None]
+    res -= term
+    np.multiply(phi[2:], at[:, None], out=term)
+    res -= term
+    np.maximum(err, np.abs(res, out=res).max(axis=0), out=err)
+    np.maximum(phi_max, np.abs(phi[1:-1], out=term).max(axis=0), out=phi_max)
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -251,22 +274,9 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
     return reduce(np.add.outer, [lam1] * grid.dim).ravel(), coef.ravel()
 
 
-def _scaled_blocks(phi, inv, c0):
-    """Yield (ks, C) over blocks ks of at least _LAYER_BLOCK y-layers below M (all if fewer),
-    C[:, j] = c0_j phi[ks, inv_j] contiguous and layer-major; row M (w = 0) is left out."""
-    layers = phi.shape[0] - 1
-    blocks = max(layers // _LAYER_BLOCK, 1)
-    for b in range(blocks):
-        ks = slice(layers * b // blocks, layers * (b + 1) // blocks)
-        block = phi[ks].take(inv, axis=1)
-        block *= c0
-        yield ks, block
-        del block  # before the next gather
-
-
 def _box_synthesis(grid: BoxGrid, rows: np.ndarray):
-    """The synthesis at the box nodes ``rows``: a function writing into ``out`` (rows.size, L)
-    the values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k being
+    """The synthesis at the box nodes ``rows``: a function returning, as a (rows.size, L)
+    array, the values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k being
     q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of block[k] and I, J the axis
     ranges of the bounding box of ``rows``, by one batched matmul per axis."""
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
@@ -274,13 +284,36 @@ def _box_synthesis(grid: BoxGrid, rows: np.ndarray):
     lo, hi = [int(i.min()) for i in idx], [int(i.max()) + 1 for i in idx]
     local = np.ravel_multi_index([i - i0 for i, i0 in zip(idx, lo)], np.subtract(hi, lo))
 
-    def synthesize(block, out):
+    def synthesize(block):
         block = block.reshape((-1,) + grid.shape)
         for a in range(grid.dim - 1):  # the first axis: [k, i, b]
             block = np.matmul(q[lo[a]:hi[a]], block)
         block = np.matmul(block, q[lo[-1]:hi[-1]].T)  # [k, i, j]
-        out[...] = block.reshape(block.shape[0], -1)[:, local].T
+        return block.reshape(block.shape[0], -1)[:, local].T
     return synthesize
+
+
+def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh, variants):
+    """The checked datum u and each variant's (lam, c0, synthesize): its in-plane modes and their
+    synthesis, by Omega's eigenvectors (navier) or the box's sine basis (dirichlet)."""
+    if not 0.0 < s < 1.0:
+        raise ValueError(f"exponent must lie in (0, 1), got {s}")
+    if mesh.layers < 4:
+        raise ValueError(f"mesh too coarse: {mesh.layers} layers < 4")
+    vals = np.array(u, dtype=float)
+    if vals.shape != (domain.node_count,):
+        raise ValueError(f"expected {domain.node_count} boundary values, got shape {vals.shape}")
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("boundary values must be finite")
+    modes = []
+    for variant in variants:
+        if variant == "dirichlet":
+            lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
+            modes.append((lam, c0, _box_synthesis(domain.grid, domain.indices)))
+        else:
+            q = domain.eigen.eigenvectors
+            modes.append((domain.eigen.eigenvalues, q.T @ vals, lambda block, q=q: q @ block.T))
+    return vals, modes
 
 
 def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
@@ -295,34 +328,14 @@ def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
     """
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {s}")
-    if mesh.layers < 4:
-        raise ValueError(f"mesh too coarse: {mesh.layers} layers < 4")
-    vals = np.array(u, dtype=float)
-    if vals.shape != (domain.node_count,):
-        raise ValueError(f"expected {domain.node_count} boundary values, got shape {vals.shape}")
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("boundary values must be finite")
-
-    if variant == "dirichlet":
-        lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
-        synthesize = _box_synthesis(domain.grid, domain.indices)
-    else:
-        q = domain.eigen.eigenvectors
-        lam, c0 = domain.eigen.eigenvalues, q.T @ vals
-
-        def synthesize(block, out):
-            np.matmul(q, block.T, out=out)
-    phi, inv, e_unit = _solve_modes(lam, mesh, s)
+    vals, [(lam, c0, synthesize)] = _analyses(u, domain, s, mesh, [variant])
+    (flux,), blocks = _sweep([(lam, c0, synthesize)], mesh, s)
     w = np.zeros((domain.node_count, mesh.layers + 1))
-    for ks, block in _scaled_blocks(phi, inv, c0):
-        synthesize(block, w[:, ks])
-    flux, dtn = c0 * e_unit[inv], np.empty((domain.node_count, 1))
-    synthesize(flux[None], dtn)
+    for ks, (values,) in blocks:
+        w[:, ks] = values
     energy = float(domain.grid.h ** domain.grid.dim * (c0 @ flux))
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
-                             datum=vals, values=w, dtn=dtn[:, 0], energy=energy)
+                             datum=vals, values=w, dtn=synthesize(flux[None])[:, 0], energy=energy)
 
 
 def energy_identity_check(sol: ExtensionSolution) -> Certificate:
@@ -334,12 +347,15 @@ def energy_identity_check(sol: ExtensionSolution) -> Certificate:
     the y-mesh error and must shrink under simultaneous refinement.  One row:
     s, the form, the energy side and their relative gap.
     """
-    s, domain = sol.s, sol.domain
-    if sol.variant == "navier":
-        form = _navier_form(domain, s, sol.datum)
+    return _energy_identity(sol.variant, sol.domain, sol.s, sol.datum, sol.energy)
+
+
+def _energy_identity(variant, domain, s, datum, energy) -> Certificate:
+    if variant == "navier":
+        form = _navier_form(domain, s, datum)
     else:
-        form = _form(_restricted_matrix(domain, s), sol.datum, domain.grid)
-    rhs = extension_constant(s) / (2.0 * s) * sol.energy
+        form = _form(_restricted_matrix(domain, s), datum, domain.grid)
+    rhs = extension_constant(s) / (2.0 * s) * energy
     rel_gap = abs(form - rhs) / max(abs(form), 1e-300)
     return _certify({"energy_identity": rel_gap}, s=s, form_value=form, energy_value=rhs,
                     rel_gap=rel_gap)
@@ -388,16 +404,20 @@ def extension_ordering_check(navier: ExtensionSolution,
 
 def compare_extensions(u: np.ndarray, domain: SubDomain, s: float,
                        mesh: ExtensionMesh) -> Certificate:
-    """The energy identity of the navier extension of ``u`` and the ordering of both, joined.
-
-    Least memory: the dirichlet solve runs with no solution alive, and the
-    identity check with the navier solution alone.
-    """
-    dirichlet = solve_extension(u, domain, "dirichlet", s, mesh)
-    navier = solve_extension(u, domain, "navier", s, mesh)
-    order = extension_ordering_check(navier, dirichlet)
-    del dirichlet
-    ident = energy_identity_check(navier)
-    del navier
-    return _certify({**ident.margins, **order.margins},
-                    **{**_fields(ident.rows), **_fields(order.rows)})
+    """The energy identity of the navier extension of ``u`` and the ordering of both, joined,
+    bitwise as those checks read the two solutions, from one sweep of both variants: no
+    solution is formed, the ordering minima read a block of layers at a time."""
+    vals, modes = _analyses(u, domain, s, mesh, ["dirichlet", "navier"])
+    if np.any(vals < 0):
+        raise ValueError("boundary datum must be entrywise nonnegative")
+    (_, flux), blocks = _sweep(modes, mesh, s)
+    lattice, interior = 0.0, np.inf  # w = 0 at y = Y in both
+    for ks, (w_diff, w_navier) in blocks:
+        w_diff -= w_navier
+        lattice = np.minimum(lattice, w_diff.min())
+        interior = np.minimum(interior, w_diff[:, int(ks.start == 0):].min())  # not y = 0
+    energy = float(domain.grid.h ** domain.grid.dim * (modes[1][1] @ flux))
+    ident = _energy_identity("navier", domain, float(s), vals, energy)
+    return _certify({**ident.margins, "ordering_lattice": lattice, "ordering_interior": interior},
+                    **_fields(ident.rows), ordering_lattice_min=lattice,
+                    ordering_interior_min=interior)

@@ -14,7 +14,7 @@ import pytest
 
 from fraclab import operators
 from fraclab.domain import _interval_eigenbasis, extend_by_zero, make_box, make_shape
-from fraclab.extension import _solve_modes, graded_mesh, solve_extension
+from fraclab.extension import _sweep, graded_mesh, solve_extension
 from fraclab.linalg import sym_matrix
 from fraclab.operators import dirichlet_operator
 
@@ -49,9 +49,11 @@ def _dense_dirichlet_extension(u, domain, s, mesh):
     """The extension on Omega's rows and its energy, through the dense box basis."""
     lam, q = _dense_box_basis(domain.grid)
     c0 = q.T @ extend_by_zero(u, domain).values
-    phi, inv, e_unit = _solve_modes(lam, mesh, s)
-    values = q[domain.indices] @ (phi[:, inv] * c0).T
-    return values, domain.grid.h ** domain.grid.dim * float((c0**2 * e_unit[inv]).sum())
+    (flux,), blocks = _sweep([(lam, c0, lambda block: q[domain.indices] @ block.T)], mesh, s)
+    values = np.zeros((domain.node_count, mesh.layers + 1))
+    for ks, (block,) in blocks:
+        values[:, ks] = block
+    return values, domain.grid.h ** domain.grid.dim * float(c0 @ flux)
 
 
 def _rel(new, ref):

@@ -616,51 +616,25 @@ def test_sobolev_refuses_a_box_off_the_fft_lattice(tmp_path, capsys, text):
     assert not list(tmp_path.glob("sobolev.*"))
 
 
-def test_extension_solves_each_variant_once_per_exponent(monkeypatch):
-    calls = []
-    original = extension.solve_extension
-
-    def counting(u, domain, variant, s, *args, **kwargs):
-        calls.append((variant, s))
-        return original(u, domain, variant, s, *args, **kwargs)
-
-    for module in (linalg, domain, operators, extension, cli):
-        if getattr(module, "solve_extension", None) is original:
-            monkeypatch.setattr(module, "solve_extension", counting)
-    cfg = parse_config("seed = 6\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,0.75\n")
-    run(cfg, kind="extension")
-    expected = [(v, s) for v in ("navier", "dirichlet") for s in (0.25, 0.5, 0.75)]
-    assert sorted(calls) == sorted(expected)
-
-
 EXTENSION_LOOPS = ["seed = 1\ndim = 1\ns.values = 0.25,0.75\n",
                    "seed = 1\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.75\n"]
 
 
 @pytest.mark.parametrize("text", EXTENSION_LOOPS, ids=["1d", "2d"])
-def test_extension_loop_keeps_one_finished_solution_at_a_time(monkeypatch, text):
-    finished, dirichlet_starts, identity_checks = [], [], []
-    solve, check = extension.solve_extension, extension.energy_identity_check
+def test_extension_sweeps_both_variants_once_per_exponent_and_forms_no_solution(monkeypatch, text):
+    sweeps, solutions = [], []
+    sweep, check = extension._sweep, extension.ExtensionSolution.__post_init__
 
-    def alive():
-        return [(sol.variant, sol.s) for sol in (ref() for ref in finished) if sol is not None]
+    def sweeping(modes, mesh, s):
+        sweeps.append((len(modes), s))
+        return sweep(modes, mesh, s)
 
-    def solving(u, domain, variant, s, mesh):
-        if variant == "dirichlet":
-            dirichlet_starts.append(alive())
-        sol = solve(u, domain, variant, s, mesh)
-        finished.append(weakref.ref(sol))  # a WeakSet would hash the frozen arrays
-        return sol
-
-    def checking(sol):
-        identity_checks.append((sol.s, alive()))
-        return check(sol)
-
-    monkeypatch.setattr(extension, "solve_extension", solving)
-    monkeypatch.setattr(extension, "energy_identity_check", checking)
+    monkeypatch.setattr(extension, "_sweep", sweeping)
+    monkeypatch.setattr(extension.ExtensionSolution, "__post_init__",
+                        lambda sol: solutions.append(sol.variant) or check(sol))
     run(parse_config(text), kind="extension")
-    assert dirichlet_starts == [[], []]
-    assert identity_checks == [(s, [("navier", s)]) for s in (0.25, 0.75)]
+    assert sweeps == [(2, 0.25), (2, 0.75)]
+    assert solutions == []
 
 
 def test_a_spectra_run_leaves_no_domain_alive(monkeypatch):
@@ -707,9 +681,9 @@ def test_extension_report_matches_the_navier_first_order(text):
 
 
 @pytest.mark.parametrize("kind, text, module, work, message", [
-    ("extension", "s.values = 0.25,0.5,0.75,1\n", extension, "solve_extension",
+    ("extension", "s.values = 0.25,0.5,0.75,1\n", extension, "_sweep",
      r"extension experiment needs s strictly inside \(0, 1\)"),
-    ("extension", "s.values = 0.5,0.01\n", extension, "solve_extension",
+    ("extension", "s.values = 0.5,0.01\n", extension, "_sweep",
      r"extension.grading: the mesh of s = 0.01, grading 150.1 and 64 layers is too steep"),
     ("sobolev", "s.values = 0.1,0.2,0.3,0.6\n", analysis, "_fft_quotient",
      r"sobolev experiment requires dim > 2s, got dim=1, s=0.6;"),

@@ -8,14 +8,16 @@ import numpy as np
 import pytest
 
 from fraclab import domain, extension, operators
-from fraclab.domain import _interval_eigenbasis, extend_by_zero, make_box, make_shape
+from fraclab.domain import (_interval_eigenbasis, extend_by_zero, make_box, make_shape,
+                            random_connected_mask)
 from fraclab.extension import (
+    _LAYER_BLOCK,
     ExtensionMesh,
     _box_analysis,
     _cell_weights,
-    _residual_check,
-    _solve_modes,
+    _sweep,
     cell_stiffness,
+    compare_extensions,
     default_grading,
     energy_identity_check,
     extension_constant,
@@ -406,6 +408,46 @@ def _mode_lattice(phi, inv, c0):
     return np.ascontiguousarray((phi[:, inv] * c0).T)
 
 
+def _solve_modes(lam, mesh, s):
+    """The whole-lattice sigma sweep the streamed one replaced, kept as its oracle.
+
+    The same recurrences as :func:`extension._sweep`, each a few ufunc calls over all rows of
+    the layer-major (M+1, n_distinct) lattice at once.  Returns the lattice (row 0 ones, row M
+    +0.0), ``inv`` (lam = unique(lam)[inv]) and E_h of the distinct lam.
+    """
+    m = mesh.layers
+    _, w_left, w_right = _cell_weights(mesh.y, s)
+    k = cell_stiffness(mesh, s)
+    lam_u, inv = np.unique(lam, return_inverse=True)
+    phi = np.empty((m + 1, lam_u.size))
+    phi[0], phi[m] = 1.0, 0.0
+    # interior row i holds v_i, then 1 + sigma_i, then phi_i
+    phi[1:m] = lam_u
+    phi[1:m] *= ((w_right[:-1] + w_left[1:]) / k[1:])[:, None]
+    phi[m - 1] += 1.0  # phi_M = 0: sigma_M is infinite
+    rows, tmp = list(phi), np.empty(lam_u.size)
+    for i in range(m - 2, 0, -1):
+        np.add(rows[i + 1], k[i] / k[i + 1], out=tmp)
+        np.divide(rows[i + 1], tmp, out=tmp)
+        rows[i] += tmp
+    e_unit = k[0] * rows[1] / (k[0] / k[1] + rows[1]) + lam_u * w_left[0]
+    phi[1:m] *= (k[1:] / k[:-1])[:, None]
+    phi[1:m] += 1.0
+    for i in range(1, m):
+        np.divide(rows[i - 1], rows[i], out=rows[i])
+    return phi, inv, e_unit
+
+
+def _streamed(lam, mesh, s):
+    """What :func:`_solve_modes` returns, gathered from the streamed sweep of the distinct lam."""
+    lam_u, inv = np.unique(lam, return_inverse=True)
+    (e_unit,), blocks = _sweep([(lam_u, np.ones(lam_u.size), lambda block: block)], mesh, s)
+    phi = np.zeros((mesh.layers + 1, lam_u.size))
+    for ks, (block,) in blocks:
+        phi[ks] = block
+    return phi, inv, e_unit
+
+
 @pytest.mark.parametrize("layers", [4, 5, 64, 1024])
 @pytest.mark.parametrize("s", [0.1, 0.25, 0.5, 0.75, 0.9])
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
@@ -414,7 +456,7 @@ def _mode_lattice(phi, inv, c0):
 def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant, s, layers):
     dom, u, lam, c0 = _modes(name, variant)
     mesh = graded_mesh(layers, 4.0, default_grading(s) if grading == "default" else grading)
-    phi, inv, e_unit = _solve_modes(lam, mesh, s)
+    phi, inv, e_unit = _streamed(lam, mesh, s)
     coef, energies = _mode_lattice(phi, inv, c0), c0**2 * e_unit[inv]
     ref_coef, ref_energies = _mode_major_sweep(lam, c0, mesh, s)
     # the layer-major unit profiles, one per distinct lam, obey the discrete maximum principle
@@ -458,7 +500,7 @@ def test_truncation_layer_is_positive_zero(variant):
     dom, u, lam, c0 = _modes("disk", variant)
     assert np.any(c0 < 0)  # 0.0 * c0 would give -0.0 there
     mesh = graded_mesh(16, 4.0, 2.0)
-    phi, _, _ = _solve_modes(lam, mesh, 0.5)
+    phi, _, _ = _streamed(lam, mesh, 0.5)
     sol = solve_extension(u, dom, variant, 0.5, mesh)
     assert sol.values.shape == (dom.node_count, mesh.layers + 1)  # Omega's rows, either variant
     for last in (phi[-1], sol.values[:, -1]):
@@ -483,7 +525,7 @@ def test_four_layer_sweep_matches_a_dense_solve(name, variant):
         if r < 2:
             system[r, r + 1] = -k[i]
     rhs = np.array([k[0] * c0[j], 0.0, 0.0])
-    coef = _mode_lattice(*_solve_modes(lam, mesh, s)[:2], c0)
+    coef = _mode_lattice(*_streamed(lam, mesh, s)[:2], c0)
     expected = np.linalg.solve(system, rhs)
     assert np.allclose(coef[j, 1:4], expected, rtol=1e-13, atol=0.0)
     assert coef[j, 0] == c0[j] and coef[j, 4] == 0.0
@@ -496,77 +538,123 @@ def _lattice_residual(lam, k, w_left, w_right, coef):
     return float(np.max(np.abs(res))), max(float(np.max(np.abs(diag)) * np.max(np.abs(coef))), 1.0)
 
 
+def _perturb_profiles(monkeypatch, edit):
+    """Have every block's residual read its profiles after ``edit(phi, lam, layers)``, in place:
+    phi[t] is the profile row of layer layers[t] and phi[:, c] that of lam[c]."""
+    residual = extension._residual
+
+    def perturbed(phi, lam, k, wsum, i0, *acc):
+        edit(phi, lam, range(i0 - 1, i0 + len(phi) - 1))
+        return residual(phi, lam, k, wsum, i0, *acc)
+
+    monkeypatch.setattr(extension, "_residual", perturbed)
+
+
+def _add_at(layer, lam_j, delta):
+    """A profile edit adding ``delta`` at ``layer`` of the profile of ``lam_j``."""
+    def edit(phi, lam, layers):
+        if layer in layers:
+            phi[layers.index(layer), np.searchsorted(lam, lam_j)] += delta
+    return edit
+
+
+def _stiffness(mesh, s):
+    mu, w_left, w_right = _cell_weights(mesh.y, s)
+    return mu / np.diff(mesh.y) ** 2, w_left, w_right
+
+
 @pytest.mark.parametrize("s", [0.25, 0.75])
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
-def test_residual_check_catches_a_perturbed_coefficient(variant, s):
-    _, _, lam, c0 = _modes("disk", variant)
+def test_residual_check_catches_a_perturbed_coefficient(monkeypatch, variant, s):
+    dom, u, lam, _ = _modes("disk", variant)
     mesh = graded_mesh(64, 4.0, default_grading(s))
-    mu, w_left, w_right = _cell_weights(mesh.y, s)
-    k = mu / np.diff(mesh.y) ** 2
-    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam)
-    coef = np.ascontiguousarray(_mode_major_sweep(lam, c0, mesh, s)[0].T)
-    _residual_check(coef, lam, k, w_left, w_right)
-    # row r of diag is interior layer r + 1; moving c there moves its residual by diag * delta
+    k, w_left, w_right = _stiffness(mesh, s)
+    lam_u = np.unique(lam)
+    diag = (k[:-1] + k[1:])[:, None] + np.outer(w_right[:-1] + w_left[1:], lam_u)
+    phi = _solve_modes(lam, mesh, s)[0]
+    compare_extensions(u, dom, s, mesh)  # one sweep of both variants passes
+    # row r of diag is interior layer r + 1; moving phi there moves its residual by diag * delta
     r, j = np.unravel_index(np.argmax(np.abs(diag)), diag.shape)
     tol = 1e-10
-    delta = 200.0 * tol * max(np.abs(diag).max() * np.abs(coef).max(), 1.0) / abs(diag[r, j])
-    bad = coef.copy()
+    delta = 200.0 * tol * max(np.abs(diag).max() * np.abs(phi).max(), 1.0) / abs(diag[r, j])
+    bad = phi.copy()
     bad[r + 1, j] += delta
     scale = max(np.abs(diag).max() * np.abs(bad).max(), 1.0)
     assert abs(diag[r, j]) * delta >= 100.0 * tol * scale
+    _perturb_profiles(monkeypatch, _add_at(r + 1, lam_u[j], delta))
     with pytest.raises(RuntimeError, match="residual"):
-        _residual_check(bad, lam, k, w_left, w_right)
+        compare_extensions(u, dom, s, mesh)
 
 
 @pytest.mark.parametrize("layers", [64, 1024])
 @pytest.mark.parametrize("variant", ["navier", "dirichlet"])
-def test_blocked_residual_is_the_lattice_residual_bit_for_bit(variant, layers):
-    # the blocked pass reports the error and the tolerance of the whole-lattice check exactly
-    _, _, lam, c0 = _modes("disk", variant)
+def test_blocked_residual_is_the_lattice_residual_bit_for_bit(monkeypatch, variant, layers):
+    # the streamed check reports the error and the tolerance of the whole-lattice check exactly
+    dom, u, lam, _ = _modes("disk", variant)
     mesh = graded_mesh(layers, 4.0, 2.0)
-    mu, w_left, w_right = _cell_weights(mesh.y, 0.5)
-    k = mu / np.diff(mesh.y) ** 2
-    coef = np.ascontiguousarray(_mode_major_sweep(lam, c0, mesh, 0.5)[0].T)
-    bad = coef.copy()
+    bad = _solve_modes(lam, mesh, 0.5)[0]
     bad[1] *= 1.0 + 1e-6
-    err, scale = _lattice_residual(lam, k, w_left, w_right, bad)
+    err, scale = _lattice_residual(np.unique(lam), *_stiffness(mesh, 0.5), bad)
     assert err > 1e-10 * scale
+
+    def edit(phi, lam, layers):
+        if 1 in layers:
+            phi[layers.index(1)] *= 1.0 + 1e-6
+
+    _perturb_profiles(monkeypatch, edit)
     with pytest.raises(RuntimeError) as caught:
-        _residual_check(bad, lam, k, w_left, w_right)
+        solve_extension(u, dom, variant, 0.5, mesh)
     assert str(caught.value) == (f"extension solve residual {err!r} "
                                  f"exceeds tolerance {1e-10 * scale!r}")
 
 
-def test_residual_check_catches_a_nan_entry():
+def test_residual_check_catches_a_nan_entry(monkeypatch):
     # a NaN fails every comparison, so it must not be dropped by the running maxima
-    _, _, lam, _ = _modes("disk", "dirichlet")
+    dom, u, lam, _ = _modes("disk", "dirichlet")
     mesh = graded_mesh(64, 4.0, 2.0)
-    mu, w_left, w_right = _cell_weights(mesh.y, 0.5)
-    k = mu / np.diff(mesh.y) ** 2
-    phi = np.ascontiguousarray(_mode_major_sweep(lam, np.ones(lam.size), mesh, 0.5)[0].T)
-    _residual_check(phi, lam, k, w_left, w_right)
-    phi[10, 3] = np.nan
+    solve_extension(u, dom, "dirichlet", 0.5, mesh)
+    _perturb_profiles(monkeypatch, _add_at(10, np.unique(lam)[3], np.nan))
     with pytest.raises(RuntimeError, match="residual"):
-        _residual_check(phi, lam, k, w_left, w_right)
+        solve_extension(u, dom, "dirichlet", 0.5, mesh)
 
 
-@pytest.mark.parametrize("variant", ["navier", "dirichlet"])
-def test_every_solve_checks_its_residual(monkeypatch, variant):
-    dom, u, lam, _ = _modes("disk", variant)
-    mesh = graded_mesh(16, 4.0, 2.0)
+def test_a_navier_residual_is_held_to_its_own_bound_in_the_joint_sweep(monkeypatch):
+    # a 4-node disk: Omega's spectrum tops out 30% below the box's, and on 16 uniform layers
+    # max|D| follows lam, so the box profiles' bound is about 30% above Omega's
+    dom = make_shape(make_box(2, 1.0, 16), "disk", (0.15,))
+    u, s, mesh = np.ones(dom.node_count), 0.5, graded_mesh(16, 4.0, 1.0)
+    k, w_left, w_right = _stiffness(mesh, s)
+    lam_d = np.unique(_box_analysis(extend_by_zero(u, dom).values, dom.grid)[0])
+    lam_n = np.unique(dom.eigen.eigenvalues)
+    phi_d = _solve_modes(lam_d, mesh, s)[0]
+    bound_d = 1e-10 * _lattice_residual(lam_d, k, w_left, w_right, phi_d)[1]
+    phi = _solve_modes(lam_n, mesh, s)[0]
+    j = int(np.flatnonzero(~np.isin(lam_n, lam_d))[-1])  # a column of Omega's alone
+    r = 8
+    diag = k[r - 1] + k[r] + (w_right[r - 1] + w_left[r]) * lam_n[j]
+    delta = math.sqrt(1e-10 * _lattice_residual(lam_n, k, w_left, w_right, phi)[1] * bound_d) / diag
+    phi[r, j] += delta
+    err, scale = _lattice_residual(lam_n, k, w_left, w_right, phi)
+    assert 1e-10 * scale < err < bound_d
+    _perturb_profiles(monkeypatch, _add_at(r, lam_n[j], delta))
+    with pytest.raises(RuntimeError) as caught:
+        compare_extensions(u, dom, s, mesh)
+    assert str(caught.value) == (f"extension solve residual {err!r} "
+                                 f"exceeds tolerance {1e-10 * scale!r}")
+
+
+@pytest.mark.parametrize("layers", [16, 129])
+def test_one_sweep_checks_every_interior_layer_once(monkeypatch, layers):
+    dom, u, lam_d, _ = _modes("disk", "dirichlet")
     seen = []
-
-    def spy(phi, lam, *args, **kwargs):
-        seen.append((phi.shape, lam.shape))
-        return _residual_check(phi, lam, *args, **kwargs)
-
-    monkeypatch.setattr(extension, "_residual_check", spy)
-    solve_extension(u, dom, variant, 0.5, mesh)
-    distinct = np.unique(lam).size
-    assert seen == [((mesh.layers + 1, distinct), (distinct,))]
-    if variant == "dirichlet":
-        # the 2D box spectrum lam_a + lam_b is symmetric in (a, b)
-        assert distinct < lam.size == dom.grid.size
+    _perturb_profiles(monkeypatch, lambda phi, lam, rows: seen.append((rows, lam)))
+    compare_extensions(u, dom, 0.5, graded_mesh(layers, 4.0, 2.0))
+    checked = [i for rows, _ in seen for i in rows[1:-1]]
+    assert checked == list(range(1, layers))
+    # one sweep over the distinct eigenvalues of both variants together
+    union = np.unique(np.concatenate([lam_d, dom.eigen.eigenvalues]))
+    assert all(np.array_equal(lam, union) for _, lam in seen)
+    assert np.unique(lam_d).size < union.size < np.unique(lam_d).size + dom.node_count
 
 
 def _dtn_constant(s):
@@ -583,27 +671,10 @@ def test_mode_energies_converge_to_the_continuum_dtn_map_at_second_order(s, grad
     gamma = default_grading(s) if grading == "default" else grading
     errors = []
     for layers in (64, 256):
-        e_unit = _solve_modes(lam, graded_mesh(layers, 8.6, gamma), s)[2]
+        e_unit = _streamed(lam, graded_mesh(layers, 8.6, gamma), s)[2]
         errors.append(np.max(np.abs(e_unit / (_dtn_constant(s) * lam**s) - 1.0)))
     order = np.log(errors[0] / errors[1]) / np.log(4.0)
     assert order >= 1.8, f"errors {errors}, observed order {order:.2f}"
-
-
-@pytest.mark.parametrize("layers", [16, 64])
-def test_mode_solve_at_few_layers_peaks_below_two_and_a_half_profile_lattices(layers):
-    # below 128 layers one block is the whole lattice: the profiles and the residual pass's
-    # block buffer take one each; numpy's transient ufunc buffers must stay below half of one
-    dom = make_shape(make_box(2, 1.0, 40), "disk", (0.5,))
-    lam, mesh = dom.eigen.eigenvalues, graded_mesh(layers, 4.0, 2.0)
-    _solve_modes(lam, mesh, 0.5)
-    tracemalloc.start()
-    try:
-        phi = _solve_modes(lam, mesh, 0.5)[0]
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert dom.node_count == 332
-    assert peak < 2.5 * phi.nbytes, f"peak {peak / phi.nbytes:.2f} lattices"
 
 
 def _solve_peak(u, dom, variant, mesh):
@@ -649,6 +720,97 @@ def test_navier_synthesis_of_degenerate_modes_matches_the_per_mode_product(s):
     u = np.random.default_rng(7).random(dom.node_count)
     mesh = graded_mesh(64, 4.0, 2.0)
     c0 = q.T @ u
-    ref = q @ _mode_lattice(*_solve_modes(lam, mesh, s)[:2], c0)  # one product per mode
+    ref = q @ _mode_lattice(*_streamed(lam, mesh, s)[:2], c0)  # one product per mode
     values = solve_extension(u, dom, "navier", s, mesh).values
     assert np.all(np.abs(values - ref) <= 64.0 * EPS * np.abs(ref).max())
+
+
+DIFFERENTIAL_CASES = {
+    "interval": (1, 63, "interval", (-0.25, 0.25)),
+    "random-1d": (1, 63, "random", 20),
+    "disk": (2, 16, "disk", (0.5,)),
+    "lshape": (2, 20, "lshape", (1.2,)),
+    "random-2d": (2, 16, "random", 40),
+}
+DIFFERENTIAL = [(name, s, layers) for name in DIFFERENTIAL_CASES for s in (0.1, 0.5, 0.9)
+                for layers in (4, 5, 63, 64, 65, 1024)]
+
+
+def _differential_case(name):
+    """A domain and a nonnegative datum on it."""
+    dim, nodes, shape, params = DIFFERENTIAL_CASES[name]
+    box = make_box(dim, 1.0, nodes)
+    if shape == "random":
+        dom = random_connected_mask(box, params, np.random.default_rng(nodes))
+    else:
+        dom = make_shape(box, shape, params)
+    return dom, np.random.default_rng(3).random(dom.node_count)
+
+
+@pytest.mark.parametrize("name, s, layers", DIFFERENTIAL)
+def test_streamed_blocks_are_the_whole_lattice_rows_bit_for_bit(name, s, layers):
+    dom, u = _differential_case(name)
+    mesh = graded_mesh(layers, 4.0, default_grading(s))
+    lams = [lam for lam, _, _ in extension._analyses(u, dom, s, mesh, ["dirichlet", "navier"])[1]]
+    fluxes, blocks = _sweep([(lam, np.ones(lam.size), lambda block: block) for lam in lams],
+                            mesh, s)
+    oracles = [_solve_modes(lam, mesh, s) for lam in lams]  # one whole lattice per variant
+    for flux, (_, inv, e_unit) in zip(fluxes, oracles):
+        assert flux.tobytes() == e_unit[inv].tobytes()
+    stops = [0]
+    for ks, values in blocks:
+        assert ks.start == stops[-1] and ks.stop - ks.start >= min(_LAYER_BLOCK, layers)
+        stops.append(ks.stop)
+        for block, (phi, inv, _) in zip(values, oracles):
+            assert block.tobytes() == phi[ks][:, inv].tobytes()
+    assert stops[-1] == layers  # row M, zero, is left out
+
+
+@pytest.mark.parametrize("name, s, layers", DIFFERENTIAL)
+def test_compare_extensions_is_the_two_solution_path_bit_for_bit(name, s, layers):
+    dom, u = _differential_case(name)
+    mesh = graded_mesh(layers, 4.0, default_grading(s))
+    cert = compare_extensions(u, dom, s, mesh)
+    navier, dirichlet = _both_variants(u, dom, s, mesh)
+    ident, order = energy_identity_check(navier), extension_ordering_check(navier, dirichlet)
+    expected = {**ident.margins, **order.margins}
+    assert [(name, m.hex()) for name, m in cert.margins.items()] == [
+        (name, m.hex()) for name, m in expected.items()]
+    assert cert.rows.dtype.names == ("s", "form_value", "energy_value", "rel_gap",
+                                     "ordering_lattice_min", "ordering_interior_min")
+    for rows in (ident.rows, order.rows):
+        for field in rows.dtype.names:
+            assert cert.rows[field].tobytes() == rows[field].tobytes()
+    # the truncation layer's zeros hold the lattice minimum at or below 0; y = 0 is not interior
+    w_diff = dirichlet.values - navier.values
+    assert cert.margins["ordering_lattice"] == min(w_diff[:, :-1].min(), 0.0)
+    assert cert.margins["ordering_interior"] == w_diff[:, 1:-1].min()
+
+
+def test_compare_extensions_peaks_below_half_a_distinct_profile_lattice():
+    # the benchmark's extension-2d solve (2D disk, 40^2 box, 1,024 layers, s = 0.5): a
+    # whole-lattice sweep held 1,025 x 803 distinct box profiles, the stream a block of layers
+    dom = make_shape(make_box(2, 1.0, 40), "disk", (0.5,))
+    u, mesh = np.abs(dom.eigen.eigenvectors[:, 0]), graded_mesh(1024, 8.0, 2.0)
+    assert np.unique(_box_analysis(extend_by_zero(u, dom).values, dom.grid)[0]).size == 803
+    lattice = (mesh.layers + 1) * 803 * 8
+    compare_extensions(u, dom, 0.5, mesh)  # the caches are warm
+    tracemalloc.start()
+    try:
+        compare_extensions(u, dom, 0.5, mesh)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < lattice / 2, f"peak {peak / lattice:.2f} lattices"
+
+
+def test_the_truncation_layer_holds_the_lattice_minimum_at_zero():
+    # a 2-node mask whose datum the box synthesis reproduces from above: W > 0 below y = Y,
+    # so only the zeros of the truncation layer set ordering_lattice, as in the solutions
+    dom = random_connected_mask(make_box(1, 1.0, 15), 2, np.random.default_rng(2))
+    u, mesh = np.ones(dom.node_count), graded_mesh(16, 4.0, 2.0)
+    navier, dirichlet = _both_variants(u, dom, 0.5, mesh)
+    assert (dirichlet.values - navier.values)[:, :-1].min() > 0.0
+    cert, order = compare_extensions(u, dom, 0.5, mesh), extension_ordering_check(navier, dirichlet)
+    assert cert.margins["ordering_lattice"] == order.margins["ordering_lattice"] == 0.0
+    assert cert.margins["ordering_interior"] == order.margins["ordering_interior"] > 0.0

@@ -26,7 +26,7 @@ from fraclab.domain import (
     make_box,
     make_shape,
 )
-from fraclab.extension import _LAYER_BLOCK, _box_analysis, _box_synthesis, _scaled_blocks
+from fraclab.extension import _LAYER_BLOCK, _box_analysis, _box_synthesis
 from fraclab.operators import (
     _lags,
     _restricted_entries,
@@ -271,10 +271,14 @@ EPS = np.finfo(float).eps
 
 
 def _synthesized(phi, inv, c0, grid, rows):
-    """The dirichlet solve's values of the modes c0_j phi[:, inv_j] on ``rows``, last layer +0.0."""
+    """The dirichlet solve's values of the modes c0_j phi[:, inv_j] on ``rows``, last layer +0.0,
+    synthesized over the sweep's blocks of layers."""
     values, synthesize = np.zeros((rows.size, phi.shape[0])), _box_synthesis(grid, rows)
-    for ks, block in _scaled_blocks(phi, inv, c0):
-        synthesize(block, values[:, ks])
+    layers = phi.shape[0] - 1
+    blocks = max(layers // _LAYER_BLOCK, 1)
+    for b in range(blocks):
+        ks = slice(layers * b // blocks, layers * (b + 1) // blocks)
+        values[:, ks] = synthesize(phi[ks].take(inv, axis=1) * c0)
     return values
 
 
