@@ -32,6 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import reduce
+from operator import imul
 
 import numpy as np
 
@@ -137,9 +138,8 @@ class ExtensionSolution:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
         if not (self.energy >= 0.0 and math.isfinite(self.energy)):
             raise ValueError(f"energy must be finite and nonnegative, got {self.energy}")
-        self.datum.flags.writeable = False
-        self.values.flags.writeable = False
-        self.dtn.flags.writeable = False
+        for array in (self.datum, self.values, self.dtn):
+            array.flags.writeable = False
 
 
 def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,7 +167,7 @@ def cell_stiffness(mesh: ExtensionMesh, s: float) -> np.ndarray:
     return k
 
 
-def _sweep(modes, mesh: ExtensionMesh, s: float):
+def _sweep(modes, mesh: ExtensionMesh, s: float, out=None):
     """The unit-datum profiles phi of every set (lam, c0, synthesize) of ``modes``, streamed.
 
     Mode j of a set minimizes sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k
@@ -176,50 +176,52 @@ def _sweep(modes, mesh: ExtensionMesh, s: float):
     D_i phi_i = k_{i-1} phi_{i-1} + k_i phi_{i+1} read k_{i-1} sigma_i = k_i sigma_{i+1}/(1 +
     sigma_{i+1}) + lam w_i (the factor 1 at i = M - 1): no term cancels.  It runs backward on
     v_i = k_{i-1} sigma_i/k_i = lam w_i/k_i + v_{i+1}/(k_i/k_{i+1} + v_{i+1}), three ufunc calls
-    per layer on a row of the sets' distinct lam, keeping v at each block's first layer only,
-    then each block of at least _LAYER_BLOCK layers below M (all if fewer) recomputes its v
-    rows and runs phi_i = phi_{i-1}/(1 + sigma_i) forward; 0 < phi <= 1.  The energy is the
-    discrete Dirichlet-to-Neumann map E_h(lam) = k_0 sigma_1/(1 + sigma_1) + lam wl_0, tending
-    to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).  Returns each set's flux c0_j E_h(lam_j)
-    and a generator of (ks, values), values[v] the synthesis of c0_j phi[ks, lam_j] over set
-    v's modes; the last block done, each set's residual (:func:`_residual`) is held to its own
-    1e-10 max(max|D| max|phi|, 1), max|D| read off its extreme lam (w_i > 0).
+    per layer on a row of the sets' distinct lam, keeping v at the first layer of each block of
+    at least _LAYER_BLOCK layers below M (one if fewer); each later block recomputes its rows
+    from there, and phi_i = phi_{i-1}/(1 + sigma_i) runs forward; 0 < phi <= 1.  E_h(lam) =
+    k_0 sigma_1/(1 + sigma_1) + lam wl_0 tends to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).
+    Returns each set's flux c0_j E_h(lam_j) and a generator of (ks, values), values[v] the
+    synthesis of c0_j phi[ks, lam_j] over set v's modes, into out[v][:, ks] if out is given;
+    then each set's residual is held to its own 1e-10 max(max|D| max|phi|, 1), w_i lam > 0.
     """
-    m = mesh.layers
+    m, k = mesh.layers, cell_stiffness(mesh, s)
     _, w_left, w_right = _cell_weights(mesh.y, s)
-    k = cell_stiffness(mesh, s)
     wsum = w_right[:-1] + w_left[1:]
     c, g = wsum / k[1:], k[1:] / k[:-1]  # at i - 1: layer i's factor of lam, and k_i/k_{i-1}
     lam, inv = np.unique(np.concatenate([mode[0] for mode in modes]), return_inverse=True)
     invs = np.split(inv, np.cumsum([mode[0].size for mode in modes])[:-1])
+    outs = out or [None] * len(modes)
     blocks = max(m // _LAYER_BLOCK, 1)
     edges = [m * b // blocks for b in range(blocks + 1)]
     # block b holds layers a <= i < e; buf[t] holds its layer a - 1 + t, up to layer e
     buf = np.empty((max(np.diff(edges)) + 2, lam.size))
-    tops, tmp = np.empty((blocks, lam.size)), np.empty(lam.size)  # tops[b] = v_e
+    tops = np.empty((blocks - 1, lam.size))  # tops[b] = v_e
 
     def backward(b):  # v_i into buf[i - a + 1] for a <= i < e, from v_e; phi_0 = 1 at i = 0
         a, e = edges[b], edges[b + 1]
         lo, buf[1] = max(a, 1), 1.0
-        np.multiply.outer(c[lo - 1:e - 1], lam, out=buf[lo - a + 1:e - a + 1])
+        buf[lo - a + 1:e - a + 1] = lam
+        buf[lo - a + 1:e - a + 1] *= c[lo - 1:e - 1, None]  # one broadcast operand per call
         if e == m:
             buf[m - a] += 1.0  # phi_M = 0: sigma_M is infinite
-        buf[e - a + 1] = 0.0 if e == m else tops[b]
+        buf[e - a + 1], tmp = 0.0 if e == m else tops[b], np.empty(lam.size)
         for i in range(min(e, m - 1) - 1, lo - 1, -1):
             np.add(buf[i - a + 2], k[i] / k[i + 1], out=tmp)
             np.divide(buf[i - a + 2], tmp, out=tmp)
             buf[i - a + 1] += tmp
 
-    for b in range(blocks - 1, -1, -1):
+    for b in range(blocks - 1, 0, -1):
         backward(b)
-        tops[b - 1] = buf[1]  # tops[-1] is never read: the last block ends at phi_M
+        tops[b - 1] = buf[1]
+    backward(0)  # and the stream starts from its rows
     e_unit = k[0] * buf[2] / (k[0] / k[1] + buf[2]) + lam * w_left[0]
 
     def stream():
         err, phi_max = np.zeros(lam.size), np.ones(lam.size)  # phi_0 = 1
         for b in range(blocks):
             a, e = edges[b], edges[b + 1]
-            backward(b)
+            if b:
+                backward(b)
             lo, hi = max(a, 1), min(e, m - 1)
             sigma = buf[lo - a + 1:hi - a + 2]  # 1 + sigma_i for lo <= i <= hi
             sigma *= g[lo - 1:hi, None]
@@ -227,17 +229,13 @@ def _sweep(modes, mesh: ExtensionMesh, s: float):
             for t in range(lo - a + 1, hi - a + 2):
                 np.divide(buf[t - 1], buf[t], out=buf[t])
             _residual(buf[lo - a:e - a + 2], lam, k, wsum, lo, err, phi_max)
-            values = []
-            for (_, c0, synthesize), iv in zip(modes, invs):
-                block = buf[1:e - a + 1].take(iv, axis=1)
-                block *= c0
-                values.append(synthesize(block))
-            yield slice(a, e), values
+            # each set's scaled block is handed over unreferenced: its synthesis frees it early
+            yield slice(a, e), [synthesize(imul(buf[1:e - a + 1].take(iv, axis=1), c0),
+                                           None if w is None else w[:, a:e])
+                                for (_, c0, synthesize), iv, w in zip(modes, invs, outs)]
             buf[0] = buf[e - a]  # phi_{e-1}, the next block's first neighbour
-        ksum = k[:-1] + k[1:]
         for (lam_v, _, _), iv in zip(modes, invs):
-            d_max = np.max(np.abs(ksum[:, None] + np.outer(wsum, [lam_v.min(), lam_v.max()])))
-            res = float(err[iv].max())
+            res, d_max = float(err[iv].max()), np.max(k[:-1] + k[1:] + wsum * lam_v.max())
             bound = _RESIDUAL_TOL * max(float(d_max * phi_max[iv].max()), 1.0)
             if not res <= bound:
                 raise RuntimeError(f"extension solve residual {res!r} exceeds tolerance {bound!r}")
@@ -248,18 +246,21 @@ def _sweep(modes, mesh: ExtensionMesh, s: float):
 def _residual(phi, lam, k, wsum, i0, err, phi_max):
     """Raise err and phi_max, per column, to |D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}|,
     D_i = (k_{i-1} + k_i) + w_i lam, and |phi_i| over layers i0 <= i < i0 + n of ``phi`` (layers
-    i0 - 1 to i0 + n); a NaN propagates.  Each ufunc call broadcasts at most one operand."""
+    i0 - 1 to i0 + n), an eighth at a time in one buffer; a NaN propagates."""
     n = len(phi) - 2
-    below, at = k[i0 - 1:i0 - 1 + n], k[i0:i0 + n]
-    res = np.multiply.outer(wsum[i0 - 1:i0 - 1 + n], lam)
-    res += (below + at)[:, None]
-    res *= phi[1:-1]
-    term = phi[:-2] * below[:, None]
-    res -= term
-    np.multiply(phi[2:], at[:, None], out=term)
-    res -= term
-    np.maximum(err, np.abs(res, out=res).max(axis=0), out=err)
-    np.maximum(phi_max, np.abs(phi[1:-1], out=term).max(axis=0), out=phi_max)
+    step = -(-n // 8)
+    scratch = np.empty((2, step, lam.size))
+    for r in range(0, n, step):
+        p, i, h = phi[r:r + step + 2], i0 + r, min(step, n - r)
+        (res, term), below, at = scratch[:, :h], k[i - 1:i - 1 + h], k[i:i + h]
+        res[...] = lam  # one broadcast operand per ufunc call: each costs a buffer
+        res *= wsum[i - 1:i - 1 + h, None]
+        res += (below + at)[:, None]
+        res *= p[1:-1]
+        res -= np.multiply(p[:-2], below[:, None], out=term)
+        res -= np.multiply(p[2:], at[:, None], out=term)
+        np.maximum(err, np.abs(res, out=res).max(axis=0), out=err)
+        np.maximum(phi_max, np.abs(p[1:-1], out=term).max(axis=0), out=phi_max)
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -275,29 +276,29 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
 
 
 def _box_synthesis(grid: BoxGrid, rows: np.ndarray):
-    """The synthesis at the box nodes ``rows``: a function returning, as a (rows.size, L)
-    array, the values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k being
-    q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of block[k] and I, J the axis
+    """The synthesis at the box nodes ``rows``: a function giving, as a (rows.size, L) array or
+    in ``out``, the values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k
+    being q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of block[k] and I, J the axis
     ranges of the bounding box of ``rows``, by one batched matmul per axis."""
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
     idx = np.unravel_index(rows, grid.shape)
     lo, hi = [int(i.min()) for i in idx], [int(i.max()) + 1 for i in idx]
     local = np.ravel_multi_index([i - i0 for i, i0 in zip(idx, lo)], np.subtract(hi, lo))
 
-    def synthesize(block):
+    def synthesize(block, out=None):
         block = block.reshape((-1,) + grid.shape)
         for a in range(grid.dim - 1):  # the first axis: [k, i, b]
             block = np.matmul(q[lo[a]:hi[a]], block)
         block = np.matmul(block, q[lo[-1]:hi[-1]].T)  # [k, i, j]
-        return block.reshape(block.shape[0], -1)[:, local].T
+        values = block.reshape(block.shape[0], -1)[:, local].T
+        return values if out is None else np.copyto(out, values)
     return synthesize
 
 
 def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh, variants):
     """The checked datum u and each variant's (lam, c0, synthesize): its in-plane modes and their
     synthesis, by Omega's eigenvectors (navier) or the box's sine basis (dirichlet)."""
-    if not 0.0 < s < 1.0:
-        raise ValueError(f"exponent must lie in (0, 1), got {s}")
+    extension_constant(s)  # refuses s outside (0, 1)
     if mesh.layers < 4:
         raise ValueError(f"mesh too coarse: {mesh.layers} layers < 4")
     vals = np.array(u, dtype=float)
@@ -312,7 +313,8 @@ def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh, v
             modes.append((lam, c0, _box_synthesis(domain.grid, domain.indices)))
         else:
             q = domain.eigen.eigenvectors
-            modes.append((domain.eigen.eigenvalues, q.T @ vals, lambda block, q=q: q @ block.T))
+            modes.append((domain.eigen.eigenvalues, q.T @ vals,
+                          lambda block, out=None, q=q: np.matmul(q, block.T, out=out)))
     return vals, modes
 
 
@@ -329,10 +331,9 @@ def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
     vals, [(lam, c0, synthesize)] = _analyses(u, domain, s, mesh, [variant])
-    (flux,), blocks = _sweep([(lam, c0, synthesize)], mesh, s)
     w = np.zeros((domain.node_count, mesh.layers + 1))
-    for ks, (values,) in blocks:
-        w[:, ks] = values
+    (flux,), blocks = _sweep([(lam, c0, synthesize)], mesh, s, [w])
+    list(blocks)  # synthesizes each block of layers straight into w
     energy = float(domain.grid.h ** domain.grid.dim * (c0 @ flux))
     return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
                              datum=vals, values=w, dtn=synthesize(flux[None])[:, 0], energy=energy)
@@ -351,10 +352,8 @@ def energy_identity_check(sol: ExtensionSolution) -> Certificate:
 
 
 def _energy_identity(variant, domain, s, datum, energy) -> Certificate:
-    if variant == "navier":
-        form = _navier_form(domain, s, datum)
-    else:
-        form = _form(_restricted_matrix(domain, s), datum, domain.grid)
+    form = (_navier_form(domain, s, datum) if variant == "navier"
+            else _form(_restricted_matrix(domain, s), datum, domain.grid))
     rhs = extension_constant(s) / (2.0 * s) * energy
     rel_gap = abs(form - rhs) / max(abs(form), 1e-300)
     return _certify({"energy_identity": rel_gap}, s=s, form_value=form, energy_value=rhs,
@@ -394,11 +393,19 @@ def extension_ordering_check(navier: ExtensionSolution,
         raise ValueError("the two solutions were solved on different y-meshes")
     if not np.array_equal(navier.datum, dirichlet.datum):
         raise ValueError("the two solutions have different data")
-    if np.any(navier.datum < 0):
+    return _ordering(navier.datum, navier.s, [(dirichlet.values - navier.values)[:, :-1]])
+
+
+def _ordering(datum, s, blocks) -> Certificate:
+    """The ordering certificate of a datum u >= 0 at s off blocks W = w_dirichlet - w_navier of
+    the layers from y = 0 up to Y, exclusive (W = 0 there); y = 0 is not interior."""
+    if np.any(datum < 0):
         raise ValueError("boundary datum must be entrywise nonnegative")
-    w_diff = dirichlet.values - navier.values
-    lattice, interior = w_diff.min(), w_diff[:, 1:-1].min()
-    return _certify({"ordering_lattice": lattice, "ordering_interior": interior}, s=navier.s,
+    lattice, interior = 0.0, np.inf
+    for b, w_diff in enumerate(blocks):
+        lattice = np.minimum(lattice, w_diff.min())
+        interior = np.minimum(interior, w_diff[:, int(b == 0):].min())
+    return _certify({"ordering_lattice": lattice, "ordering_interior": interior}, s=s,
                     ordering_lattice_min=lattice, ordering_interior_min=interior)
 
 
@@ -408,16 +415,8 @@ def compare_extensions(u: np.ndarray, domain: SubDomain, s: float,
     bitwise as those checks read the two solutions, from one sweep of both variants: no
     solution is formed, the ordering minima read a block of layers at a time."""
     vals, modes = _analyses(u, domain, s, mesh, ["dirichlet", "navier"])
-    if np.any(vals < 0):
-        raise ValueError("boundary datum must be entrywise nonnegative")
     (_, flux), blocks = _sweep(modes, mesh, s)
-    lattice, interior = 0.0, np.inf  # w = 0 at y = Y in both
-    for ks, (w_diff, w_navier) in blocks:
-        w_diff -= w_navier
-        lattice = np.minimum(lattice, w_diff.min())
-        interior = np.minimum(interior, w_diff[:, int(ks.start == 0):].min())  # not y = 0
+    order = _ordering(vals, float(s), (np.subtract(*w, out=w[0]) for _, w in blocks))
     energy = float(domain.grid.h ** domain.grid.dim * (modes[1][1] @ flux))
     ident = _energy_identity("navier", domain, float(s), vals, energy)
-    return _certify({**ident.margins, "ordering_lattice": lattice, "ordering_interior": interior},
-                    **_fields(ident.rows), ordering_lattice_min=lattice,
-                    ordering_interior_min=interior)
+    return _certify(ident.margins | order.margins, **_fields(ident.rows) | _fields(order.rows))

@@ -49,7 +49,7 @@ def _dense_dirichlet_extension(u, domain, s, mesh):
     """The extension on Omega's rows and its energy, through the dense box basis."""
     lam, q = _dense_box_basis(domain.grid)
     c0 = q.T @ extend_by_zero(u, domain).values
-    (flux,), blocks = _sweep([(lam, c0, lambda block: q[domain.indices] @ block.T)], mesh, s)
+    (flux,), blocks = _sweep([(lam, c0, lambda block, out: q[domain.indices] @ block.T)], mesh, s)
     values = np.zeros((domain.node_count, mesh.layers + 1))
     for ks, (block,) in blocks:
         values[:, ks] = block

@@ -681,9 +681,9 @@ def test_extension_report_matches_the_navier_first_order(text):
 
 
 @pytest.mark.parametrize("kind, text, module, work, message", [
-    ("extension", "s.values = 0.25,0.5,0.75,1\n", extension, "_sweep",
+    ("extension", "s.values = 0.25,0.5,0.75,1\n", cli, "compare_extensions",
      r"extension experiment needs s strictly inside \(0, 1\)"),
-    ("extension", "s.values = 0.5,0.01\n", extension, "_sweep",
+    ("extension", "s.values = 0.5,0.01\n", cli, "compare_extensions",
      r"extension.grading: the mesh of s = 0.01, grading 150.1 and 64 layers is too steep"),
     ("sobolev", "s.values = 0.1,0.2,0.3,0.6\n", analysis, "_fft_quotient",
      r"sobolev experiment requires dim > 2s, got dim=1, s=0.6;"),
