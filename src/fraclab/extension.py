@@ -14,13 +14,14 @@ energy decouples mode by mode), and solve a piecewise-linear finite element
 problem in y on a graded mesh y_k = Y (k/M)^gamma.  A mode's problem depends
 only on its in-plane eigenvalue and is linear in its datum coefficient, so
 it is solved once per distinct eigenvalue with unit datum, by one sigma sweep
-(sigma_i = phi_{i-1}/phi_i - 1, a sum of positive terms) for all variants at
-hand, streamed a block of layers at a time from checkpoints; the energy, the
+(sigma_i = phi_{i-1}/phi_i - 1, a sum of positive terms) for both variants,
+streamed a block of layers at a time from checkpoints; the energy, the
 discrete Dirichlet-to-Neumann map E_h(lam), is read off sigma_1, and every
 block checks its residual.  Each block is gathered into modes, scaled and
 synthesized: the navier one through Omega's eigenvectors, the dirichlet one on
-Omega's bounding box only, at Omega's nodes; the same synthesis of
-c0_j E_h(lam_j) gives the co-normal trace.
+Omega's bounding box only, at Omega's nodes.  ``compare_extensions``, the
+layer's one entry point, certifies the navier energy identity and the
+ordering w_dirichlet >= w_navier of one datum this way, and forms no solution.
 The singular weight y^(1-2s) is integrated exactly over every cell; the
 in-plane stiffness term uses the layer-lumped cell weights, which keeps the
 assembled system an M-matrix: the discrete maximum principle, and with it
@@ -30,27 +31,21 @@ w_dirichlet >= w_navier for u >= 0, is exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from operator import imul
 
 import numpy as np
 
 from .domain import BoxGrid, SubDomain, _interval_eigenbasis, extend_by_zero
-from .operators import (_KINDS as VARIANTS, Certificate, _certify, _fields, _form, _navier_form,
-                        _restricted_matrix)
+from .operators import Certificate, _certify, _fields, _navier_form
 from .operators import dirichlet_operator  # noqa: F401  perfbench's tracer test wraps it here
 
 __all__ = [
     "ExtensionMesh",
-    "ExtensionSolution",
     "graded_mesh",
     "default_grading",
     "cell_stiffness",
-    "solve_extension",
-    "energy_identity_check",
-    "trace_limit",
-    "extension_ordering_check",
     "compare_extensions",
     "extension_constant",
 ]
@@ -79,10 +74,9 @@ class ExtensionMesh:
             raise ValueError("mesh needs at least two y-nodes")
         if y[0] != 0.0:
             raise ValueError("mesh must start at y = 0")
-        if np.any(np.diff(y) <= 0):
+        if not np.all(np.diff(y) > 0):  # a NaN node fails too
             raise ValueError("y-nodes must be strictly increasing")
-        if self.gamma < 1.0:
-            raise ValueError(f"grading exponent must be >= 1, got {self.gamma}")
+        _check_grading(self.gamma)
         y = y.copy()
         y.flags.writeable = False
         object.__setattr__(self, "y", y)
@@ -96,6 +90,11 @@ class ExtensionMesh:
         return float(self.y[-1])
 
 
+def _check_grading(gamma: float) -> None:
+    if not gamma >= 1.0:
+        raise ValueError(f"grading exponent must be >= 1, got {gamma}")
+
+
 def default_grading(s: float) -> float:
     """Grading exponent resolving the y^(2s) boundary layer: max(2, 3/(2s) + 0.1), just above
     the 3/(2s) of Nochetto, Otarola and Salgado (Found. Comput. Math. 15, 2015)."""
@@ -103,43 +102,14 @@ def default_grading(s: float) -> float:
 
 
 def graded_mesh(layers: int, height: float, gamma: float) -> ExtensionMesh:
-    """Graded mesh y_k = Y (k/M)^gamma with M layers."""
+    """Graded mesh y_k = Y (k/M)^gamma with M layers; Y and gamma are checked first, NaN too."""
     if layers < 1:
         raise ValueError("need at least one layer")
-    if height <= 0:
-        raise ValueError("truncation height must be positive")
+    if not 0 < height < math.inf:
+        raise ValueError("truncation height must be positive and finite")
+    _check_grading(gamma)
     k = np.arange(layers + 1, dtype=float) / layers
     return ExtensionMesh(y=height * k**gamma, gamma=float(gamma))
-
-
-@dataclass(frozen=True)
-class ExtensionSolution:
-    """Solution lattice of one extension solve, its weighted energy and its co-normal trace.
-
-    ``datum`` is the trace u on Omega's nodes exactly as given.
-    ``values[i, k]`` is w at Omega's i-th node and y-layer k, for either
-    variant.  ``values[:, 0]`` reproduces the datum to roundoff and
-    ``values[:, -1]`` is zero (truncation).  ``dtn`` is the discrete
-    Dirichlet-to-Neumann map applied to the datum, sum_j c0_j E_h(lam_j) q_j
-    on Omega's nodes, and ``energy`` is h^dim sum_j c0_j^2 E_h(lam_j).
-    """
-
-    variant: str
-    s: float
-    domain: SubDomain
-    mesh: ExtensionMesh
-    datum: np.ndarray = field(repr=False)
-    values: np.ndarray = field(repr=False)
-    dtn: np.ndarray = field(repr=False)
-    energy: float
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
-        if not (self.energy >= 0.0 and math.isfinite(self.energy)):
-            raise ValueError(f"energy must be finite and nonnegative, got {self.energy}")
-        for array in (self.datum, self.values, self.dtn):
-            array.flags.writeable = False
 
 
 def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -167,7 +137,7 @@ def cell_stiffness(mesh: ExtensionMesh, s: float) -> np.ndarray:
     return k
 
 
-def _sweep(modes, mesh: ExtensionMesh, s: float, out=None):
+def _sweep(modes, mesh: ExtensionMesh, s: float):
     """The unit-datum profiles phi of every set (lam, c0, synthesize) of ``modes``, streamed.
 
     Mode j of a set minimizes sum_k mu_k ((c_{k+1}-c_k)/d_k)^2 + lam_j sum_k (wl_k c_k^2 + wr_k
@@ -181,8 +151,8 @@ def _sweep(modes, mesh: ExtensionMesh, s: float, out=None):
     from there, and phi_i = phi_{i-1}/(1 + sigma_i) runs forward; 0 < phi <= 1.  E_h(lam) =
     k_0 sigma_1/(1 + sigma_1) + lam wl_0 tends to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).
     Returns each set's flux c0_j E_h(lam_j) and a generator of (ks, values), values[v] the
-    synthesis of c0_j phi[ks, lam_j] over set v's modes, into out[v][:, ks] if out is given;
-    then each set's residual is held to its own 1e-10 max(max|D| max|phi|, 1), w_i lam > 0.
+    synthesis of c0_j phi[ks, lam_j] over set v's modes; then each set's residual is held to its
+    own 1e-10 max(max|D| max|phi|, 1), w_i lam > 0.
     """
     m, k = mesh.layers, cell_stiffness(mesh, s)
     _, w_left, w_right = _cell_weights(mesh.y, s)
@@ -190,7 +160,6 @@ def _sweep(modes, mesh: ExtensionMesh, s: float, out=None):
     c, g = wsum / k[1:], k[1:] / k[:-1]  # at i - 1: layer i's factor of lam, and k_i/k_{i-1}
     lam, inv = np.unique(np.concatenate([mode[0] for mode in modes]), return_inverse=True)
     invs = np.split(inv, np.cumsum([mode[0].size for mode in modes])[:-1])
-    outs = out or [None] * len(modes)
     blocks = max(m // _LAYER_BLOCK, 1)
     edges = [m * b // blocks for b in range(blocks + 1)]
     # block b holds layers a <= i < e; buf[t] holds its layer a - 1 + t, up to layer e
@@ -230,9 +199,8 @@ def _sweep(modes, mesh: ExtensionMesh, s: float, out=None):
                 np.divide(buf[t - 1], buf[t], out=buf[t])
             _residual(buf[lo - a:e - a + 2], lam, k, wsum, lo, err, phi_max)
             # each set's scaled block is handed over unreferenced: its synthesis frees it early
-            yield slice(a, e), [synthesize(imul(buf[1:e - a + 1].take(iv, axis=1), c0),
-                                           None if w is None else w[:, a:e])
-                                for (_, c0, synthesize), iv, w in zip(modes, invs, outs)]
+            yield slice(a, e), [synthesize(imul(buf[1:e - a + 1].take(iv, axis=1), c0))
+                                for (_, c0, synthesize), iv in zip(modes, invs)]
             buf[0] = buf[e - a]  # phi_{e-1}, the next block's first neighbour
         for (lam_v, _, _), iv in zip(modes, invs):
             res, d_max = float(err[iv].max()), np.max(k[:-1] + k[1:] + wsum * lam_v.max())
@@ -276,28 +244,28 @@ def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndar
 
 
 def _box_synthesis(grid: BoxGrid, rows: np.ndarray):
-    """The synthesis at the box nodes ``rows``: a function giving, as a (rows.size, L) array or
-    in ``out``, the values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k
-    being q1[I] C_k q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of block[k] and I, J the axis
-    ranges of the bounding box of ``rows``, by one batched matmul per axis."""
+    """The synthesis at the box nodes ``rows``: a function giving, as a (rows.size, L) array, the
+    values of L layers of box-mode coefficients ``block`` (L, N^dim), layer k being q1[I] C_k
+    q1[J]^T (q1[I] c_k in 1D), C_k the box lattice of block[k] and I, J the axis ranges of the
+    bounding box of ``rows``, by one batched matmul per axis."""
     _, q = _interval_eigenbasis(grid.nodes_per_axis, grid.h)
     idx = np.unravel_index(rows, grid.shape)
     lo, hi = [int(i.min()) for i in idx], [int(i.max()) + 1 for i in idx]
     local = np.ravel_multi_index([i - i0 for i, i0 in zip(idx, lo)], np.subtract(hi, lo))
 
-    def synthesize(block, out=None):
+    def synthesize(block):
         block = block.reshape((-1,) + grid.shape)
         for a in range(grid.dim - 1):  # the first axis: [k, i, b]
             block = np.matmul(q[lo[a]:hi[a]], block)
         block = np.matmul(block, q[lo[-1]:hi[-1]].T)  # [k, i, j]
-        values = block.reshape(block.shape[0], -1)[:, local].T
-        return values if out is None else np.copyto(out, values)
+        return block.reshape(block.shape[0], -1)[:, local].T
     return synthesize
 
 
-def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh, variants):
-    """The checked datum u and each variant's (lam, c0, synthesize): its in-plane modes and their
-    synthesis, by Omega's eigenvectors (navier) or the box's sine basis (dirichlet)."""
+def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh):
+    """The checked datum u and the dirichlet and the navier (lam, c0, synthesize), in that order:
+    each variant's in-plane modes and their synthesis, by the box's sine basis (dirichlet) or
+    Omega's eigenvectors (navier)."""
     extension_constant(s)  # refuses s outside (0, 1)
     if mesh.layers < 4:
         raise ValueError(f"mesh too coarse: {mesh.layers} layers < 4")
@@ -306,94 +274,20 @@ def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh, v
         raise ValueError(f"expected {domain.node_count} boundary values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("boundary values must be finite")
-    modes = []
-    for variant in variants:
-        if variant == "dirichlet":
-            lam, c0 = _box_analysis(extend_by_zero(vals, domain).values, domain.grid)
-            modes.append((lam, c0, _box_synthesis(domain.grid, domain.indices)))
-        else:
-            q = domain.eigen.eigenvectors
-            modes.append((domain.eigen.eigenvalues, q.T @ vals,
-                          lambda block, out=None, q=q: np.matmul(q, block.T, out=out)))
-    return vals, modes
+    q = domain.eigen.eigenvectors
+    return vals, [(*_box_analysis(extend_by_zero(vals, domain).values, domain.grid),
+                   _box_synthesis(domain.grid, domain.indices)),
+                  (domain.eigen.eigenvalues, q.T @ vals, lambda block: q @ block.T)]
 
 
-def solve_extension(u: np.ndarray, domain: SubDomain, variant: str, s: float,
-                    mesh: ExtensionMesh) -> ExtensionSolution:
-    """Minimize the weighted extension energy with trace u and w(., Y) = 0.
-
-    ``u`` holds values on Omega's nodes and Y is the mesh height.  The
-    navier variant solves on Omega's nodes with zero lateral values; the
-    dirichlet variant zero-extends u and solves over the whole box.  The
-    layers and the Dirichlet-to-Neumann map of the datum come out of one
-    synthesis: Omega's eigenvectors (navier) or the box's sine basis (dirichlet).
-    """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    vals, [(lam, c0, synthesize)] = _analyses(u, domain, s, mesh, [variant])
-    w = np.zeros((domain.node_count, mesh.layers + 1))
-    (flux,), blocks = _sweep([(lam, c0, synthesize)], mesh, s, [w])
-    list(blocks)  # synthesizes each block of layers straight into w
-    energy = float(domain.grid.h ** domain.grid.dim * (c0 @ flux))
-    return ExtensionSolution(variant=variant, s=float(s), domain=domain, mesh=mesh,
-                             datum=vals, values=w, dtn=synthesize(flux[None])[:, 0], energy=energy)
-
-
-def energy_identity_check(sol: ExtensionSolution) -> Certificate:
-    """Compare the fractional quadratic form with (C_s/2s) times the extension energy.
-
-    The form is that of ``sol.variant`` at ``sol.s`` on ``sol.domain``,
-    evaluated at the solution's datum.  The two sides agree in the
-    continuum; discretely the relative gap, the margin (energy_identity), is
-    the y-mesh error and must shrink under simultaneous refinement.  One row:
-    s, the form, the energy side and their relative gap.
-    """
-    return _energy_identity(sol.variant, sol.domain, sol.s, sol.datum, sol.energy)
-
-
-def _energy_identity(variant, domain, s, datum, energy) -> Certificate:
-    form = (_navier_form(domain, s, datum) if variant == "navier"
-            else _form(_restricted_matrix(domain, s), datum, domain.grid))
+def _energy_identity(domain, s, datum, energy) -> Certificate:
+    """The Navier form of the datum against (C_s/2s) times its extension energy: the relative gap,
+    the margin (energy_identity), is the y-mesh error.  One row: s, both sides and their gap."""
+    form = _navier_form(domain, s, datum)
     rhs = extension_constant(s) / (2.0 * s) * energy
     rel_gap = abs(form - rhs) / max(abs(form), 1e-300)
     return _certify({"energy_identity": rel_gap}, s=s, form_value=form, energy_value=rhs,
                     rel_gap=rel_gap)
-
-
-def trace_limit(sol: ExtensionSolution) -> np.ndarray:
-    """The fractional operator applied to the datum, read off the discrete DtN map.
-
-    Returns (C_s/2s) sum_j c0_j E_h(lam_j) q_j on Omega's nodes: the
-    co-normal trace of the solution, which tends to A^s u as the y-mesh is
-    refined, since (C_s/2s) d_s lam^s = lam^s.
-    """
-    return extension_constant(sol.s) / (2.0 * sol.s) * sol.dtn
-
-
-def extension_ordering_check(navier: ExtensionSolution,
-                             dirichlet: ExtensionSolution) -> Certificate:
-    """Pointwise ordering of the two extensions of one nonnegative trace.
-
-    Takes a navier and a dirichlet solution of the same domain, exponent,
-    mesh and datum u >= 0.  Its margins are the minima of
-    W = w_dirichlet - w_navier over Omega's closed y-lattice (ordering_lattice)
-    and over the interior layers 0 < y < Y (ordering_interior), and its one
-    row holds s and both.  The discrete maximum principle makes W >= 0,
-    with strict sign inside whenever u is not identically zero, up to solver
-    roundoff.
-    """
-    if (navier.variant, dirichlet.variant) != ("navier", "dirichlet"):
-        raise ValueError(f"expected a navier and a dirichlet solution, in that order, "
-                         f"got {navier.variant!r} and {dirichlet.variant!r}")
-    if navier.domain is not dirichlet.domain:
-        raise ValueError("the two solutions belong to different domains")
-    if navier.s != dirichlet.s:
-        raise ValueError(f"the two solutions have exponents {navier.s} and {dirichlet.s}")
-    if not np.array_equal(navier.mesh.y, dirichlet.mesh.y):
-        raise ValueError("the two solutions were solved on different y-meshes")
-    if not np.array_equal(navier.datum, dirichlet.datum):
-        raise ValueError("the two solutions have different data")
-    return _ordering(navier.datum, navier.s, [(dirichlet.values - navier.values)[:, :-1]])
 
 
 def _ordering(datum, s, blocks) -> Certificate:
@@ -411,12 +305,12 @@ def _ordering(datum, s, blocks) -> Certificate:
 
 def compare_extensions(u: np.ndarray, domain: SubDomain, s: float,
                        mesh: ExtensionMesh) -> Certificate:
-    """The energy identity of the navier extension of ``u`` and the ordering of both, joined,
-    bitwise as those checks read the two solutions, from one sweep of both variants: no
-    solution is formed, the ordering minima read a block of layers at a time."""
-    vals, modes = _analyses(u, domain, s, mesh, ["dirichlet", "navier"])
+    """The energy identity of the navier extension of ``u`` and the ordering of both, joined, from
+    one sweep of both variants: the navier energy is read off sigma_1, and the ordering minima
+    of W = w_dirichlet - w_navier a block of layers at a time; no solution is formed."""
+    vals, modes = _analyses(u, domain, s, mesh)
     (_, flux), blocks = _sweep(modes, mesh, s)
     order = _ordering(vals, float(s), (np.subtract(*w, out=w[0]) for _, w in blocks))
     energy = float(domain.grid.h ** domain.grid.dim * (modes[1][1] @ flux))
-    ident = _energy_identity("navier", domain, float(s), vals, energy)
+    ident = _energy_identity(domain, float(s), vals, energy)
     return _certify(ident.margins | order.margins, **_fields(ident.rows) | _fields(order.rows))

@@ -26,14 +26,7 @@ from fraclab.domain import (
     random_connected_mask,
     random_nested_masks,
 )
-from fraclab.extension import (
-    default_grading,
-    energy_identity_check,
-    extension_constant,
-    extension_ordering_check,
-    graded_mesh,
-    solve_extension,
-)
+from fraclab.extension import compare_extensions, default_grading, extension_constant, graded_mesh
 from fraclab.linalg import eigenvalues
 from fraclab.operators import (
     compare_spectra,
@@ -184,7 +177,7 @@ def test_criterion_6_extension_energy_identity():
     values = {}
     for layers in (32, 128):
         mesh = graded_mesh(layers, 8.0, default_grading(0.5))
-        chk = energy_identity_check(solve_extension(u, omega, "navier", 0.5, mesh))
+        chk = compare_extensions(u, omega, 0.5, mesh)
         gaps[layers] = chk.margins["energy_identity"]
         values[layers] = chk.rows[0]
     chk = values[128]
@@ -212,8 +205,7 @@ def test_criterion_7_extension_ordering():
     worst_interior = np.inf
     for s in (0.25, 0.5, 0.75):
         mesh = graded_mesh(64, height, default_grading(s))
-        chk = extension_ordering_check(solve_extension(u, omega, "navier", s, mesh),
-                                       solve_extension(u, omega, "dirichlet", s, mesh))
+        chk = compare_extensions(u, omega, s, mesh)
         worst_lattice = min(worst_lattice, chk.margins["ordering_lattice"])
         worst_interior = min(worst_interior, chk.margins["ordering_interior"])
     elapsed = time.perf_counter() - start

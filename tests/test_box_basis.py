@@ -11,10 +11,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from extension_lattice import solve
 
 from fraclab import operators
 from fraclab.domain import _interval_eigenbasis, extend_by_zero, make_box, make_shape
-from fraclab.extension import _sweep, graded_mesh, solve_extension
+from fraclab.extension import _sweep, graded_mesh
 from fraclab.linalg import sym_matrix
 from fraclab.operators import dirichlet_operator
 
@@ -49,7 +50,7 @@ def _dense_dirichlet_extension(u, domain, s, mesh):
     """The extension on Omega's rows and its energy, through the dense box basis."""
     lam, q = _dense_box_basis(domain.grid)
     c0 = q.T @ extend_by_zero(u, domain).values
-    (flux,), blocks = _sweep([(lam, c0, lambda block, out: q[domain.indices] @ block.T)], mesh, s)
+    (flux,), blocks = _sweep([(lam, c0, lambda block: q[domain.indices] @ block.T)], mesh, s)
     values = np.zeros((domain.node_count, mesh.layers + 1))
     for ks, (block,) in blocks:
         values[:, ks] = block
@@ -143,7 +144,7 @@ def test_dirichlet_extension_matches_dense_box_basis(name, s):
     _, dom = _case(name)
     mesh = graded_mesh(32, 8.0, 2.0)
     u = np.random.default_rng(7).random(dom.node_count)
-    sol = solve_extension(u, dom, "dirichlet", s, mesh)
+    sol = solve(u, dom, "dirichlet", s, mesh)
     values, energy = _dense_dirichlet_extension(u, dom, s, mesh)
     assert sol.values.shape == values.shape == (dom.node_count, mesh.layers + 1)
     assert _rel(sol.values, values) <= REL_TOL

@@ -6,6 +6,7 @@ from functools import reduce
 
 import numpy as np
 import pytest
+from extension_lattice import solve
 
 from fraclab import domain, extension, operators
 from fraclab.domain import (_interval_eigenbasis, extend_by_zero, make_box, make_shape,
@@ -19,14 +20,11 @@ from fraclab.extension import (
     cell_stiffness,
     compare_extensions,
     default_grading,
-    energy_identity_check,
     extension_constant,
-    extension_ordering_check,
     graded_mesh,
-    solve_extension,
-    trace_limit,
 )
-from fraclab.operators import difference_operator, dirichlet_operator, navier_operator
+from fraclab.operators import (_form, _restricted_matrix, difference_operator, dirichlet_operator,
+                               navier_operator)
 
 
 @pytest.fixture
@@ -49,8 +47,13 @@ def embedded_interval():
 
 
 def _both_variants(u, dom, s, mesh):
-    """The navier and the dirichlet solution for one datum, in that order."""
-    return tuple(solve_extension(u, dom, variant, s, mesh) for variant in ("navier", "dirichlet"))
+    """The navier and the dirichlet lattice for one datum, in that order."""
+    return tuple(solve(u, dom, variant, s, mesh) for variant in ("navier", "dirichlet"))
+
+
+def _trace_limit(u, dom, variant, s, mesh):
+    """The fractional operator applied to u, read off the DtN map: (C_s/2s) times the trace."""
+    return extension_constant(s) / (2.0 * s) * solve(u, dom, variant, s, mesh).dtn
 
 
 def test_mesh_validation():
@@ -67,6 +70,17 @@ def test_mesh_validation():
         graded_mesh(8, 4.0, 0.5)
     with pytest.raises(ValueError):
         ExtensionMesh(y=np.array([0.1, 0.5]), gamma=2.0)
+    # NaN fails every comparison, so each check asks for what holds, not for what fails
+    with pytest.raises(ValueError, match="strictly increasing"):
+        ExtensionMesh(y=np.array([0.0, np.nan, 1.0]), gamma=2.0)
+    with pytest.raises(ValueError, match="grading exponent must be >= 1, got nan"):
+        ExtensionMesh(y=np.array([0.0, 0.5, 1.0]), gamma=np.nan)
+    for height in (np.nan, np.inf):  # inf would make y_0 = inf * 0
+        with pytest.raises(ValueError, match="truncation height must be positive and finite"):
+            graded_mesh(8, height, 2.0)
+    for gamma in (np.nan, -1.0):  # refused before y = Y (k/M)^gamma divides by 0 at k = 0
+        with pytest.raises(ValueError, match=f"grading exponent must be >= 1, got {gamma}"):
+            graded_mesh(8, 4.0, gamma)
 
 
 def test_default_grading():
@@ -93,26 +107,24 @@ def test_cell_stiffness_refuses_a_mesh_too_steep_for_floating_point(s, gamma, va
         cell_stiffness(graded_mesh(64, 4.0, gamma), s)
 
 
-def test_solve_extension_zero_datum(unit_interval):
+def test_extension_of_a_zero_datum_is_zero(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(16, 8.0, 2.0)
-    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
+    sol = solve(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
     assert np.all(sol.values == 0.0)
     assert sol.energy == 0.0
 
 
-def test_solve_extension_rejects_bad_input(unit_interval):
+def test_compare_extensions_rejects_bad_input(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(16, 8.0, 2.0)
     u = np.ones(dom.node_count)
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "robin", 0.5, mesh)
+        compare_extensions(u, dom, 1.5, mesh)
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "navier", 1.5, mesh)
+        compare_extensions(u, dom, 0.5, graded_mesh(3, 8.0, 2.0))
     with pytest.raises(ValueError):
-        solve_extension(u, dom, "navier", 0.5, graded_mesh(3, 8.0, 2.0))
-    with pytest.raises(ValueError):
-        solve_extension(np.ones(3), dom, "navier", 0.5, mesh)
+        compare_extensions(np.ones(3), dom, 0.5, mesh)
 
 
 def test_half_exponent_closed_form_solution(unit_interval):
@@ -121,7 +133,7 @@ def test_half_exponent_closed_form_solution(unit_interval):
     dom, x = unit_interval
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
-    sol = solve_extension(u, dom, "navier", 0.5, mesh)
+    sol = solve(u, dom, "navier", 0.5, mesh)
     sel = (mesh.y > 0.05) & (mesh.y < 1.5)
     exact = np.outer(np.sin(np.pi * x), np.exp(-np.pi * mesh.y[sel]))
     rel = np.linalg.norm(sol.values[:, sel] - exact) / np.linalg.norm(exact)
@@ -136,7 +148,7 @@ def test_half_exponent_energy_converges_to_closed_form(unit_interval):
     errors = []
     for layers in (32, 64, 128):
         mesh = graded_mesh(layers, 8.0, 2.0)
-        sol = solve_extension(u, dom, "navier", 0.5, mesh)
+        sol = solve(u, dom, "navier", 0.5, mesh)
         errors.append(abs(sol.energy - target))
     assert errors[-1] <= 0.01 * target
     assert errors[0] > errors[1] > errors[2]
@@ -146,7 +158,7 @@ def test_energy_identity_half_exponent(unit_interval):
     dom, x = unit_interval
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
-    chk = energy_identity_check(solve_extension(u, dom, "navier", 0.5, mesh))
+    chk = compare_extensions(u, dom, 0.5, mesh)
     (row,) = chk.rows
     # C_s/(2s) = 1 at s = 1/2: both sides approximate pi/2
     assert row["form_value"] == pytest.approx(np.pi / 2.0, rel=1e-4)
@@ -157,8 +169,7 @@ def test_energy_identity_half_exponent(unit_interval):
 def test_energy_identity_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(16, 8.0, 2.0)
-    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
-    (row,) = energy_identity_check(sol).rows
+    (row,) = compare_extensions(np.zeros(dom.node_count), dom, 0.5, mesh).rows
     assert row["form_value"] == 0.0
     assert row["energy_value"] == 0.0
 
@@ -169,24 +180,28 @@ def test_energy_identity_quarter_exponent_self_convergence(unit_interval):
     gaps = {}
     for layers in (64, 128):
         mesh = graded_mesh(layers, 8.0, 2.0)
-        gaps[layers] = energy_identity_check(solve_extension(u, dom, "navier", 0.25, mesh)).margins[
-            "energy_identity"]
+        gaps[layers] = compare_extensions(u, dom, 0.25, mesh).margins["energy_identity"]
     assert gaps[64] <= 0.05
     assert gaps[128] < gaps[64]
+
+
+def _dirichlet_form(dom, s, u):
+    """D's form h^dim u^T D u, read off its matrix."""
+    return _form(_restricted_matrix(dom, s), u, dom.grid)
 
 
 def test_energy_identity_dirichlet_variant(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(96, height, 2.0)
-    chk = energy_identity_check(solve_extension(u, dom, "dirichlet", 0.5, mesh))
-    assert chk.margins["energy_identity"] <= 0.05
+    form = _dirichlet_form(dom, 0.5, u)
+    rhs = extension_constant(0.5) / (2.0 * 0.5) * solve(u, dom, "dirichlet", 0.5, mesh).energy
+    assert abs(form - rhs) / abs(form) <= 0.05
 
 
 def test_dirichlet_energy_identity_reads_the_form_without_an_eigensolve(monkeypatch):
     # D's form is read off its matrix; a SymOperator would factor the 120-node D to read it
     dom = make_shape(make_box(2, 1.0, 24), "disk", (0.5,))
-    sol = solve_extension(np.ones(dom.node_count), dom, "dirichlet", 0.5,
-                          graded_mesh(64, 8.0, default_grading(0.5)))
+    u = np.ones(dom.node_count)
     sizes, original = [], operators.eigendecompose
 
     def counting(matrix):
@@ -195,17 +210,16 @@ def test_dirichlet_energy_identity_reads_the_form_without_an_eigensolve(monkeypa
 
     for module in (domain, operators):
         monkeypatch.setattr(module, "eigendecompose", counting)
-    form = energy_identity_check(sol).rows["form_value"][0]
+    form = _dirichlet_form(dom, 0.5, u)
     assert sizes == []
     monkeypatch.undo()
-    assert form == dirichlet_operator(dom, dom.grid, 0.5).form(sol.datum)
+    assert form == dirichlet_operator(dom, dom.grid, 0.5).form(u)
 
 
 def test_trace_limit_zero_datum(unit_interval):
     dom, _ = unit_interval
     mesh = graded_mesh(32, 8.0, 2.0)
-    sol = solve_extension(np.zeros(dom.node_count), dom, "navier", 0.5, mesh)
-    assert np.all(trace_limit(sol) == 0.0)
+    assert np.all(_trace_limit(np.zeros(dom.node_count), dom, "navier", 0.5, mesh) == 0.0)
 
 
 def test_trace_limit_half_exponent_closed_form(unit_interval):
@@ -213,8 +227,7 @@ def test_trace_limit_half_exponent_closed_form(unit_interval):
     dom, x = unit_interval
     u = np.sin(np.pi * x)
     mesh = graded_mesh(128, 8.0, 2.0)
-    sol = solve_extension(u, dom, "navier", 0.5, mesh)
-    got = trace_limit(sol)
+    got = _trace_limit(u, dom, "navier", 0.5, mesh)
     target = np.pi * np.sin(np.pi * x)
     assert np.linalg.norm(got - target) / np.linalg.norm(target) <= 0.05
 
@@ -224,8 +237,8 @@ def test_trace_limit_half_exponent_closed_form(unit_interval):
 def test_trace_limit_matches_matrix_operators(embedded_interval, s, grading):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(96, height, default_grading(s) if grading == "default" else grading)
-    trace_d = trace_limit(solve_extension(u, dom, "dirichlet", s, mesh))
-    trace_n = trace_limit(solve_extension(u, dom, "navier", s, mesh))
+    trace_d = _trace_limit(u, dom, "dirichlet", s, mesh)
+    trace_n = _trace_limit(u, dom, "navier", s, mesh)
     ref_d = dirichlet_operator(dom, box, s).apply(u)
     ref_n = navier_operator(dom, s).apply(u)
     assert np.linalg.norm(trace_d - ref_d) / np.linalg.norm(ref_d) <= 0.02
@@ -240,17 +253,18 @@ def test_trace_limit_matches_matrix_operators(embedded_interval, s, grading):
 def test_trace_limit_is_the_energy_density(embedded_interval, variant):
     # energy = h^dim sum_j c0_j^2 E_h(lam_j) = h^dim <u, sum_j c0_j E_h(lam_j) q_j>
     box, dom, u, height = embedded_interval
-    sol = solve_extension(u, dom, variant, 0.5, graded_mesh(48, height, 2.0))
-    assert not sol.dtn.flags.writeable
+    mesh = graded_mesh(48, height, 2.0)
+    sol = solve(u, dom, variant, 0.5, mesh)
     assert box.h * u @ sol.dtn == pytest.approx(sol.energy, rel=1e-13)
-    assert np.allclose(trace_limit(sol), sol.dtn, rtol=1e-14, atol=0.0)  # C_s/(2s) = 1 at s = 1/2
+    # C_s/(2s) = 1 at s = 1/2
+    assert np.allclose(_trace_limit(u, dom, variant, 0.5, mesh), sol.dtn, rtol=1e-14, atol=0.0)
 
 
 def test_discrete_maximum_principle(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(48, height, 2.0)
     for variant in ("navier", "dirichlet"):
-        sol = solve_extension(u, dom, variant, 0.5, mesh)
+        sol = solve(u, dom, variant, 0.5, mesh)
         assert sol.values.min() >= -1e-12
 
 
@@ -260,26 +274,27 @@ def test_energy_monotonicity_between_variants(embedded_interval):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(48, height, 2.0)
     for s in (0.25, 0.5, 0.75):
-        e_n = solve_extension(u, dom, "navier", s, mesh).energy
-        e_d = solve_extension(u, dom, "dirichlet", s, mesh).energy
+        e_n, e_d = (sol.energy for sol in _both_variants(u, dom, s, mesh))
         assert e_n >= e_d - 1e-12
 
 
 def test_extension_ordering_zero_datum(embedded_interval):
     box, dom, _, height = embedded_interval
     mesh = graded_mesh(16, height, 2.0)
-    chk = extension_ordering_check(*_both_variants(np.zeros(dom.node_count), dom, 0.5, mesh))
-    assert chk.margins == {"ordering_lattice": 0.0, "ordering_interior": 0.0}
+    chk = compare_extensions(np.zeros(dom.node_count), dom, 0.5, mesh)
+    assert chk.margins == {"energy_identity": 0.0, "ordering_lattice": 0.0, "ordering_interior": 0.0}
 
 
 @pytest.mark.parametrize("s", [0.25, 0.5, 0.75])
 def test_extension_ordering_ground_state(embedded_interval, s):
     box, dom, u, height = embedded_interval
     mesh = graded_mesh(64, height, default_grading(s))
-    chk = extension_ordering_check(*_both_variants(u, dom, s, mesh))
+    chk = compare_extensions(u, dom, s, mesh)
     assert chk.margins["ordering_lattice"] >= -1e-8
     assert chk.margins["ordering_interior"] > 0.0
-    assert chk.rows.tolist() == [(s, *chk.margins.values())]
+    (row,) = chk.rows
+    assert (row["s"], row["ordering_lattice_min"], row["ordering_interior_min"]) == (
+        s, chk.margins["ordering_lattice"], chk.margins["ordering_interior"])
 
 
 def test_extension_ordering_rejects_signed_datum(embedded_interval):
@@ -287,39 +302,8 @@ def test_extension_ordering_rejects_signed_datum(embedded_interval):
     mesh = graded_mesh(16, height, 2.0)
     bad = u.copy()
     bad[0] = -1.0
-    solutions = _both_variants(bad, dom, 0.5, mesh)
-    with pytest.raises(ValueError, match="entrywise nonnegative"):
-        extension_ordering_check(*solutions)
     with pytest.raises(ValueError, match="entrywise nonnegative"):
         compare_extensions(bad, dom, 0.5, mesh)
-
-
-def test_extension_ordering_refuses_mismatched_solutions(embedded_interval):
-    box, dom, u, height = embedded_interval
-    mesh = graded_mesh(16, height, 2.0)
-    navier, dirichlet = _both_variants(u, dom, 0.5, mesh)
-    other_s = solve_extension(u, dom, "dirichlet", 0.25, mesh)
-    other_mesh = solve_extension(u, dom, "dirichlet", 0.5, graded_mesh(16, 2.0 * height, 2.0))
-    other_datum = solve_extension(2.0 * u, dom, "dirichlet", 0.5, mesh)
-    twin = make_shape(box, "interval", (-8 * box.h, 8 * box.h))  # same mask, another domain
-    other_domain = solve_extension(u, twin, "dirichlet", 0.5, mesh)
-    for pair in [(dirichlet, navier), (navier, other_s), (navier, other_mesh),
-                 (navier, other_datum), (navier, other_domain)]:
-        with pytest.raises(ValueError):
-            extension_ordering_check(*pair)
-
-
-def test_solution_keeps_its_datum_read_only(unit_interval):
-    dom, x = unit_interval
-    u = np.sin(np.pi * x)
-    sol = solve_extension(u, dom, "navier", 0.5, graded_mesh(16, 8.0, 2.0))
-    assert np.array_equal(sol.datum, u)
-    assert not sol.datum.flags.writeable
-    with pytest.raises(ValueError):
-        sol.datum[0] = 1.0
-    given = u.copy()
-    u[0] = 1.0  # the solution holds a copy, not the caller's array
-    assert np.array_equal(sol.datum, given)
 
 
 def test_extension_constant_values():
@@ -443,7 +427,7 @@ def _solve_modes(lam, mesh, s):
 def _streamed(lam, mesh, s):
     """What :func:`_solve_modes` returns, gathered from the streamed sweep of the distinct lam."""
     lam_u, inv = np.unique(lam, return_inverse=True)
-    (e_unit,), blocks = _sweep([(lam_u, np.ones(lam_u.size), lambda block, out: block)], mesh, s)
+    (e_unit,), blocks = _sweep([(lam_u, np.ones(lam_u.size), lambda block: block)], mesh, s)
     phi = np.zeros((mesh.layers + 1, lam_u.size))
     for ks, (block,) in blocks:
         phi[ks] = block
@@ -474,7 +458,7 @@ def test_distinct_mode_sweep_matches_the_mode_major_sweep(grading, name, variant
         return _basis(dom, variant) @ c
 
     ref_values = values_of(ref_coef)
-    sol = solve_extension(u, dom, variant, s, mesh)
+    sol = solve(u, dom, variant, s, mesh)
     if layers < 1024:
         assert np.all(np.abs(coef - ref_coef) <= err[:, None])
         assert np.all(np.abs(sol.values - ref_values) <= 64.0 * EPS * np.abs(ref_values).max())
@@ -503,7 +487,7 @@ def test_truncation_layer_is_positive_zero(variant):
     assert np.any(c0 < 0)  # 0.0 * c0 would give -0.0 there
     mesh = graded_mesh(16, 4.0, 2.0)
     phi, _, _ = _streamed(lam, mesh, 0.5)
-    sol = solve_extension(u, dom, variant, 0.5, mesh)
+    sol = solve(u, dom, variant, 0.5, mesh)
     assert sol.values.shape == (dom.node_count, mesh.layers + 1)  # Omega's rows, either variant
     for last in (phi[-1], sol.values[:, -1]):
         assert np.all(last == 0.0) and not np.signbit(last).any()
@@ -605,7 +589,7 @@ def test_blocked_residual_is_the_lattice_residual_bit_for_bit(monkeypatch, varia
 
     _perturb_profiles(monkeypatch, edit)
     with pytest.raises(RuntimeError) as caught:
-        solve_extension(u, dom, variant, 0.5, mesh)
+        solve(u, dom, variant, 0.5, mesh)
     assert str(caught.value) == (f"extension solve residual {err!r} "
                                  f"exceeds tolerance {1e-10 * scale!r}")
 
@@ -614,10 +598,10 @@ def test_residual_check_catches_a_nan_entry(monkeypatch):
     # a NaN fails every comparison, so it must not be dropped by the running maxima
     dom, u, lam, _ = _modes("disk", "dirichlet")
     mesh = graded_mesh(64, 4.0, 2.0)
-    solve_extension(u, dom, "dirichlet", 0.5, mesh)
+    solve(u, dom, "dirichlet", 0.5, mesh)
     _perturb_profiles(monkeypatch, _add_at(10, np.unique(lam)[3], np.nan))
     with pytest.raises(RuntimeError, match="residual"):
-        solve_extension(u, dom, "dirichlet", 0.5, mesh)
+        solve(u, dom, "dirichlet", 0.5, mesh)
 
 
 def test_a_navier_residual_is_held_to_its_own_bound_in_the_joint_sweep(monkeypatch):
@@ -695,7 +679,7 @@ def test_mode_solve_at_few_layers_peaks_below_two_and_a_half_profile_lattices(mo
         peaks.append(tracemalloc.get_traced_memory()[1])
 
     monkeypatch.setattr(extension, "_residual", checked)
-    modes = [(lam, np.ones(lam.size), lambda block, out: None)]
+    modes = [(lam, np.ones(lam.size), lambda block: None)]
     for _ in _sweep(modes, mesh, 0.5)[1]:  # the caches are warm
         pass
     tracemalloc.start()
@@ -708,51 +692,6 @@ def test_mode_solve_at_few_layers_peaks_below_two_and_a_half_profile_lattices(mo
     assert peaks[1] < 2.5 * lattice, f"peak {peaks[1] / lattice:.2f} lattices"
 
 
-def _solve_peak(u, dom, variant, mesh):
-    """tracemalloc peak of one solve, after a first solve has warmed the caches and been dropped."""
-    solve_extension(u, dom, variant, 0.5, mesh)
-    tracemalloc.start()
-    try:
-        solve_extension(u, dom, variant, 0.5, mesh)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_dirichlet_solve_peak_memory_stays_within_one_lattice():
-    # one lattice is N^2 x (M+1) float64, what a mode-major hand-off would take alone; the
-    # solve holds the distinct profiles (803 of the 1,600 modes here) and Omega's rows only
-    box = make_box(2, 1.0, 40)
-    dom = make_shape(box, "disk", (0.5,))
-    mesh = graded_mesh(1024, 8.0, 2.0)
-    lattice = box.size * (mesh.layers + 1) * 8
-    peak = _solve_peak(np.ones(dom.node_count), dom, "dirichlet", mesh)
-    assert peak <= lattice, f"peak {peak / lattice:.2f} lattices"
-
-
-@pytest.mark.parametrize("layers", [1024, 256])
-def test_navier_solve_peak_memory_stays_within_three_omega_lattices(layers):
-    # an Omega lattice is |Omega| x (M+1) float64: the profiles and the solution take one each;
-    # at 256 layers |Omega| = 332 > M + 1, so an |Omega|^2 temporary would show
-    box = make_box(2, 1.0, 40)
-    dom = make_shape(box, "disk", (0.5,))
-    mesh = graded_mesh(layers, 8.0, 2.0)
-    lattice = dom.node_count * (mesh.layers + 1) * 8
-    peak = _solve_peak(np.ones(dom.node_count), dom, "navier", mesh)
-    assert peak <= 3 * lattice, f"peak {peak / lattice:.2f} lattices"
-
-
-def test_navier_solve_at_one_block_synthesizes_into_its_solution():
-    # at 64 layers one block is the whole lattice: the profiles, the scaled block and the
-    # solution take an Omega lattice each; a synthesized block beside the solution would be a
-    # fourth (4.33 lattices)
-    dom = make_shape(make_box(2, 1.0, 40), "disk", (0.5,))
-    mesh = graded_mesh(64, 8.0, 2.0)
-    lattice = dom.node_count * (mesh.layers + 1) * 8
-    peak = _solve_peak(np.ones(dom.node_count), dom, "navier", mesh)
-    assert peak <= 3.75 * lattice, f"peak {peak / lattice:.2f} lattices"
-
-
 @pytest.mark.parametrize("s", [0.25, 0.75])
 def test_navier_synthesis_of_degenerate_modes_matches_the_per_mode_product(s):
     # the closed-form basis of a square has pairs of equal eigenvalues lam_a + lam_b = lam_b + lam_a
@@ -763,7 +702,7 @@ def test_navier_synthesis_of_degenerate_modes_matches_the_per_mode_product(s):
     mesh = graded_mesh(64, 4.0, 2.0)
     c0 = q.T @ u
     ref = q @ _mode_lattice(*_streamed(lam, mesh, s)[:2], c0)  # one product per mode
-    values = solve_extension(u, dom, "navier", s, mesh).values
+    values = solve(u, dom, "navier", s, mesh).values
     assert np.all(np.abs(values - ref) <= 64.0 * EPS * np.abs(ref).max())
 
 
@@ -793,8 +732,8 @@ def _differential_case(name):
 def test_streamed_blocks_are_the_whole_lattice_rows_bit_for_bit(name, s, layers):
     dom, u = _differential_case(name)
     mesh = graded_mesh(layers, 4.0, default_grading(s))
-    lams = [lam for lam, _, _ in extension._analyses(u, dom, s, mesh, ["dirichlet", "navier"])[1]]
-    fluxes, blocks = _sweep([(lam, np.ones(lam.size), lambda block, out: block) for lam in lams],
+    lams = [lam for lam, _, _ in extension._analyses(u, dom, s, mesh)[1]]
+    fluxes, blocks = _sweep([(lam, np.ones(lam.size), lambda block: block) for lam in lams],
                             mesh, s)
     oracles = [_solve_modes(lam, mesh, s) for lam in lams]  # one whole lattice per variant
     for flux, (_, inv, e_unit) in zip(fluxes, oracles):
@@ -814,19 +753,18 @@ def test_compare_extensions_is_the_two_solution_path_bit_for_bit(name, s, layers
     mesh = graded_mesh(layers, 4.0, default_grading(s))
     cert = compare_extensions(u, dom, s, mesh)
     navier, dirichlet = _both_variants(u, dom, s, mesh)
-    ident, order = energy_identity_check(navier), extension_ordering_check(navier, dirichlet)
-    expected = {**ident.margins, **order.margins}
+    ident = extension._energy_identity(dom, s, u, navier.energy)
+    # the truncation layer's zeros hold the lattice minimum at or below 0; y = 0 is not interior
+    w_diff = dirichlet.values - navier.values
+    order = {"ordering_lattice": w_diff.min(), "ordering_interior": w_diff[:, 1:-1].min()}
+    expected = {**ident.margins, **order}
     assert [(name, m.hex()) for name, m in cert.margins.items()] == [
         (name, m.hex()) for name, m in expected.items()]
     assert cert.rows.dtype.names == ("s", "form_value", "energy_value", "rel_gap",
                                      "ordering_lattice_min", "ordering_interior_min")
-    for rows in (ident.rows, order.rows):
-        for field in rows.dtype.names:
-            assert cert.rows[field].tobytes() == rows[field].tobytes()
-    # the truncation layer's zeros hold the lattice minimum at or below 0; y = 0 is not interior
-    w_diff = dirichlet.values - navier.values
-    assert cert.margins["ordering_lattice"] == w_diff.min()
-    assert cert.margins["ordering_interior"] == w_diff[:, 1:-1].min()
+    for field in ident.rows.dtype.names:
+        assert cert.rows[field].tobytes() == ident.rows[field].tobytes()
+    assert [cert.rows[f"{name}_min"][0].hex() for name in order] == [m.hex() for m in order.values()]
 
 
 def test_compare_extensions_peaks_below_half_a_distinct_profile_lattice():
@@ -848,11 +786,12 @@ def test_compare_extensions_peaks_below_half_a_distinct_profile_lattice():
 
 def test_the_truncation_layer_holds_the_lattice_minimum_at_zero():
     # a 2-node mask whose datum the box synthesis reproduces from above: W > 0 below y = Y,
-    # so only the zeros of the truncation layer set ordering_lattice, as in the solutions
+    # so only the zeros of the truncation layer set ordering_lattice, as in the two lattices
     dom = random_connected_mask(make_box(1, 1.0, 15), 2, np.random.default_rng(2))
     u, mesh = np.ones(dom.node_count), graded_mesh(16, 4.0, 2.0)
     navier, dirichlet = _both_variants(u, dom, 0.5, mesh)
-    assert (dirichlet.values - navier.values)[:, :-1].min() > 0.0
-    cert, order = compare_extensions(u, dom, 0.5, mesh), extension_ordering_check(navier, dirichlet)
-    assert cert.margins["ordering_lattice"] == order.margins["ordering_lattice"] == 0.0
-    assert cert.margins["ordering_interior"] == order.margins["ordering_interior"] > 0.0
+    w_diff = dirichlet.values - navier.values
+    assert w_diff[:, :-1].min() > 0.0
+    cert = compare_extensions(u, dom, 0.5, mesh)
+    assert cert.margins["ordering_lattice"] == w_diff.min() == 0.0
+    assert cert.margins["ordering_interior"] == w_diff[:, 1:-1].min() > 0.0
