@@ -784,6 +784,55 @@ def test_compare_extensions_peaks_below_half_a_distinct_profile_lattice():
     assert peak < lattice / 2, f"peak {peak / lattice:.2f} lattices"
 
 
+def _solve_peak(u, dom, variant, mesh):
+    """tracemalloc peak of one variant's streamed sweep and synthesis, each block dropped once
+    handed over as compare_extensions drops it, after a first sweep has warmed the caches."""
+    _, modes = extension._analyses(u, dom, 0.5, mesh)
+    variant_modes = [modes[("dirichlet", "navier").index(variant)]]
+    for _ in _sweep(variant_modes, mesh, 0.5)[1]:
+        pass
+    tracemalloc.start()
+    try:
+        for _ in _sweep(variant_modes, mesh, 0.5)[1]:
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_dirichlet_solve_peak_memory_stays_within_one_lattice():
+    # one lattice is N^2 x (M+1) float64, what a mode-major hand-off would take alone; the
+    # sweep holds a block of the distinct profiles (803 of the 1,600 modes here) and of Omega's rows
+    box = make_box(2, 1.0, 40)
+    dom = make_shape(box, "disk", (0.5,))
+    mesh = graded_mesh(1024, 8.0, 2.0)
+    lattice = box.size * (mesh.layers + 1) * 8
+    peak = _solve_peak(np.ones(dom.node_count), dom, "dirichlet", mesh)
+    assert peak <= lattice, f"peak {peak / lattice:.2f} lattices"
+
+
+@pytest.mark.parametrize("layers", [1024, 256])
+def test_navier_solve_peak_memory_stays_within_three_omega_lattices(layers):
+    # an Omega lattice is |Omega| x (M+1) float64, what the whole navier solution would take;
+    # the sweep holds a block of the profiles and of their synthesis at a time
+    box = make_box(2, 1.0, 40)
+    dom = make_shape(box, "disk", (0.5,))
+    mesh = graded_mesh(layers, 8.0, 2.0)
+    lattice = dom.node_count * (mesh.layers + 1) * 8
+    peak = _solve_peak(np.ones(dom.node_count), dom, "navier", mesh)
+    assert peak <= 3 * lattice, f"peak {peak / lattice:.2f} lattices"
+
+
+def test_navier_solve_at_one_block_holds_no_fourth_omega_lattice():
+    # at 64 layers one block is the whole lattice: the profiles, the scaled block and its
+    # synthesis take an Omega lattice each; a copy of either block beside them would be a fourth
+    dom = make_shape(make_box(2, 1.0, 40), "disk", (0.5,))
+    mesh = graded_mesh(64, 8.0, 2.0)
+    lattice = dom.node_count * (mesh.layers + 1) * 8
+    peak = _solve_peak(np.ones(dom.node_count), dom, "navier", mesh)
+    assert peak <= 3.75 * lattice, f"peak {peak / lattice:.2f} lattices"
+
+
 def test_the_truncation_layer_holds_the_lattice_minimum_at_zero():
     # a 2-node mask whose datum the box synthesis reproduces from above: W > 0 below y = Y,
     # so only the zeros of the truncation layer set ordering_lattice, as in the two lattices
