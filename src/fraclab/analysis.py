@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain, dilate, extend_by_zero, make_box
-from .operators import (Certificate, SymOperator, _certify, _form, _navier_form,
-                        _restricted_matrix, fourier_form)
+from .domain import BoxGrid, SubDomain, dilate, make_box
+from .operators import Certificate, _certify, _form, _navier_form, _restricted_matrix, fourier_form
 from .operators import navier_operator  # noqa: F401  perfbench's tracer test wraps it here
 
 __all__ = [
@@ -78,26 +77,23 @@ def sobolev_constant_closed_form(n: int, s: float) -> float:
     )
 
 
-def extremal_function(grid: BoxGrid, n: int, s: float) -> GridFunction:
-    """The optimizer profile U(x) = (1+|x|^2)^((2s-n)/2) sampled at the grid nodes."""
-    setup = SobolevSetup(n=n, s=s)
-    if grid.dim != setup.n:
-        raise ValueError(f"grid dimension {grid.dim} != n = {setup.n}")
+def extremal_function(grid: BoxGrid, s: float) -> np.ndarray:
+    """The optimizer profile U(x) = (1+|x|^2)^((2s-n)/2), n = grid.dim, at the grid's nodes."""
+    setup = SobolevSetup(n=grid.dim, s=s)
     r2 = np.sum(grid.node_coords() ** 2, axis=1)
-    return GridFunction(grid=grid, values=(1.0 + r2) ** ((2.0 * setup.s - setup.n) / 2.0))
+    return (1.0 + r2) ** ((2.0 * setup.s - setup.n) / 2.0)
 
 
-def lp_norm(u: GridFunction, p: float) -> float:
-    """Discrete L_p norm (h^dim * sum |u_i|^p)^(1/p) on u's grid."""
+def lp_norm(u: np.ndarray, grid: BoxGrid, p: float) -> float:
+    """Discrete L_p norm (h^dim * sum |u_i|^p)^(1/p) of values u at nodes of ``grid``."""
     if p < 1:
         raise ValueError(f"p must be >= 1, got {p}")
-    hdim = u.grid.h**u.grid.dim
-    return float((hdim * np.sum(np.abs(u.values) ** p)) ** (1.0 / p))
+    return float((grid.h**grid.dim * np.sum(np.abs(u) ** p)) ** (1.0 / p))
 
 
-def rayleigh_quotient(form_value: float, u: GridFunction, p: float) -> float:
+def rayleigh_quotient(form_value: float, u: np.ndarray, grid: BoxGrid, p: float) -> float:
     """Quotient form_value / ||u||_{L_p}^2; invariant under scaling of u."""
-    denom = lp_norm(u, p) ** 2
+    denom = lp_norm(u, grid, p) ** 2
     if denom == 0.0:
         raise ZeroDivisionError("Rayleigh quotient undefined for u = 0")
     return float(form_value) / denom
@@ -106,9 +102,11 @@ def rayleigh_quotient(form_value: float, u: GridFunction, p: float) -> float:
 def _fft_quotient(dim: int, s: float, halfwidth: float, nodes: int, pad: int) -> float:
     """The quotient of the profile sampled on the box of ``halfwidth`` and ``nodes`` per axis,
     its form the Fourier multiplier form on a box ``pad`` times as wide."""
-    u = extremal_function(make_box(dim, halfwidth, nodes), dim, s)
-    form = fourier_form(u, make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1), s)
-    return rayleigh_quotient(form, u, SobolevSetup(n=dim, s=s).critical_exponent)
+    grid = make_box(dim, halfwidth, nodes)
+    u = extremal_function(grid, s)
+    form = fourier_form(u.reshape(grid.shape),
+                        make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1), s)
+    return rayleigh_quotient(form, u, grid, SobolevSetup(n=dim, s=s).critical_exponent)
 
 
 def sobolev_check(dim: int, s: float, halfwidth: float, nodes: int, pad: int) -> Certificate:
@@ -132,10 +130,10 @@ def sobolev_check(dim: int, s: float, halfwidth: float, nodes: int, pad: int) ->
 
 @dataclass(frozen=True)
 class QuotientResult:
-    """Outcome of a quotient minimization (minimizer normalized in L_p)."""
+    """Outcome of a quotient minimization: the minimizer's values on Omega, normalized in L_p."""
 
     value: float
-    minimizer: GridFunction
+    minimizer: np.ndarray
     iterations: int
     converged: bool
 
@@ -145,7 +143,8 @@ class QuotientResult:
 
 
 def minimize_quotient(
-    operator: SymOperator,
+    matrix: np.ndarray,
+    largest: float,
     domain: SubDomain,
     p: float,
     seed: np.ndarray,
@@ -154,19 +153,19 @@ def minimize_quotient(
 ) -> QuotientResult:
     """Minimize  h^dim u^T M u / ||u||_{L_p}^2  over u on Omega by normalized descent.
 
-    Each step moves against the constrained gradient M u - q |u|^(p-2) u,
-    renormalizes in L_p, and halves the step on any non-decrease, so the
-    value sequence is nonincreasing.  For p = 2 the minimum is the smallest
+    From a first step of 1/``largest``, M's largest eigenvalue, each step moves against the
+    constrained gradient M u - q |u|^(p-2) u, renormalizes in L_p, and halves the step on any
+    non-decrease, so the value sequence is nonincreasing.  For p = 2 the minimum is the smallest
     eigenvalue of M.  Convergence flag: relative decrease fell below ``tol``.
     """
-    if operator.n != domain.node_count:
+    if matrix.shape != (domain.node_count,) * 2:
         raise ValueError("operator size does not match the domain's node count")
     if p < 2:
         # the constrained gradient carries |u|^(p-2), singular below p = 2
         raise ValueError(f"p must be >= 2, got {p}")
     u0 = np.asarray(seed, dtype=float)
-    if u0.shape != (operator.n,):
-        raise ValueError(f"seed must have length {operator.n}, got shape {u0.shape}")
+    if u0.shape != matrix.shape[:1]:
+        raise ValueError(f"seed must have length {len(matrix)}, got shape {u0.shape}")
     if not np.any(u0):
         raise ValueError("seed must be nonzero")
     grid = domain.grid
@@ -176,16 +175,16 @@ def minimize_quotient(
         return v / (hdim * np.sum(np.abs(v) ** p)) ** (1.0 / p)
 
     u = normalize(u0)
-    mu = operator.apply(u)
+    mu = matrix @ u
     q = hdim * float(u @ mu)
-    eta = 1.0 / float(np.max(np.abs(operator.eigen.eigenvalues)))
+    eta = 1.0 / float(largest)
     iterations = 0
     converged = False
     for iterations in range(1, max_iter + 1):
         grad = mu - q * np.abs(u) ** (p - 2.0) * u
         while True:
             v = normalize(u - eta * grad)
-            mv = operator.apply(v)
+            mv = matrix @ v
             qv = hdim * float(v @ mv)
             if qv <= q or eta < 1e-18:
                 break
@@ -196,12 +195,7 @@ def minimize_quotient(
         if 0.0 <= rel_drop < tol:
             converged = True
             break
-    return QuotientResult(
-        value=q,
-        minimizer=extend_by_zero(u, domain),
-        iterations=iterations,
-        converged=converged,
-    )
+    return QuotientResult(value=q, minimizer=u, iterations=iterations, converged=converged)
 
 
 def dilation_sweep(

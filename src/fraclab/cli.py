@@ -162,6 +162,11 @@ def parse_config(text: str) -> ExperimentConfig:
         cfg.box_nodes = 127 if cfg.dim == 1 else 24
     if cfg.box_nodes < 1:
         problems.append(f"box.nodes: must be >= 1, got {cfg.box_nodes}")
+    elif cfg.box_halfwidth > 0:
+        try:
+            make_box(1, cfg.box_halfwidth, cfg.box_nodes)  # the step h does not depend on dim
+        except ValueError as exc:
+            problems.append(f"box.halfwidth, box.nodes: {exc}")
     if not cfg.shape:
         cfg.shape = "interval:-0.25,0.25" if cfg.dim == 1 else "square:0.5"
     else:
@@ -314,6 +319,9 @@ def _mesh_for(cfg: ExperimentConfig, domain: SubDomain, s: float):
     try:
         mesh = graded_mesh(cfg.extension_layers, height, gamma)
         cell_stiffness(mesh, s)
+    except OverflowError as exc:
+        raise ConfigError(f"extension.height: the mesh of s = {s:g} and height {height:g} "
+                          f"overflows ({exc}); set a lower extension.height") from exc
     except ValueError as exc:
         raise ConfigError(f"extension.grading: the mesh of s = {s:g}, grading {gamma:g} and "
                           f"{cfg.extension_layers} layers is too steep for floating point "
@@ -503,7 +511,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
-        text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8-sig")  # a byte-order mark is no key
     except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 2

@@ -7,10 +7,9 @@ node's flat index being its row-major position there, and every grid
 helper is written once over the axes for both dimensions.  A
 :class:`SubDomain` marks the nodes of its box strictly inside a named
 shape (interval, square, L-shape, disk) or a seeded random mask, and owns
-Omega's Laplacian A_Omega, its spectrum and eigenbasis, built once on first use;
-a :class:`GridFunction` carries nodal values on the full grid.  Functions
-"supported in Omega" vanish on every node outside the mask; zero-extension
-turns values on Omega's nodes into one, and ``values[mask]`` reads them back.
+Omega's Laplacian A_Omega, its spectrum and eigenbasis, built once on first use.
+Functions are arrays of nodal values on Omega's nodes, or on the whole grid,
+vanishing off the mask when "supported in Omega" (``values[mask]`` reads them).
 
 Dilation alpha*Omega keeps the box and its step h and enlarges the
 shape, so discrete operators on Omega and on alpha*Omega act on the same
@@ -21,7 +20,7 @@ from __future__ import annotations
 
 import warnings
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
@@ -31,18 +30,13 @@ from .linalg import EigenDecomposition, eigendecompose, sym_matrix
 __all__ = [
     "BoxGrid",
     "SubDomain",
-    "GridFunction",
     "make_box",
     "make_shape",
     "parse_shape_spec",
-    "extend_by_zero",
     "dilate",
     "random_connected_mask",
     "random_nested_masks",
 ]
-
-_ALIGN_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class BoxGrid:
@@ -59,6 +53,9 @@ class BoxGrid:
             raise ValueError(f"halfwidth must be positive, got {self.halfwidth}")
         if self.nodes_per_axis < 1:
             raise ValueError(f"nodes_per_axis must be >= 1, got {self.nodes_per_axis}")
+        big = np.finfo(float).max ** 0.125  # sums of h^4 or 1/h^4 (squared 1/h^2 entries) stay finite
+        if not 1.0 / big < self.h < big:
+            raise ValueError(f"step h = {self.h!r} is outside the usable (1/{big:.3g}, {big:.3g})")
 
     @property
     def h(self) -> float:
@@ -82,24 +79,6 @@ class BoxGrid:
         """Coordinates of all nodes, shape (size, dim), in flat-index order."""
         axes = np.meshgrid(*[self.axis_nodes()] * self.dim, indexing="ij")
         return np.column_stack([x.ravel() for x in axes])
-
-    def embed_offset(self, other: "BoxGrid") -> int:
-        """Per-axis index offset of this grid's nodes inside ``other``.
-
-        Requires equal dim and step and that ``other`` covers this box with
-        lattice-aligned nodes; raises ValueError otherwise.
-        """
-        if other.dim != self.dim:
-            raise ValueError("grids have different dimensions")
-        if abs(other.h - self.h) > _ALIGN_TOL * self.h:
-            raise ValueError(f"grid steps differ: {self.h} vs {other.h}")
-        shift = (other.halfwidth - self.halfwidth) / self.h
-        if shift < -_ALIGN_TOL:
-            raise ValueError("target grid does not cover this grid")
-        k = int(round(shift))
-        if abs(shift - k) > _ALIGN_TOL:
-            raise ValueError("grid lattices are not aligned (halfwidth gap is not a multiple of h)")
-        return k
 
     def neighbors(self, f: int) -> list[int]:
         """Flat indices of node ``f``'s neighbours in the grid graph.
@@ -235,24 +214,6 @@ class SubDomain:
         return EigenDecomposition(eigenvalues=self.spectrum, eigenvectors=np.ascontiguousarray(q))
 
 
-@dataclass(frozen=True)
-class GridFunction:
-    """Real nodal values on the full grid."""
-
-    grid: BoxGrid
-    values: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.grid.size,):
-            raise ValueError(f"values have shape {v.shape}, expected ({self.grid.size},)")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function values must be finite")
-        v = v.copy()
-        v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-
 def make_box(dim: int, halfwidth: float, nodes_per_axis: int) -> BoxGrid:
     """Uniform box grid with step h = 2*halfwidth/(nodes_per_axis + 1)."""
     return BoxGrid(dim=dim, halfwidth=float(halfwidth), nodes_per_axis=int(nodes_per_axis))
@@ -341,22 +302,12 @@ def make_shape(grid: BoxGrid, shape: str, params: tuple[float, ...]) -> SubDomai
         raise ValueError(f"degenerate shape {shape!r} with parameters {params}")
     # hard limit: the shape may not leak out of the box; staying a full step h
     # away from the boundary is the caller's (soft) obligation
-    if extent > grid.halfwidth * (1.0 + _ALIGN_TOL):
+    if extent > grid.halfwidth * (1.0 + 1e-9):
         raise ValueError(f"shape extent {extent:g} exceeds the box halfwidth {grid.halfwidth:g}")
     inside = info["inside"](grid.node_coords(), *params)
     sd = SubDomain(grid=grid, mask=inside, shape=shape, params=tuple(float(p) for p in params))
     _check_connected(grid, sd.mask)
     return sd
-
-
-def extend_by_zero(u: np.ndarray, domain: SubDomain) -> GridFunction:
-    """Zero-extension of values on Omega's nodes to the full grid."""
-    vals = np.asarray(u, dtype=float)
-    if vals.shape != (domain.node_count,):
-        raise ValueError(f"expected {domain.node_count} values on the mask, got shape {vals.shape}")
-    full = np.zeros(domain.grid.size)
-    full[domain.mask] = vals
-    return GridFunction(grid=domain.grid, values=full)
 
 
 def dilate(domain: SubDomain, alpha: float) -> SubDomain:

@@ -37,7 +37,7 @@ from operator import imul
 
 import numpy as np
 
-from .domain import BoxGrid, SubDomain, _interval_eigenbasis, extend_by_zero
+from .domain import BoxGrid, SubDomain, _interval_eigenbasis
 from .operators import Certificate, _certify, _fields, _navier_form
 from .operators import dirichlet_operator  # noqa: F401  perfbench's tracer test wraps it here
 
@@ -76,6 +76,8 @@ class ExtensionMesh:
             raise ValueError("mesh must start at y = 0")
         if not np.all(np.diff(y) > 0):  # a NaN node fails too
             raise ValueError("y-nodes must be strictly increasing")
+        if y[-1] == np.inf:  # from 0 and increasing, only the last node can be infinite
+            raise ValueError(f"y-node {y.size - 1} is inf, not finite")
         _check_grading(self.gamma)
         y = y.copy()
         y.flags.writeable = False
@@ -127,10 +129,17 @@ def _cell_weights(y: np.ndarray, s: float) -> tuple[np.ndarray, np.ndarray, np.n
 
 
 def cell_stiffness(mesh: ExtensionMesh, s: float) -> np.ndarray:
-    """The stiffness mu_k/d_k^2 of every cell; a ValueError if one is not a positive double, as
-    when a steep mesh's y_1 = Y M^-gamma makes mu_0 underflow to 0 or mu_0/d_0^2 overflow."""
+    """The stiffness mu_k/d_k^2 of every cell.  An OverflowError if a cell's weights or squared
+    width overflow, as at a large height Y; a ValueError if a stiffness is not a positive double,
+    as when a steep mesh's y_1 = Y M^-gamma makes mu_0 underflow to 0 or mu_0/d_0^2 overflow."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        k = _cell_weights(mesh.y, s)[0] / np.diff(mesh.y) ** 2
+        *weights, d2 = *_cell_weights(mesh.y, s), np.diff(mesh.y) ** 2
+        k = weights[0] / d2
+    finite = np.isfinite([*weights, d2]).all(axis=0)
+    if not finite.all():
+        cell = int(np.argmin(finite))
+        raise OverflowError(f"cell {cell} below y = {mesh.y[cell + 1]:g} has weights or squared "
+                            "width beyond floating point")
     cell = int(np.argmin((k > 0) & (k < np.inf)))  # the first that fails, NaN included
     if not 0 < k[cell] < np.inf:
         raise ValueError(f"cell {cell} has stiffness {float(k[cell])!r}")
@@ -274,9 +283,10 @@ def _analyses(u: np.ndarray, domain: SubDomain, s: float, mesh: ExtensionMesh):
         raise ValueError(f"expected {domain.node_count} boundary values, got shape {vals.shape}")
     if not np.all(np.isfinite(vals)):
         raise ValueError("boundary values must be finite")
+    datum = np.zeros(domain.grid.size)
+    datum[domain.mask] = vals
     q = domain.eigen.eigenvectors
-    return vals, [(*_box_analysis(extend_by_zero(vals, domain).values, domain.grid),
-                   _box_synthesis(domain.grid, domain.indices)),
+    return vals, [(*_box_analysis(datum, domain.grid), _box_synthesis(domain.grid, domain.indices)),
                   (domain.eigen.eigenvalues, q.T @ vals, lambda block: q @ block.T)]
 
 

@@ -21,25 +21,23 @@ independent cross-check of the restricted form.
 
 Quadratic forms carry the h^dim volume weight, so they discretize
 integrals: the claims read the spectral one off Omega's cached eigenbasis
-(:func:`_navier_form`) and the restricted one off its matrix (:func:`_form`),
-as does :meth:`SymOperator.form`.
+(:func:`_navier_form`) and the restricted one off its matrix (:func:`_form`).
+Operators are sym_matrix arrays and functions are arrays of nodal values.
 """
 
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 import numpy as np
 
-from .domain import BoxGrid, GridFunction, SubDomain, _interval_eigenvalues, random_nested_masks
-from .linalg import (EigenDecomposition, check_spectrum, eigendecompose, eigenvalues,
-                     spectral_power, sym_matrix)
+from .domain import BoxGrid, SubDomain, _interval_eigenvalues, random_nested_masks
+from .linalg import check_spectrum, eigendecompose, eigenvalues, spectral_power, sym_matrix
 
 __all__ = [
     "Certificate",
-    "SymOperator",
     "navier_operator",
     "dirichlet_operator",
     "fourier_form",
@@ -50,46 +48,10 @@ __all__ = [
     "monotone_chain",
 ]
 
-_KINDS = ("navier", "dirichlet")
-
 
 def _require_positive_definite(kind: str, least: float) -> None:
     if least <= 0:
         raise ValueError(f"{kind} operator must be positive definite; min eigenvalue = {least:.3e}")
-
-
-@dataclass(frozen=True, eq=False)
-class SymOperator:
-    """A fractional Laplacian of Omega at exponent ``s`` with its eigenbasis.
-
-    ``kind`` is navier (spectral) or dirichlet (restricted); either must be
-    positive definite.
-    """
-
-    matrix: np.ndarray = field(repr=False)
-    eigen: EigenDecomposition = field(repr=False)
-    kind: str
-    domain: SubDomain
-    s: float
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown operator kind {self.kind!r}")
-        _require_positive_definite(self.kind, self.eigen.eigenvalues[0])
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(u, dtype=float)
-
-    def form(self, u: np.ndarray) -> float:
-        """Volume-weighted quadratic form h^dim * u^T M u."""
-        v = np.asarray(u, dtype=float)
-        if v.shape != (self.n,):
-            raise ValueError(f"expected vector of length {self.n}, got shape {v.shape}")
-        return _form(self.matrix, v, self.domain.grid)
 
 
 def _form(matrix: np.ndarray, v: np.ndarray, grid: BoxGrid) -> float:
@@ -127,17 +89,14 @@ def _check_s(s: float) -> float:
     return s
 
 
-def navier_operator(domain: SubDomain, s: float) -> SymOperator:
-    """Spectral fractional Laplacian of Omega: the s-th power of A_Omega.
+def navier_operator(domain: SubDomain, s: float) -> np.ndarray:
+    """Spectral fractional Laplacian of Omega, the s-th power of A_Omega, as a sym_matrix.
 
     At s = 1 this is the Laplacian matrix itself, returned exactly rather
     than through the eigenbasis, so coincidence tests see identical entries.
     """
     s = _check_s(s)
-    matrix = domain.laplacian if s == 1.0 else spectral_power(domain.eigen, s)
-    powered = EigenDecomposition(eigenvalues=np.ascontiguousarray(domain.eigen.eigenvalues**s),
-                                 eigenvectors=domain.eigen.eigenvectors)
-    return SymOperator(matrix=matrix, eigen=powered, kind="navier", domain=domain, s=s)
+    return domain.laplacian if s == 1.0 else spectral_power(domain.eigen, s)
 
 
 def _navier_form(domain: SubDomain, s: float, v: np.ndarray) -> float:
@@ -292,22 +251,24 @@ def _restricted_blocks(domain: SubDomain,
     return blocks, invariants
 
 
-def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> SymOperator:
-    """Restricted fractional Laplacian: P B^s P^T with B the box Laplacian.
+def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> np.ndarray:
+    """Restricted fractional Laplacian P B^s P^T, B the box Laplacian, as a sym_matrix.
 
-    Omega must be made on the box itself.  The matrix is
-    gathered from the box's closed-form kernel (:func:`_restricted_kernel`).
-    At s = 1 the power of the stencil restricts exactly, so Omega's Laplacian
-    matrix and cached basis are returned, and coincidence with the spectral
-    operator is bitwise.
+    Omega must be made on the box itself.  The matrix is gathered from the
+    box's closed-form kernel (:func:`_restricted_kernel`) and refused unless
+    positive definite.  At s = 1 the power of the stencil restricts exactly,
+    so Omega's Laplacian matrix is returned, with no eigensolve, and
+    coincidence with the spectral operator is bitwise.
     """
     s = _check_s(s)
     if domain.grid != box:
         raise ValueError(f"domain is not embedded in the box grid: it lives on {domain.grid}, "
                          f"not on {box}")
     matrix = _restricted_matrix(domain, s)
-    eigen = domain.eigen if s == 1.0 else eigendecompose(matrix)
-    return SymOperator(matrix=matrix, eigen=eigen, kind="dirichlet", domain=domain, s=s)
+    # perfbench/test_perfbench.py pins this signature, eigensolve and two re-exports: ROADMAP 21
+    if s != 1.0:
+        _require_positive_definite("dirichlet", eigendecompose(matrix).eigenvalues[0])
+    return matrix
 
 
 def difference_operator(domain: SubDomain, s: float) -> np.ndarray:
@@ -319,8 +280,7 @@ def difference_operator(domain: SubDomain, s: float) -> np.ndarray:
     sign is only resolvable in double precision for modest masks.  N - D is
     never eigendecomposed; the restricted matrix comes from the kernel.
     """
-    nav = navier_operator(domain, s)
-    return sym_matrix(nav.matrix - _restricted_matrix(domain, nav.s))
+    return sym_matrix(navier_operator(domain, s) - _restricted_matrix(domain, s))
 
 
 def compare_spectra(domain: SubDomain, s: float) -> Certificate:
@@ -415,26 +375,25 @@ def monotone_chain(box: BoxGrid, s: float, trials: int, rng: np.random.Generator
                     **_fields(np.concatenate([c.rows for c in pairs])))
 
 
-def fourier_form(u: GridFunction, box: BoxGrid, s: float) -> float:
+def fourier_form(u: np.ndarray, box: BoxGrid, s: float) -> float:
     """Periodic Fourier-multiplier quadratic form sum_k |xi_k|^(2s) |u_hat_k|^2.
 
-    The grid function is zero-padded into the box (its lattice must align),
-    the box is treated as one period, and xi runs over the integer
-    frequencies scaled by pi/L; the zero mode contributes nothing.  For u
-    supported well inside the box this is an independent discretization of
-    the restricted form; the periodization error shrinks as the box margin
-    grows.
+    ``u``, a (k,) * dim lattice at the box's step centred in it (k <= N, N - k even), is
+    zero-padded into the box, the box is treated as one period, and xi runs over the integer
+    frequencies scaled by pi/L; the zero mode contributes nothing.  For u supported well inside
+    the box this is an independent discretization of the restricted form; the periodization
+    error shrinks as the box margin grows.
     """
     s = _check_s(s)
-    try:
-        offset = u.grid.embed_offset(box)
-    except ValueError as exc:
-        raise ValueError(f"support violation: function grid does not embed in the box: {exc}") from exc
-    m = box.nodes_per_axis + 1  # period in nodes; node 0 sits on the box edge and is zero
-    h = box.h
+    u = np.asarray(u, dtype=float)
+    n, k = box.nodes_per_axis, u.shape[0] if u.ndim else 0
+    if u.shape != (k,) * box.dim or k > n or (n - k) % 2:
+        raise ValueError(f"support violation: a lattice of shape {u.shape} does not centre in the "
+                         f"{box.shape} box")
+    m, h = n + 1, box.h  # the period in nodes; node 0 sits on the box edge and is zero
     p = np.zeros((m,) * box.dim)
-    sl = slice(offset + 1, offset + 1 + u.grid.nodes_per_axis)
-    p[(sl,) * box.dim] = u.values.reshape(u.grid.shape)
+    sl = slice((n - k) // 2 + 1, (n + k) // 2 + 1)
+    p[(sl,) * box.dim] = u
     freq = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
     mult = reduce(np.add.outer, [freq**2] * box.dim) ** s
     mult.flat[0] = 0.0

@@ -225,9 +225,9 @@ def test_criterion_8_sobolev_constant():
 
     def quotient(halfwidth, nodes):
         grid = make_box(1, halfwidth, nodes)
-        u = extremal_function(grid, 1, s)
+        u = extremal_function(grid, s)
         fft_box = make_box(1, 2 * halfwidth, 2 * (nodes + 1) - 1)
-        return rayleigh_quotient(fourier_form(u, fft_box, s), u, 4.0)
+        return rayleigh_quotient(fourier_form(u, fft_box, s), u, grid, 4.0)
 
     q1 = quotient(40.0, 2047)
     q2 = quotient(80.0, 4095)
@@ -253,8 +253,9 @@ def test_criterion_9_spectral_constant_decreases_toward_closed_form():
     for alpha in (1.0, 2.0, 4.0, 8.0):
         dom = dilate(omega, alpha)
         op = navier_operator(dom, s)
-        seed = extremal_function(dom.grid, 1, s).values[dom.mask]
-        res = minimize_quotient(op, dom, 4.0, seed, max_iter=3000, tol=1e-10)
+        seed = extremal_function(dom.grid, s)[dom.mask]
+        res = minimize_quotient(op, dom.eigen.eigenvalues[-1] ** s, dom, 4.0, seed, max_iter=3000,
+                                tol=1e-10)
         values.append(res.value)
     nonincreasing = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
     final_gap = abs(values[-1] - target) / target

@@ -15,9 +15,10 @@ from fraclab.analysis import (
     rayleigh_quotient,
     sobolev_constant_closed_form,
 )
-from fraclab.domain import GridFunction, dilate, extend_by_zero, make_box, make_shape
+from fraclab.domain import dilate, make_box, make_shape
 from fraclab.extension import extension_constant
-from fraclab.operators import fourier_form, navier_operator
+from fraclab.linalg import eigendecompose
+from fraclab.operators import _form, fourier_form, navier_operator
 
 
 def test_gamma_classical_values():
@@ -85,51 +86,51 @@ def test_sobolev_constant_rejects_critical_dimension():
 
 def test_extremal_function_values():
     g = make_box(1, 40.0, 79)  # h = 1, integer nodes
-    u = extremal_function(g, 1, 0.25)
+    u = extremal_function(g, 0.25)
     x = g.axis_nodes()
     i3 = int(np.argmin(np.abs(x - 3.0)))
     assert x[i3] == pytest.approx(3.0, abs=1e-12)
     # U(3) = (1+9)^(-1/4)
-    assert u.values[i3] == pytest.approx(0.5623413251903491, rel=1e-12)
+    assert u[i3] == pytest.approx(0.5623413251903491, rel=1e-12)
     # even symmetry on the symmetric grid, peak value at most U(0) = 1
-    assert np.allclose(u.values, u.values[::-1], atol=1e-15)
-    assert u.values.max() <= 1.0
+    assert np.allclose(u, u[::-1], atol=1e-15)
+    assert u.max() <= 1.0
 
 
 def test_extremal_function_at_origin_node():
     g = make_box(1, 1.0, 3)  # odd N puts a node at 0
-    u = extremal_function(g, 1, 0.25)
-    assert u.values[1] == pytest.approx(1.0, abs=1e-15)
+    u = extremal_function(g, 0.25)
+    assert u[1] == pytest.approx(1.0, abs=1e-15)
 
 
 def test_lp_norm_constant_function():
     g = make_box(1, 1.0, 7)
     om = make_shape(g, "interval", (-0.3, 0.3))
-    v = extend_by_zero(np.ones(om.node_count), om)
+    v = om.mask.astype(float)  # one on Omega, zero off it
     m = om.node_count
-    assert lp_norm(v, 2.0) == pytest.approx(math.sqrt(m * g.h), rel=1e-12)
-    assert lp_norm(GridFunction(grid=g, values=np.zeros(7)), 2.0) == 0.0
+    assert lp_norm(v, g, 2.0) == pytest.approx(math.sqrt(m * g.h), rel=1e-12)
+    assert lp_norm(np.zeros(7), g, 2.0) == 0.0
     with pytest.raises(ValueError):
-        lp_norm(GridFunction(grid=g, values=np.ones(7)), 0.5)
+        lp_norm(np.ones(7), g, 0.5)
 
 
 def test_lp_norm_of_extremal_matches_arctan_integral():
     # integral of (1+x^2)^(-1) over [-40, 40] is 2 arctan(40); the discrete
     # fourth power sum must stay within 2% of pi (truncated-box value)
     g = make_box(1, 40.0, 2047)
-    u = extremal_function(g, 1, 0.25)
-    fourth = lp_norm(u, 4.0) ** 4
+    u = extremal_function(g, 0.25)
+    fourth = lp_norm(u, g, 4.0) ** 4
     assert abs(fourth - math.pi) <= 0.02 * math.pi
     assert fourth == pytest.approx(2.0 * math.atan(40.0), rel=5e-3)
 
 
 def test_rayleigh_quotient_basics():
     g = make_box(1, 1.0, 7)
-    u = GridFunction(grid=g, values=np.ones(7))
-    denom = lp_norm(u, 2.0) ** 2
-    assert rayleigh_quotient(2.0 * denom, u, 2.0) == pytest.approx(2.0)
+    u = np.ones(7)
+    denom = lp_norm(u, g, 2.0) ** 2
+    assert rayleigh_quotient(2.0 * denom, u, g, 2.0) == pytest.approx(2.0)
     with pytest.raises(ZeroDivisionError):
-        rayleigh_quotient(1.0, GridFunction(grid=g, values=np.zeros(7)), 2.0)
+        rayleigh_quotient(1.0, np.zeros(7), g, 2.0)
 
 
 def test_rayleigh_quotient_scale_invariance():
@@ -138,8 +139,8 @@ def test_rayleigh_quotient_scale_invariance():
     u = rng.standard_normal(31)
     om = make_shape(g, "interval", (-1.0, 1.0))
     op = navier_operator(om, 0.5)
-    q1 = rayleigh_quotient(op.form(u), extend_by_zero(u, om), 4.0)
-    q2 = rayleigh_quotient(op.form(2.0 * u), extend_by_zero(2.0 * u, om), 4.0)
+    q1 = rayleigh_quotient(_form(op, u, g), u, g, 4.0)
+    q2 = rayleigh_quotient(_form(op, 2.0 * u, g), 2.0 * u, g, 4.0)
     assert q1 == pytest.approx(q2, rel=1e-12)
 
 
@@ -148,20 +149,21 @@ def test_extremal_quotient_close_to_constant():
     s = 0.25
     target = sobolev_constant_closed_form(1, s)
     g = make_box(1, 40.0, 2047)
-    u = extremal_function(g, 1, s)
+    u = extremal_function(g, s)
     fft_box = make_box(1, 80.0, 2 * 2048 - 1)
-    q = rayleigh_quotient(fourier_form(u, fft_box, s), u, 4.0)
+    q = rayleigh_quotient(fourier_form(u, fft_box, s), u, g, 4.0)
     assert abs(q - target) <= 0.10 * target
 
 
 def test_minimize_quotient_p2_recovers_smallest_eigenvalue():
     box = make_box(1, 1.0, 63)
     om = make_shape(box, "interval", (-0.5, 0.5))
-    op = navier_operator(om, 0.5)
+    op, lam = navier_operator(om, 0.5), om.eigen.eigenvalues**0.5
     rng = np.random.default_rng(1)
-    res = minimize_quotient(op, om, 2.0, rng.standard_normal(op.n), max_iter=2000, tol=1e-12)
+    res = minimize_quotient(op, lam[-1], om, 2.0, rng.standard_normal(om.node_count),
+                            max_iter=2000, tol=1e-12)
     # for p = 2 the infimum is the smallest eigenvalue (h factors cancel)
-    assert res.value == pytest.approx(op.eigen.eigenvalues[0], rel=1e-6)
+    assert res.value == pytest.approx(lam[0], rel=1e-6)
     assert res.converged
 
 
@@ -170,25 +172,25 @@ def test_minimize_quotient_monotone_and_bounded_by_seed():
     om = make_shape(box, "interval", (-1.0, 1.0))
     op = navier_operator(om, 0.25)
     rng = np.random.default_rng(2)
-    seed = np.abs(rng.standard_normal(op.n)) + 0.1
-    start = rayleigh_quotient(op.form(seed), extend_by_zero(seed, om), 4.0)
-    res = minimize_quotient(op, om, 4.0, seed, max_iter=400)
+    seed = np.abs(rng.standard_normal(om.node_count)) + 0.1
+    start = rayleigh_quotient(_form(op, seed, box), seed, box, 4.0)
+    res = minimize_quotient(op, om.eigen.eigenvalues[-1] ** 0.25, om, 4.0, seed, max_iter=400)
     assert res.value <= start + 1e-12
     assert res.iterations <= 400
-    # minimizer is reported normalized in the critical norm
-    m = res.minimizer.values[om.mask]
-    assert lp_norm(res.minimizer, 4.0) == pytest.approx(1.0, rel=1e-10)
-    assert res.value == pytest.approx(op.form(m), rel=1e-10)
+    # minimizer is reported on Omega, normalized in the critical norm
+    assert res.minimizer.shape == (om.node_count,)
+    assert lp_norm(res.minimizer, box, 4.0) == pytest.approx(1.0, rel=1e-10)
+    assert res.value == pytest.approx(_form(op, res.minimizer, box), rel=1e-10)
 
 
 def test_minimize_quotient_upper_bounds_finer_run():
     # a coarse run must not undershoot the value a finer run reaches
     box = make_box(1, 2.0, 127)
     om = make_shape(box, "interval", (-1.0, 1.0))
-    op = navier_operator(om, 0.25)
-    seed = np.abs(np.random.default_rng(9).standard_normal(op.n)) + 0.1
-    coarse = minimize_quotient(op, om, 4.0, seed, max_iter=40, tol=1e-6)
-    fine = minimize_quotient(op, om, 4.0, seed, max_iter=4000, tol=1e-12)
+    op, largest = navier_operator(om, 0.25), om.eigen.eigenvalues[-1] ** 0.25
+    seed = np.abs(np.random.default_rng(9).standard_normal(om.node_count)) + 0.1
+    coarse = minimize_quotient(op, largest, om, 4.0, seed, max_iter=40, tol=1e-6)
+    fine = minimize_quotient(op, largest, om, 4.0, seed, max_iter=4000, tol=1e-12)
     assert coarse.value >= fine.value - 1e-12
 
 
@@ -196,8 +198,8 @@ def test_minimize_quotient_converges_immediately_from_minimizer():
     box = make_box(1, 1.0, 63)
     om = make_shape(box, "interval", (-0.5, 0.5))
     op = navier_operator(om, 0.5)
-    ground = op.eigen.eigenvectors[:, 0]
-    res = minimize_quotient(op, om, 2.0, ground, max_iter=50)
+    ground = om.eigen.eigenvectors[:, 0]
+    res = minimize_quotient(op, om.eigen.eigenvalues[-1] ** 0.5, om, 2.0, ground, max_iter=50)
     assert res.converged
     assert res.iterations <= 1
 
@@ -205,11 +207,14 @@ def test_minimize_quotient_converges_immediately_from_minimizer():
 def test_minimize_quotient_input_validation():
     box = make_box(1, 1.0, 31)
     om = make_shape(box, "interval", (-0.5, 0.5))
-    op = navier_operator(om, 0.5)
+    op, n = navier_operator(om, 0.5), om.node_count
+    largest = eigendecompose(op).eigenvalues[-1]
     with pytest.raises(ValueError):
-        minimize_quotient(op, om, 2.0, np.zeros(op.n))
+        minimize_quotient(op, largest, om, 2.0, np.zeros(n))
     with pytest.raises(ValueError):
-        minimize_quotient(op, om, 1.5, np.ones(op.n))
+        minimize_quotient(op, largest, om, 1.5, np.ones(n))
+    with pytest.raises(ValueError, match="operator size"):
+        minimize_quotient(op[1:, 1:], largest, om, 2.0, np.ones(n))
 
 
 def test_dilation_sweep_single_alpha_ratio_at_least_one():

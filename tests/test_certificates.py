@@ -122,9 +122,10 @@ def test_sweep_margins_are_the_ratio_reductions(name):
 
 def _quotient(dim, s, halfwidth, nodes, pad):
     grid = make_box(dim, halfwidth, nodes)
-    u = extremal_function(grid, dim, s)
-    form = fourier_form(u, make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1), s)
-    return rayleigh_quotient(form, u, SobolevSetup(n=dim, s=s).critical_exponent)
+    u = extremal_function(grid, s)
+    fft_box = make_box(dim, pad * halfwidth, pad * (nodes + 1) - 1)
+    form = fourier_form(u.reshape(grid.shape), fft_box, s)
+    return rayleigh_quotient(form, u, grid, SobolevSetup(n=dim, s=s).critical_exponent)
 
 
 @pytest.mark.parametrize("dim, nodes, s", [(dim, nodes, s) for dim, nodes in ((1, 63), (2, 15))
@@ -168,5 +169,5 @@ def test_chain_fails_with_the_operators_swapped(monkeypatch, tmp_path, capsys, d
     navier, restricted = operators.navier_operator, operators._restricted_matrix
     monkeypatch.setattr(operators, "_navier_form",  # D's form where N's is read
                         lambda domain, s, v: operators._form(restricted(domain, s), v, domain.grid))
-    monkeypatch.setattr(operators, "_restricted_matrix", lambda domain, s: navier(domain, s).matrix)
+    monkeypatch.setattr(operators, "_restricted_matrix", navier)
     _fails_at_every_exponent(tmp_path, capsys, "monotonicity", dim, "monotone_chain")

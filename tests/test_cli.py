@@ -212,10 +212,9 @@ def test_monotonicity_without_a_kind_key_writes_the_same_report(tmp_path):
 
 # fraclab.__all__ before the package read its names off the layers
 PACKAGE_NAMES = (
-    "__version__", "BoxGrid", "SubDomain", "GridFunction", "make_box", "make_shape",
-    "parse_shape_spec", "extend_by_zero", "dilate", "EigenDecomposition", "sym_matrix",
-    "eigendecompose", "eigenvalues", "spectral_power", "Certificate", "SymOperator",
-    "navier_operator", "dirichlet_operator", "fourier_form", "difference_operator",
+    "__version__", "BoxGrid", "SubDomain", "make_box", "make_shape", "parse_shape_spec", "dilate",
+    "EigenDecomposition", "sym_matrix", "eigendecompose", "eigenvalues", "spectral_power",
+    "Certificate", "navier_operator", "dirichlet_operator", "fourier_form", "difference_operator",
     "compare_spectra", "positivity_check", "monotonicity_check", "monotone_chain",
     "ExtensionMesh", "graded_mesh", "default_grading", "compare_extensions",
     "SobolevSetup", "QuotientResult", "gamma", "extension_constant",
@@ -231,26 +230,26 @@ def test_the_package_exports_each_layers_public_names():
     for name in fraclab.__all__[1:]:
         owner, = (m for m in layers if name in m.__all__)
         assert getattr(fraclab, name) is getattr(owner, name)
-    assert set(PACKAGE_NAMES) <= set(fraclab.__all__) and len(PACKAGE_NAMES) == 39
+    assert set(PACKAGE_NAMES) <= set(fraclab.__all__) and len(PACKAGE_NAMES) == 36
 
 
 # Module-level names that no src/ code calls, each with the reason it stays.
 UNCALLED = {
     "minimize_quotient": "acceptance criterion 9's descent; ROADMAP item 13 decides its fate",
     "QuotientResult": "minimize_quotient's result",
+    "dirichlet_operator": "perfbench's tracer tests call it and pin its re-export; ROADMAP items 5 "
+                          "and 21 retire it",
 }
 
 
 def _loaded_names(node, own):
-    """The names ``node`` reads, imports or reaches as attributes, but ``own``."""
+    """The names ``node`` reads or reaches as attributes, but ``own``; an import alone is none."""
     names = set()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
             names.add(sub.id)
         elif isinstance(sub, ast.Attribute):
             names.add(sub.attr)
-        elif isinstance(sub, ast.alias):
-            names.add(sub.asname or sub.name)
     return names - {own}
 
 
@@ -462,6 +461,30 @@ def test_a_config_that_is_not_utf8_is_refused(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_a_config_saved_with_a_byte_order_mark_runs_as_without_it(tmp_path):
+    text = b"seed = 1\ndim = 1\n"
+    for name, data in (("bom", b"\xef\xbb\xbf" + text), ("plain", text)):
+        (tmp_path / f"{name}.cfg").write_bytes(data)
+        assert main(["spectra", "--config", str(tmp_path / f"{name}.cfg"),
+                     "--out", str(tmp_path / name)]) == 0
+    for report in ("spectra.csv", "spectra.json"):
+        assert (tmp_path / "bom" / report).read_bytes() == (tmp_path / "plain" / report).read_bytes()
+
+
+# h^2 overflows, h itself overflows, h^2 underflows to 0, and 2/h^2 overflows
+@pytest.mark.parametrize("halfwidth", ["1e200", "1e308", "1e-160", "6.4e-153"])
+@pytest.mark.parametrize("kind, dim", [("spectra", 1), ("positivity", 1), ("sweep", 1),
+                                       ("monotonicity", 2)])
+def test_a_box_step_whose_square_overflows_is_refused(tmp_path, capsys, kind, dim, halfwidth):
+    path = tmp_path / "wide.cfg"
+    path.write_text(f"seed = 1\ndim = {dim}\nbox.halfwidth = {halfwidth}\nbox.nodes = 127\n")
+    assert main([kind, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "\n  box.halfwidth, box.nodes: step h = " in err
+    assert err.endswith(" is outside the usable (1/3.4e+38, 3.4e+38)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_kind_mismatch_is_usage_error(tmp_path):
@@ -765,6 +788,21 @@ def test_a_mesh_too_steep_for_floating_point_is_refused(tmp_path, capsys, dim, t
     assert err == (f"error: extension.grading: the mesh of s = {s}, grading {gamma} and 64 layers "
                    f"is too steep for floating point ({reason}); set a lower extension.grading\n")
     assert not list(tmp_path.glob("extension.*"))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_extension_height_whose_cell_weights_overflow_is_refused(tmp_path, capsys, dim):
+    # at s = 1/4 the weight integral of y^(3-2s) overflows past y = 2e123; 1e123 still runs
+    path = tmp_path / "tall.cfg"
+    path.write_text(f"seed = 1\ndim = {dim}\nextension.height = 1e130\n")
+    assert main(["extension", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: extension.height: the mesh of s = 0.25 and height 1e+130 overflows (cell 5 below "
+        "y = 5.35827e+123 has weights or squared width beyond floating point); set a lower "
+        "extension.height\n")
+    assert not (tmp_path / "out").exists()
+    cli._mesh_for(parse_config(f"seed = 1\ndim = {dim}\nextension.height = 1e123\n"),
+                  cli._build_domain(parse_config(f"seed = 1\ndim = {dim}\n")), 0.25)
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -5,7 +5,6 @@ from fraclab.domain import (
     _check_connected,
     _grow,
     dilate,
-    extend_by_zero,
     make_box,
     make_shape,
     parse_shape_spec,
@@ -39,6 +38,18 @@ def test_make_box_rejects_bad_arguments():
         make_box(1, -1.0, 4)
     with pytest.raises(ValueError):
         make_box(1, 1.0, 0)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("halfwidth, nodes",
+                         [(1e200, 127), (1e308, 127), (1e-160, 127), (6.4e-153, 127)])
+def test_make_box_refuses_a_step_whose_square_leaves_floating_point(dim, halfwidth, nodes):
+    # h = 1.6e198 squares to inf, 2e308 is already inf, h = 1.6e-162 squares to 0, and
+    # h = 1e-154 squares to 1e-308, whose Laplacian diagonal 2/h^2 = 2e308 is inf
+    with pytest.raises(ValueError, match=r"is outside the usable \(1/3.4e\+38, 3.4e\+38\)"):
+        make_box(dim, halfwidth, nodes)
+    make_box(dim, 1e38, nodes)
+    make_box(dim, 1e-36, nodes)
 
 
 def test_make_shape_interval_node_enumeration():
@@ -83,42 +94,6 @@ def test_parse_shape_spec():
         parse_shape_spec("disk:")
     with pytest.raises(ValueError):
         parse_shape_spec("interval:0.5")
-
-
-def test_extend_restrict_round_trip():
-    g = make_box(1, 1.0, 7)
-    om = make_shape(g, "interval", (-0.3, 0.3))
-    rng = np.random.default_rng(0)
-    u = rng.standard_normal(om.node_count)
-    v = extend_by_zero(u, om)
-    assert np.count_nonzero(v.values) <= om.node_count
-    assert np.allclose(v.values[om.mask], u)
-
-
-def test_extend_by_zero_constant_counts():
-    g = make_box(1, 1.0, 7)
-    om = make_shape(g, "interval", (-0.3, 0.3))
-    v = extend_by_zero(np.ones(om.node_count), om)
-    assert np.sum(v.values == 1.0) == om.node_count
-    assert np.sum(v.values == 0.0) == g.size - om.node_count
-
-
-def test_restrict_then_extend_identity_on_supported():
-    g = make_box(2, 1.0, 9)
-    om = make_shape(g, "disk", (0.5,))
-    rng = np.random.default_rng(1)
-    v = extend_by_zero(rng.standard_normal(om.node_count), om)
-    again = extend_by_zero(v.values[om.mask], om)
-    assert np.array_equal(again.values, v.values)
-    assert not np.any(v.values[~om.mask])
-
-
-def test_extend_by_zero_on_full_box_is_identity():
-    g = make_box(1, 1.0, 9)
-    om = make_shape(g, "square" if g.dim == 2 else "interval", (-1.0, 1.0))
-    rng = np.random.default_rng(2)
-    u = rng.standard_normal(9)
-    assert np.array_equal(extend_by_zero(u, om).values, u)
 
 
 def test_dilate_identity():
@@ -299,24 +274,3 @@ def test_a_mask_that_is_no_rectangle_reads_its_spectrum_off_the_eigenbasis(shape
     d = make_shape(make_box(2, 1.0, 24), shape, params)
     assert d.spectrum is d.eigen.eigenvalues
     assert np.max(np.abs(d.spectrum - np.linalg.eigvalsh(d.laplacian))) < 1e-12 * d.spectrum[-1]
-
-
-def test_grid_embedding_requires_alignment():
-    g1 = make_box(1, 1.0, 63)  # h = 1/32, halfwidth multiple of h
-    g2 = make_box(1, 2.0, 127)
-    assert g1.embed_offset(g2) == 32
-    g3 = make_box(1, 2.0, 255)  # different h
-    with pytest.raises(ValueError):
-        g1.embed_offset(g3)
-    with pytest.raises(ValueError):
-        g2.embed_offset(g1)  # smaller target
-
-
-def test_grid_function_validation():
-    g = make_box(1, 1.0, 7)
-    from fraclab.domain import GridFunction
-
-    with pytest.raises(ValueError):
-        GridFunction(grid=g, values=np.ones(5))
-    with pytest.raises(ValueError):
-        GridFunction(grid=g, values=np.full(7, np.nan))

@@ -1,6 +1,7 @@
 """Extension-solver checks: closed forms, energy identity, ordering, traces."""
 
 import math
+import re
 import tracemalloc
 from functools import reduce
 
@@ -9,8 +10,7 @@ import pytest
 from extension_lattice import solve
 
 from fraclab import domain, extension, operators
-from fraclab.domain import (_interval_eigenbasis, extend_by_zero, make_box, make_shape,
-                            random_connected_mask)
+from fraclab.domain import _interval_eigenbasis, make_box, make_shape, random_connected_mask
 from fraclab.extension import (
     _LAYER_BLOCK,
     ExtensionMesh,
@@ -25,6 +25,13 @@ from fraclab.extension import (
 )
 from fraclab.operators import (_form, _restricted_matrix, difference_operator, dirichlet_operator,
                                navier_operator)
+
+
+def _on_box(u, dom):
+    """Values u on Omega's nodes, extended by zero to the rest of its box."""
+    full = np.zeros(dom.grid.size)
+    full[dom.mask] = u
+    return full
 
 
 @pytest.fixture
@@ -75,6 +82,8 @@ def test_mesh_validation():
         ExtensionMesh(y=np.array([0.0, np.nan, 1.0]), gamma=2.0)
     with pytest.raises(ValueError, match="grading exponent must be >= 1, got nan"):
         ExtensionMesh(y=np.array([0.0, 0.5, 1.0]), gamma=np.nan)
+    with pytest.raises(ValueError, match="y-node 4 is inf, not finite"):
+        ExtensionMesh(y=np.array([0.0, 0.5, 1.0, 2.0, np.inf]), gamma=2.0)
     for height in (np.nan, np.inf):  # inf would make y_0 = inf * 0
         with pytest.raises(ValueError, match="truncation height must be positive and finite"):
             graded_mesh(8, height, 2.0)
@@ -105,6 +114,16 @@ def test_cell_stiffness_refuses_a_mesh_too_steep_for_floating_point(s, gamma, va
     # y_1^2 alone does (a positive weight over 0)
     with pytest.raises(ValueError, match=f"^cell 0 has stiffness {value}$"):
         cell_stiffness(graded_mesh(64, 4.0, gamma), s)
+
+
+@pytest.mark.parametrize("s, height, cell, top", [(0.25, 1e130, 5, "5.35827e+123"),
+                                                (0.9, 1e200, 0, "2.44141e+196")])
+def test_cell_stiffness_refuses_weights_that_overflow_at_a_large_height(s, height, cell, top):
+    # y^(3-2s) overflows from y = 2e123 on at s = 1/4; at s = 0.9 the first cell's width squared
+    mesh = graded_mesh(64, height, default_grading(s))
+    with pytest.raises(OverflowError, match=f"^cell {cell} below y = {re.escape(top)} has weights"):
+        cell_stiffness(mesh, s)
+    cell_stiffness(graded_mesh(64, 1e123, default_grading(s)), s)
 
 
 def test_extension_of_a_zero_datum_is_zero(unit_interval):
@@ -199,7 +218,7 @@ def test_energy_identity_dirichlet_variant(embedded_interval):
 
 
 def test_dirichlet_energy_identity_reads_the_form_without_an_eigensolve(monkeypatch):
-    # D's form is read off its matrix; a SymOperator would factor the 120-node D to read it
+    # D's form is read off its matrix; dirichlet_operator would factor the 120-node D to make it
     dom = make_shape(make_box(2, 1.0, 24), "disk", (0.5,))
     u = np.ones(dom.node_count)
     sizes, original = [], operators.eigendecompose
@@ -213,7 +232,7 @@ def test_dirichlet_energy_identity_reads_the_form_without_an_eigensolve(monkeypa
     form = _dirichlet_form(dom, 0.5, u)
     assert sizes == []
     monkeypatch.undo()
-    assert form == dirichlet_operator(dom, dom.grid, 0.5).form(u)
+    assert form == _form(dirichlet_operator(dom, dom.grid, 0.5), u, dom.grid)
 
 
 def test_trace_limit_zero_datum(unit_interval):
@@ -239,8 +258,8 @@ def test_trace_limit_matches_matrix_operators(embedded_interval, s, grading):
     mesh = graded_mesh(96, height, default_grading(s) if grading == "default" else grading)
     trace_d = _trace_limit(u, dom, "dirichlet", s, mesh)
     trace_n = _trace_limit(u, dom, "navier", s, mesh)
-    ref_d = dirichlet_operator(dom, box, s).apply(u)
-    ref_n = navier_operator(dom, s).apply(u)
+    ref_d = dirichlet_operator(dom, box, s) @ u
+    ref_n = navier_operator(dom, s) @ u
     assert np.linalg.norm(trace_d - ref_d) / np.linalg.norm(ref_d) <= 0.02
     assert np.linalg.norm(trace_n - ref_n) / np.linalg.norm(ref_n) <= 0.02
     # the difference of the two co-normal traces recovers the gap operator
@@ -363,7 +382,7 @@ def _modes(name, variant):
     if variant == "navier":
         lam, c0 = dom.eigen.eigenvalues, dom.eigen.eigenvectors.T @ u
     else:
-        lam, c0 = _box_analysis(extend_by_zero(u, dom).values, dom.grid)
+        lam, c0 = _box_analysis(_on_box(u, dom), dom.grid)
     return dom, u, lam, c0
 
 
@@ -610,7 +629,7 @@ def test_a_navier_residual_is_held_to_its_own_bound_in_the_joint_sweep(monkeypat
     dom = make_shape(make_box(2, 1.0, 16), "disk", (0.15,))
     u, s, mesh = np.ones(dom.node_count), 0.5, graded_mesh(16, 4.0, 1.0)
     k, w_left, w_right = _stiffness(mesh, s)
-    lam_d = np.unique(_box_analysis(extend_by_zero(u, dom).values, dom.grid)[0])
+    lam_d = np.unique(_box_analysis(_on_box(u, dom), dom.grid)[0])
     lam_n = np.unique(dom.eigen.eigenvalues)
     phi_d = _solve_modes(lam_d, mesh, s)[0]
     bound_d = 1e-10 * _lattice_residual(lam_d, k, w_left, w_right, phi_d)[1]
@@ -772,7 +791,7 @@ def test_compare_extensions_peaks_below_half_a_distinct_profile_lattice():
     # whole-lattice sweep held 1,025 x 803 distinct box profiles, the stream a block of layers
     dom = make_shape(make_box(2, 1.0, 40), "disk", (0.5,))
     u, mesh = np.abs(dom.eigen.eigenvectors[:, 0]), graded_mesh(1024, 8.0, 2.0)
-    assert np.unique(_box_analysis(extend_by_zero(u, dom).values, dom.grid)[0]).size == 803
+    assert np.unique(_box_analysis(_on_box(u, dom), dom.grid)[0]).size == 803
     lattice = (mesh.layers + 1) * 803 * 8
     compare_extensions(u, dom, 0.5, mesh)  # the caches are warm
     tracemalloc.start()

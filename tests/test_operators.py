@@ -10,6 +10,7 @@ from fraclab.domain import make_box, make_shape, random_connected_mask, random_n
 from fraclab import linalg, operators
 from fraclab.linalg import eigendecompose
 from fraclab.operators import (
+    _form,
     compare_spectra,
     difference_operator,
     dirichlet_operator,
@@ -17,7 +18,7 @@ from fraclab.operators import (
     monotonicity_check,
     navier_operator,
 )
-from fraclab.domain import GridFunction, SubDomain, extend_by_zero
+from fraclab.domain import SubDomain
 
 
 def centered_interval(box, nodes):
@@ -73,18 +74,18 @@ def test_laplacian_irregular_mask_positive_definite():
 def test_navier_s1_equals_laplacian_exactly():
     box = make_box(1, 1.0, 32)
     om = centered_interval(box, 8)
-    assert np.array_equal(navier_operator(om, 1.0).matrix, om.laplacian)
+    assert navier_operator(om, 1.0) is om.laplacian
 
 
 def test_navier_scalar_power():
     op = navier_operator(full_box(make_box(1, 1.0, 1)), 0.5)
-    assert op.matrix[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert op[0, 0] == pytest.approx(np.sqrt(2.0), rel=1e-12)
 
 
 def test_navier_powers_of_closed_form_spectrum():
     op = navier_operator(full_box(make_box(1, 0.5, 3)), 0.5)
     expect = np.sqrt([9.372583002030478, 31.999999999999996, 54.62741699796952])
-    assert np.allclose(op.eigen.eigenvalues, expect, rtol=1e-12)
+    assert np.allclose(linalg.eigenvalues(op), expect, rtol=1e-12)
 
 
 def test_navier_rejects_bad_exponent():
@@ -108,18 +109,18 @@ def test_navier_form_off_the_eigenbasis_matches_the_dense_operator(name):
     dom = NAVIER_FORM_DOMAINS[name]()
     v = np.random.default_rng(2).standard_normal(dom.node_count)
     for s in (0.05, 0.25, 0.5, 0.75, 0.95):
-        dense = navier_operator(dom, s).form(v)
+        dense = _form(navier_operator(dom, s), v, dom.grid)
         assert abs(operators._navier_form(dom, s, v) - dense) <= 1e-13 * abs(dense)
-    assert operators._navier_form(dom, 1.0, v) == navier_operator(dom, 1.0).form(v)  # bitwise
+    assert operators._navier_form(dom, 1.0, v) == _form(navier_operator(dom, 1.0), v, dom.grid)
 
 
-def test_dirichlet_s1_coincides_exactly():
+def test_dirichlet_s1_coincides_exactly_without_an_eigensolve(monkeypatch):
     box = make_box(1, 1.0, 32)
     om = centered_interval(box, 8)
-    d = dirichlet_operator(om, box, 1.0)
-    n = navier_operator(om, 1.0)
-    assert np.array_equal(d.matrix, n.matrix)
-    assert np.array_equal(d.eigen.eigenvalues, n.eigen.eigenvalues)
+    calls = []
+    monkeypatch.setattr(operators, "eigendecompose", lambda matrix: calls.append(len(matrix)))
+    assert dirichlet_operator(om, box, 1.0) is navier_operator(om, 1.0) is om.laplacian
+    assert calls == []
 
 
 def test_dirichlet_on_full_box_equals_navier():
@@ -128,7 +129,7 @@ def test_dirichlet_on_full_box_equals_navier():
     assert om.mask.all()
     d = dirichlet_operator(om, box, 0.5)
     n = navier_operator(om, 0.5)
-    assert np.max(np.abs(d.matrix - n.matrix)) <= 1e-10 * np.max(np.abs(n.matrix))
+    assert np.max(np.abs(d - n)) <= 1e-10 * np.max(np.abs(n))
 
 
 def test_dirichlet_requires_embedded_domain():
@@ -139,15 +140,31 @@ def test_dirichlet_requires_embedded_domain():
         dirichlet_operator(om, box, 0.5)
 
 
+def test_dirichlet_refuses_an_indefinite_matrix(monkeypatch):
+    box = make_box(1, 1.0, 32)
+    om = centered_interval(box, 8)
+
+    def shifted(matrix):
+        eigen = eigendecompose(matrix)
+        return linalg.EigenDecomposition(eigenvalues=eigen.eigenvalues - 1e6,
+                                         eigenvectors=eigen.eigenvectors)
+
+    monkeypatch.setattr(operators, "eigendecompose", shifted)
+    with pytest.raises(ValueError, match="dirichlet operator must be positive definite"):
+        dirichlet_operator(om, box, 0.5)
+
+
 def test_dirichlet_form_cross_checked_by_fourier_on_doubled_box():
     # 8 centered nodes in a 63-node box, s = 1/2; the periodic-multiplier form
     # on the doubled (lattice-aligned) box must agree within 2%
     box = make_box(1, 1.0, 63)
     om = centered_interval(box, 8)
     u = om.eigen.eigenvectors[:, 0]
-    q_matrix = dirichlet_operator(om, box, 0.5).form(u)
+    q_matrix = _form(dirichlet_operator(om, box, 0.5), u, box)
     big = make_box(1, 2.0, 127)
-    q_fourier = fourier_form(extend_by_zero(u, om), big, 0.5)
+    v = np.zeros(box.size)
+    v[om.mask] = u
+    q_fourier = fourier_form(v, big, 0.5)
     assert abs(q_matrix - q_fourier) <= 0.02 * q_matrix
 
 
@@ -155,8 +172,7 @@ def test_dirichlet_form_cross_checked_by_fourier_on_doubled_box():
 
 def test_fourier_form_zero_function():
     g = make_box(1, 1.0, 15)
-    u = GridFunction(grid=g, values=np.zeros(15))
-    assert fourier_form(u, g, 0.5) == 0.0
+    assert fourier_form(np.zeros(15), g, 0.5) == 0.0
 
 
 def test_fourier_form_s1_matches_difference_form():
@@ -165,9 +181,8 @@ def test_fourier_form_s1_matches_difference_form():
     g = make_box(1, 20.0, 1023)
     x = g.axis_nodes()
     vals = np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 4, 0.0)
-    u = GridFunction(grid=g, values=vals)
-    q_fd = navier_operator(full_box(g), 1.0).form(vals)
-    q_f = fourier_form(u, g, 1.0)
+    q_fd = _form(navier_operator(full_box(g), 1.0), vals, g)
+    q_f = fourier_form(vals, g, 1.0)
     assert abs(q_fd - q_f) <= 0.02 * q_f
 
 
@@ -175,7 +190,7 @@ def test_fourier_form_self_convergence_under_box_growth():
     def bump(L, N):
         g = make_box(1, L, N)
         x = g.axis_nodes()
-        return GridFunction(grid=g, values=np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 4, 0.0)), g
+        return np.where(np.abs(x) < 1.0, np.cos(np.pi * x / 2.0) ** 4, 0.0), g
 
     u20, g20 = bump(20.0, 1023)
     u40, g40 = bump(40.0, 2047)
@@ -194,16 +209,18 @@ def test_fourier_form_2d_matches_edge_sum_at_s1():
     vals = np.where(r2 < 1.0, np.cos(np.pi * np.sqrt(r2) / 2.0) ** 4, 0.0)
     u2d = np.pad(vals.reshape(127, 127), 1)
     q_fd = float(np.sum(np.diff(u2d, axis=0) ** 2) + np.sum(np.diff(u2d, axis=1) ** 2))
-    u = GridFunction(grid=g, values=vals)
-    q_f = fourier_form(u, g, 1.0)
+    q_f = fourier_form(vals.reshape(g.shape), g, 1.0)
     assert abs(q_fd - q_f) <= 0.02 * q_f
 
 
-def test_fourier_form_rejects_misaligned_grid():
-    g = make_box(1, 1.0, 16)
-    u = GridFunction(grid=g, values=np.ones(16))
-    with pytest.raises(ValueError):
-        fourier_form(u, make_box(1, 2.0, 16), 0.5)
+@pytest.mark.parametrize("dim, shape", [(1, (17,)), (1, (15,)), (1, (4, 4)), (2, (16,)),
+                                        (2, (15, 15)), (2, (4, 6)), (2, (4, 4, 4))])
+def test_fourier_form_refuses_a_lattice_that_does_not_centre_in_the_box(dim, shape):
+    # k > N, N - k odd, or not a (k,) * dim lattice; the 16-node box takes 16, 14, 12, ... nodes
+    box = make_box(dim, 1.0, 16)
+    with pytest.raises(ValueError, match="does not centre in the"):
+        fourier_form(np.ones(shape), box, 0.5)
+    assert fourier_form(np.ones((14,) * dim), box, 0.5) > 0.0
 
 
 # -------------------------------------------------------- difference operator
@@ -248,8 +265,8 @@ def test_operators_symmetric_and_definite():
     om = make_shape(box, "disk", (0.5,))
     for op in (navier_operator(om, 1.0), navier_operator(om, 0.5),
                dirichlet_operator(om, box, 0.5)):
-        assert np.max(np.abs(op.matrix - op.matrix.T)) <= 1e-12
-        assert op.eigen.eigenvalues[0] > 0
+        assert np.max(np.abs(op - op.T)) <= 1e-12
+        assert linalg.eigenvalues(op)[0] > 0
     assert linalg.eigenvalues(difference_operator(om, 0.5))[0] >= -1e-10
 
 
@@ -288,11 +305,10 @@ def test_compare_spectra_margins_shrink_toward_coincidence():
 
 def test_operator_matrices_are_immutable():
     box = make_box(1, 1.0, 32)
-    op = navier_operator(centered_interval(box, 8), 0.5)
-    with pytest.raises(ValueError):
-        op.matrix[0, 0] = 1.0
-    with pytest.raises(ValueError):
-        op.eigen.eigenvalues[0] = 1.0
+    om = centered_interval(box, 8)
+    for op in (navier_operator(om, 0.5), dirichlet_operator(om, box, 0.5)):
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -320,9 +336,11 @@ def test_compare_spectra_matches_the_dense_operators(dim, nodes, shape, params, 
     box = make_box(dim, 1.0, nodes)
     om = make_shape(box, shape, params)
     comp = compare_spectra(om, s)
-    assert np.array_equal(comp.rows["lambda_navier"], navier_operator(om, s).eigen.eigenvalues)
-    dense = dirichlet_operator(om, box, s).eigen.eigenvalues
-    assert np.max(np.abs(comp.rows["lambda_dirichlet"] - dense) / dense) <= 1e-11
+    for name, matrix in (("navier", navier_operator(om, s)),
+                         ("dirichlet", dirichlet_operator(om, box, s))):
+        dense = eigendecompose(matrix).eigenvalues
+        assert np.max(np.abs(comp.rows[f"lambda_{name}"] - dense) / dense) <= 1e-11
+    assert np.array_equal(comp.rows["lambda_navier"], om.spectrum ** s)
 
 
 @pytest.mark.parametrize("dim, nodes, shape, params", SPECTRA_CASES)
@@ -345,7 +363,7 @@ SPLIT_S = [0.02, 0.1, 0.5, 0.9]
 
 
 def _split_spectrum_error(om, box, s):
-    whole = np.linalg.eigvalsh(dirichlet_operator(om, box, s).matrix)
+    whole = np.linalg.eigvalsh(dirichlet_operator(om, box, s))
     return np.max(np.abs(compare_spectra(om, s).rows["lambda_dirichlet"] - whole)) / whole[-1]
 
 
@@ -552,13 +570,6 @@ def test_compare_spectra_refuses_an_indefinite_restricted_operator(monkeypatch):
         compare_spectra(om, 0.5)
 
 
-def test_operator_equality_and_hash_go_by_identity():
-    box = make_box(2, 1.0, 8)
-    om = make_shape(box, "disk", (0.5,))
-    op, twin = navier_operator(om, 0.5), navier_operator(om, 0.5)
-    assert op == op and op != twin
-    assert hash(op) == hash(op) and len({op, twin}) == 2
-
 
 # ----------------------------------------------------------- positivity check
 
@@ -655,7 +666,7 @@ def test_monotonicity_and_difference_form_the_restricted_matrix_without_its_eige
     inner, outer = random_nested_masks(box, 6, 12, rng)
     u = rng.standard_normal(inner.node_count)
     restricted = dirichlet_operator(inner, box, 0.5)
-    spectral = navier_operator(inner, 0.5).matrix
+    spectral = navier_operator(inner, 0.5)
     calls = []
 
     def counting(matrix, *args, **kwargs):
@@ -663,10 +674,10 @@ def test_monotonicity_and_difference_form_the_restricted_matrix_without_its_eige
         return eigendecompose(matrix, *args, **kwargs)
 
     monkeypatch.setattr(operators, "eigendecompose", counting)
-    assert chain_forms(inner, outer, 0.5, u)[0] == restricted.form(u)
+    assert chain_forms(inner, outer, 0.5, u)[0] == _form(restricted, u, box)
     assert calls == []
     diff = difference_operator(inner, 0.5)
-    assert np.array_equal(diff, spectral - restricted.matrix)
+    assert np.array_equal(diff, spectral - restricted)
     assert not diff.flags.writeable
     assert calls == []
 

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 from fraclab.domain import (
-    GridFunction,
     SubDomain,
     _interval_eigenbasis,
     _interval_eigenvalues,
@@ -62,7 +61,8 @@ def _node_coords(grid):
 
 
 def _embed_indices(grid, other):
-    axis = np.arange(grid.nodes_per_axis) + grid.embed_offset(other)
+    """Flat indices in ``other`` of the nodes of ``grid``, both centred at the origin."""
+    axis = np.arange(grid.nodes_per_axis) + (other.nodes_per_axis - grid.nodes_per_axis) // 2
     if grid.dim == 1:
         return axis
     return (axis[:, None] * other.nodes_per_axis + axis[None, :]).ravel()
@@ -149,15 +149,15 @@ def _bounding_box_synthesis(coef, grid, rows):
 
 
 def _fourier_form(u, box, s):
-    offset = u.grid.embed_offset(box)
-    n_small, m, h = u.grid.nodes_per_axis, box.nodes_per_axis + 1, box.h
+    n_small, m, h = len(u), box.nodes_per_axis + 1, box.h
+    offset = (box.nodes_per_axis - n_small) // 2
     if box.dim == 1:
         p = np.zeros(m)
-        p[offset + 1 : offset + 1 + n_small] = u.values
+        p[offset + 1 : offset + 1 + n_small] = u
     else:
         p = np.zeros((m, m))
         sl = slice(offset + 1, offset + 1 + n_small)
-        p[sl, sl] = u.values.reshape(n_small, n_small)
+        p[sl, sl] = u
     freq = 2.0 * np.pi * np.fft.fftfreq(m, d=h)
     if box.dim == 1:
         xi_sq = freq**2
@@ -234,7 +234,6 @@ def test_node_coords_neighbors_and_self_embedding(dim, n):
 @pytest.mark.parametrize("dim, small, big", EMBEDDED, ids=_ids(EMBEDDED))
 def test_embedded_indices(dim, small, big):
     grid, box = make_box(dim, *small), make_box(dim, *big)
-    assert grid.embed_offset(box) == round((box.halfwidth - grid.halfwidth) / grid.h)
     idx = _embed_indices(grid, box)
     assert np.allclose(box.node_coords()[idx], grid.node_coords(), rtol=0.0, atol=1e-12)
 
@@ -352,8 +351,8 @@ FOURIER_CASES = [(dim, small, big, s) for dim, small, big in EMBEDDED for s in S
 def test_fourier_form(dim, small, big, s):
     grid, box = make_box(dim, *small), make_box(dim, *big)
     rng = np.random.default_rng(int(100 * s) + dim)
-    for u in (GridFunction(grid, rng.standard_normal(grid.size)),
-              GridFunction(box, rng.standard_normal(box.size))):
+    for lattice in (grid, box):
+        u = rng.standard_normal(lattice.size).reshape(lattice.shape)
         assert fourier_form(u, box, s) == _fourier_form(u, box, s)
 
 
