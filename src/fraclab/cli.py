@@ -323,6 +323,11 @@ def _mesh_for(cfg: ExperimentConfig, domain: SubDomain, s: float):
         raise ConfigError(f"extension.height: the mesh of s = {s:g} and height {height:g} "
                           f"overflows ({exc}); set a lower extension.height") from exc
     except ValueError as exc:
+        try:  # the uniform mesh is the least steep: if it fails too, the height is at fault
+            cell_stiffness(graded_mesh(cfg.extension_layers, height, 1.0), s)
+        except ValueError:
+            raise ConfigError(f"extension.height: the mesh of s = {s:g} and height {height:g} "
+                              f"underflows ({exc}); set a higher extension.height") from exc
         raise ConfigError(f"extension.grading: the mesh of s = {s:g}, grading {gamma:g} and "
                           f"{cfg.extension_layers} layers is too steep for floating point "
                           f"({exc}); set a lower extension.grading") from exc
@@ -361,7 +366,11 @@ def _run_extension(cfg: ExperimentConfig) -> list[Certificate]:
     domain = _build_domain(cfg)
     meshes = [_mesh_for(cfg, domain, s) for s in cfg.s_values]  # each refused before any solve
     u = _ground_state(domain)
-    return [compare_extensions(u, domain, s, mesh) for s, mesh in zip(cfg.s_values, meshes)]
+    try:
+        return [compare_extensions(u, domain, s, mesh) for s, mesh in zip(cfg.s_values, meshes)]
+    except FloatingPointError as exc:  # both extensions vanish on the top layers
+        raise ConfigError(f"extension.height: {exc} at height {meshes[0].height:g}; "
+                          "set a lower extension.height") from exc
 
 
 def _run_sobolev(cfg: ExperimentConfig) -> list[Certificate]:

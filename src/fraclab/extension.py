@@ -51,7 +51,7 @@ __all__ = [
 ]
 
 _LAYER_BLOCK = 64  # y-layers per cache-sized block of the lattice passes
-_RESIDUAL_TOL = 1e-10  # a profile residual's bound, relative to max(max|D| max|phi|, 1)
+_RESIDUAL_TOL = 1e-10  # a profile residual's bound, relative to max(max|D|, 1): 0 < phi <= 1
 
 
 def extension_constant(s: float) -> float:
@@ -161,7 +161,8 @@ def _sweep(modes, mesh: ExtensionMesh, s: float):
     k_0 sigma_1/(1 + sigma_1) + lam wl_0 tends to d_s lam^s, d_s = 2^(1-2s) Gamma(1-s)/Gamma(s).
     Returns each set's flux c0_j E_h(lam_j) and a generator of (ks, values), values[v] the
     synthesis of c0_j phi[ks, lam_j] over set v's modes; then each set's residual is held to its
-    own 1e-10 max(max|D| max|phi|, 1), w_i lam > 0.
+    own 1e-10 max(max|D|, 1), w_i lam > 0 (max|phi| = phi_0 = 1), and a FloatingPointError
+    raised if the profile of the least lam, above every other, underflows to 0 below layer M.
     """
     m, k = mesh.layers, cell_stiffness(mesh, s)
     _, w_left, w_right = _cell_weights(mesh.y, s)
@@ -195,7 +196,7 @@ def _sweep(modes, mesh: ExtensionMesh, s: float):
     e_unit = k[0] * buf[2] / (k[0] / k[1] + buf[2]) + lam * w_left[0]
 
     def stream():
-        err, phi_max = np.zeros(lam.size), np.ones(lam.size)  # phi_0 = 1
+        err = np.zeros(lam.size)
         for b in range(blocks):
             a, e = edges[b], edges[b + 1]
             if b:
@@ -206,24 +207,26 @@ def _sweep(modes, mesh: ExtensionMesh, s: float):
             sigma += 1.0
             for t in range(lo - a + 1, hi - a + 2):
                 np.divide(buf[t - 1], buf[t], out=buf[t])
-            _residual(buf[lo - a:e - a + 2], lam, k, wsum, lo, err, phi_max)
+            _residual(buf[lo - a:e - a + 2], lam, k, wsum, lo, err)
             # each set's scaled block is handed over unreferenced: its synthesis frees it early
             yield slice(a, e), [synthesize(imul(buf[1:e - a + 1].take(iv, axis=1), c0))
                                 for (_, c0, synthesize), iv in zip(modes, invs)]
             buf[0] = buf[e - a]  # phi_{e-1}, the next block's first neighbour
         for (lam_v, _, _), iv in zip(modes, invs):
             res, d_max = float(err[iv].max()), np.max(k[:-1] + k[1:] + wsum * lam_v.max())
-            bound = _RESIDUAL_TOL * max(float(d_max * phi_max[iv].max()), 1.0)
+            bound = _RESIDUAL_TOL * max(float(d_max), 1.0)
             if not res <= bound:
                 raise RuntimeError(f"extension solve residual {res!r} exceeds tolerance {bound!r}")
+        if not buf[0, 0] > 0:  # phi_{M-1} of the least lam: every profile is 0 there
+            raise FloatingPointError(f"every profile underflows to 0 below layer {m}")
 
     return [c0 * e_unit[iv] for (_, c0, _), iv in zip(modes, invs)], stream()
 
 
-def _residual(phi, lam, k, wsum, i0, err, phi_max):
-    """Raise err and phi_max, per column, to |D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}|,
-    D_i = (k_{i-1} + k_i) + w_i lam, and |phi_i| over layers i0 <= i < i0 + n of ``phi`` (layers
-    i0 - 1 to i0 + n), an eighth at a time in one buffer; a NaN propagates."""
+def _residual(phi, lam, k, wsum, i0, err):
+    """Raise err, per column, to |D_i phi_i - k_{i-1} phi_{i-1} - k_i phi_{i+1}|, D_i = (k_{i-1} +
+    k_i) + w_i lam, over layers i0 <= i < i0 + n of ``phi`` (layers i0 - 1 to i0 + n), an eighth
+    at a time in one buffer; a NaN propagates."""
     n = len(phi) - 2
     step = -(-n // 8)
     scratch = np.empty((2, step, lam.size))
@@ -237,7 +240,6 @@ def _residual(phi, lam, k, wsum, i0, err, phi_max):
         res -= np.multiply(p[:-2], below[:, None], out=term)
         res -= np.multiply(p[2:], at[:, None], out=term)
         np.maximum(err, np.abs(res, out=res).max(axis=0), out=err)
-        np.maximum(phi_max, np.abs(p[1:-1], out=term).max(axis=0), out=phi_max)
 
 
 def _box_analysis(datum: np.ndarray, grid: BoxGrid) -> tuple[np.ndarray, np.ndarray]:

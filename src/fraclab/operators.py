@@ -27,7 +27,6 @@ Operators are sym_matrix arrays and functions are arrays of nodal values.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -132,22 +131,24 @@ def _restricted_kernel(box: BoxGrid, s: float) -> np.ndarray:
     return kernel
 
 
+_ROW_BLOCK = 64  # rows of P B^s P^T gathered at a time: no |Omega|^2 temporaries
+
+
 def _lags(rows: np.ndarray, cols: np.ndarray, box: BoxGrid) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Per axis, the Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 of two node sets,
-    in the narrowest of int16, int32 and int64 that holds N + 1, the largest lag (int16 on every
-    box the CLI accepts); every signed intermediate lies within +-(N + 1) too."""
+    """Per axis, the Toeplitz lags |x - y| and folded Hankel lags of x + y + 2 of two node sets, in
+    the narrowest of int16, int32 and int64 that holds N + 1, bounding every lag and partial sum."""
     n, lags = box.nodes_per_axis, []
     dtype = next(t for t in (np.int16, np.int32, np.int64) if n + 1 <= np.iinfo(t).max)
     for r, c in zip(np.unravel_index(rows, box.shape), np.unravel_index(cols, box.shape)):
         r, c = r.astype(dtype), c.astype(dtype)
-        toeplitz = np.subtract.outer(r, c)
-        np.abs(toeplitz, out=toeplitz)
-        hankel = np.add.outer(r, c + (1 - n))
-        np.abs(hankel, out=hankel)
-        np.subtract(n + 1, hankel, out=hankel)
-        toeplitz.flags.writeable = hankel.flags.writeable = False  # a domain's split keeps its table
-        lags.append((toeplitz, hankel))
+        lags.append((np.abs(np.subtract.outer(r, c)), n + 1 - np.abs(np.add.outer(r, c + (1 - n)))))
     return lags
+
+
+def _row_blocks(nodes: np.ndarray, box: BoxGrid):
+    """Each block of _ROW_BLOCK rows of the matrix on ``nodes``: its slice and its own lag table."""
+    for i in range(0, nodes.size, _ROW_BLOCK):
+        yield slice(i, i + _ROW_BLOCK), _lags(nodes[i:i + _ROW_BLOCK], nodes, box)
 
 
 def _restricted_entries(kernel: np.ndarray,
@@ -174,81 +175,69 @@ def _restricted_entries(kernel: np.ndarray,
 
 
 def _restricted_matrix(domain: SubDomain, s: float) -> np.ndarray:
-    """P B^s P^T for Omega and the box it is made on, as a sym_matrix.
-
-    At s = 1 the power of the stencil restricts exactly, so Omega's own
-    Laplacian matrix is returned and coincidence stays bitwise.
-    """
+    """P B^s P^T for Omega and the box it is made on, as a sym_matrix filled a row block at a
+    time; at s = 1 Omega's own Laplacian, as the stencil's power restricts exactly (bitwise)."""
     if s == 1.0:
         return domain.laplacian
+    matrix, kernel = np.empty((domain.node_count,) * 2), _restricted_kernel(domain.grid, s)
+    for rows, lags in _row_blocks(domain.indices, domain.grid):
+        matrix[rows] = _restricted_entries(kernel, lags)
+    matrix.flags.writeable = False  # exactly symmetric, so sym_matrix keeps it without a copy
+    return sym_matrix(matrix)
+
+
+def _reflection_split(domain: SubDomain) -> tuple[int, np.ndarray] | None:
+    """The count k of Omega's nodes L below the first-axis mirror line and the row order L then
+    the nodes F on it, O(|Omega|) a call; None if the mirror does not map Omega onto itself."""
     box, idx = domain.grid, domain.indices
-    return sym_matrix(_restricted_entries(_restricted_kernel(box, s), _lags(idx, idx, box)))
-
-
-_SPLITS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()  # a domain's split dies with it
-
-
-def _reflection_split(domain: SubDomain) -> tuple[int, list] | None:
-    """The count k of Omega's nodes L below the first-axis mirror line and the lag table of L then
-    the nodes F on it, made once per domain and kept while it lives; None if the mirror does not
-    map Omega onto itself."""
-    if domain not in _SPLITS:
-        box, idx = domain.grid, domain.indices
-        stride = box.nodes_per_axis ** (box.dim - 1)  # flat step along the first axis
-        twice = 2 * (idx // stride) - (box.nodes_per_axis - 1)  # twice the offset from the mirror
-        if np.array_equal(np.sort(idx - twice * stride), idx):
-            rows = np.concatenate([idx[twice < 0], idx[twice == 0]])
-            _SPLITS[domain] = int(np.count_nonzero(twice < 0)), _lags(rows, rows, box)
-        else:
-            _SPLITS[domain] = None
-    return _SPLITS[domain]
+    stride = box.nodes_per_axis ** (box.dim - 1)  # flat step along the first axis
+    twice = 2 * (idx // stride) - (box.nodes_per_axis - 1)  # twice the offset from the mirror
+    if not np.array_equal(np.sort(idx - twice * stride), idx):
+        return None
+    return int(np.count_nonzero(twice < 0)), np.concatenate([idx[twice < 0], idx[twice == 0]])
 
 
 def _restricted_blocks(domain: SubDomain,
                        s: float) -> tuple[list[np.ndarray], tuple[float, float, float]]:
     """P B^s P^T split by the first-axis reflection, with its trace, ||.||_F^2 and max|entry|.
 
-    When the reflection i -> N-1-i maps Omega onto itself, M is exactly
-    centrosymmetric and splits into an even and an odd block of about
-    |Omega|/2, gathered from the kernel at the lags of the domain's
-    :func:`_reflection_split`.  With L the nodes below the mirror line, F
-    those on it (last in ``even``) and pi the reflection,
+    When the reflection i -> N-1-i maps Omega onto itself, M is exactly centrosymmetric and
+    splits into an even and an odd block of about |Omega|/2.  With L and F the rows of
+    :func:`_reflection_split` and pi the reflection,
 
         even = W (M[L+F, L+F] + M[L+F, pi(L+F)]) W,  W = 1 on L, 1/sqrt(2) on F,
-        odd  = M[L, L] - M[L, pi L].
+        odd  = M[L, L] - M[L, pi L];
 
-    The mirror maps the first axis's lags (t, h) to (N+1-h, N+1-t), so
-    M[., pi .] reads the kernel flipped along that axis at M's own lags,
-    those two swapped.  Any other mask gives one block, M itself.  The
-    invariants are read off the rows of L + F, each row of L standing for
-    its mirror row too, apart from how the blocks are assembled (the even
-    one in place), so the merged spectrum is checked against the whole M.
+    the mirror maps the first axis's lags (t, h) to (N+1-h, N+1-t), so M[., pi .] reads the
+    kernel flipped along that axis at M's own lags, those two swapped.  Each row block of both
+    is written into the blocks and gives its rows' share of the invariants, a row of L standing
+    for its mirror row too, so the merged spectrum is checked against the whole M.  Any other
+    mask gives one block, M itself.
     """
-    split, kernel = _reflection_split(domain), _restricted_kernel(domain.grid, s)
-    if split is None:
+    if (split := _reflection_split(domain)) is None:
         whole = _restricted_matrix(domain, s)
         return [whole], (float(np.trace(whole)), float(np.vdot(whole, whole)),
                          float(np.max(np.abs(whole))))
-    k, lags = split
-    near = _restricted_entries(kernel, lags)
-    far = _restricted_entries(np.flip(kernel, axis=0), [lags[0][::-1]] + lags[1:])
-    copies = np.where(np.arange(near.shape[0]) < k, 2.0, 1.0)
-    squares, scale = np.empty(near.shape[0]), 0.0
-    for i in range(0, near.shape[0], 64):  # 64 rows at a time: no |Omega|^2 temporaries
-        r = slice(i, i + 64)
-        squares[r] = np.sum(near[r] * near[r], axis=1) + np.sum(far[r, :k] * far[r, :k], axis=1)
-        scale = max(scale, np.max(np.abs(near[r])), np.max(np.abs(far[r, :k]), initial=0.0))
-    invariants = (float(copies @ np.diagonal(near)), float(copies @ squares), float(scale))
-    blocks = [near, near[:k, :k] - far[:k, :k]] if k else [near]
-    near += far  # the even block, in place
-    del far
-    w = np.sqrt(0.5)  # W on F: the products of np.outer(W, W), applied where W != 1
-    near[k:, :k] *= w
-    near[:k, k:] *= w
-    near[k:, k:] *= w * w
-    for block in blocks:  # exactly symmetric by construction; eigenvalues() refuses any that is not
-        block.flags.writeable = False
-    return blocks, invariants
+    (k, nodes), kernel, w = split, _restricted_kernel(domain.grid, s), np.sqrt(0.5)  # w: W on F
+    even, odd = np.empty((nodes.size, nodes.size)), np.empty((k, k))
+    # strided as np.diagonal is, so the trace's dot sums it in the order a whole matrix's would
+    diagonal, squares, scale = np.empty((nodes.size, 2))[:, 0], np.empty(nodes.size), 0.0
+    for rows, lags in _row_blocks(nodes, domain.grid):
+        near = _restricted_entries(kernel, lags)
+        far = _restricted_entries(kernel[::-1], [lags[0][::-1]] + lags[1:])  # M[., pi .]
+        diagonal[rows] = np.diagonal(near, offset=rows.start)
+        squares[rows] = np.sum(near * near, axis=1) + np.sum(far[:, :k] * far[:, :k], axis=1)
+        scale = max(scale, np.max(np.abs(near)), np.max(np.abs(far[:, :k]), initial=0.0))
+        low = min(max(k - rows.start, 0), len(near))  # the rows of L in this block
+        np.subtract(near[:low, :k], far[:low, :k], out=odd[rows])
+        block = np.add(near, far, out=even[rows])
+        block[:low, k:] *= w  # the products of np.outer(W, W), applied where W != 1
+        block[low:, :k] *= w
+        block[low:, k:] *= w * w
+    copies = np.where(np.arange(nodes.size) < k, 2.0, 1.0)
+    even.flags.writeable = odd.flags.writeable = False  # exactly symmetric: eigenvalues() checks
+    invariants = (float(copies @ diagonal), float(copies @ squares), float(scale))
+    return ([even, odd] if k else [even]), invariants
 
 
 def dirichlet_operator(domain: SubDomain, box: BoxGrid, s: float) -> np.ndarray:

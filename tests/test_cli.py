@@ -702,7 +702,7 @@ def test_extension_sweeps_both_variants_once_per_exponent(monkeypatch, text):
 
 
 def test_a_spectra_run_leaves_no_domain_alive(monkeypatch):
-    # the reflection split lives as long as its domain, and no longer
+    # nothing, the reflection split included, holds a domain past its run
     built = []
 
     def recording(*args):
@@ -712,7 +712,6 @@ def test_a_spectra_run_leaves_no_domain_alive(monkeypatch):
     monkeypatch.setattr(cli, "make_shape", recording)
     run(parse_config("seed = 1\ndim = 2\nshape = disk:0.5\ns.values = 0.25,0.5,1\n"),
         kind="spectra")
-    assert operators._SPLITS[built[0]] is not None  # the disk was split, and the split is kept
     domain = weakref.ref(built.pop())
     gc.collect()
     assert domain() is None
@@ -803,6 +802,54 @@ def test_an_extension_height_whose_cell_weights_overflow_is_refused(tmp_path, ca
     assert not (tmp_path / "out").exists()
     cli._mesh_for(parse_config(f"seed = 1\ndim = {dim}\nextension.height = 1e123\n"),
                   cli._build_domain(parse_config(f"seed = 1\ndim = {dim}\n")), 0.25)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_an_extension_height_too_low_for_floating_point_is_refused(tmp_path, capsys, dim):
+    # Y = 1e-300 squares to 0 on every cell, so no grading, the uniform mesh included, can help
+    path = tmp_path / "low.cfg"
+    path.write_text(f"seed = 1\ndim = {dim}\nextension.height = 1e-300\n")
+    assert main(["extension", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: extension.height: the mesh of s = 0.25 and height 1e-300 underflows (cell 0 has "
+        "stiffness nan); set a higher extension.height\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _extension_verdicts(text):
+    return [(c.name, c.passed, c.margin) for c in run(parse_config(text), kind="extension").checks]
+
+
+def test_an_extension_height_whose_profiles_underflow_is_refused(tmp_path, capsys):
+    # at Y = 1e8 both extensions underflow to 0 on the top layers, so ordering_interior read
+    # a margin of 0 there; at Y = 1e4 the box's lowest profile stays positive, and it passes
+    path = tmp_path / "tall.cfg"
+    path.write_text("seed = 1\ndim = 1\ns.values = 0.5\nextension.height = 1e8\n")
+    assert main(["extension", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: extension.height: every profile underflows to 0 below layer 64 at height 1e+08; "
+        "set a lower extension.height\n")
+    assert not (tmp_path / "out").exists()
+    verdicts = _extension_verdicts("seed = 1\ndim = 1\ns.values = 0.5\nextension.height = 1e4\n")
+    assert [v[:2] for v in verdicts] == [("energy_identity[s=0.5]", False),
+                                         ("ordering_lattice[s=0.5]", True),
+                                         ("ordering_interior[s=0.5]", True)]
+    assert 0 < verdicts[2][2] < 1e-250
+
+
+def test_an_extension_ordering_that_vanishes_without_underflow_still_fails(monkeypatch):
+    # the navier modes standing in for the dirichlet ones make W = 0 exactly, at a height
+    # where no profile underflows: a FAIL, not a refusal
+    analyses = extension._analyses
+
+    def twice_navier(*args):
+        vals, (_, navier) = analyses(*args)
+        return vals, [navier, navier]
+
+    monkeypatch.setattr(extension, "_analyses", twice_navier)
+    verdicts = _extension_verdicts("seed = 1\ndim = 1\ns.values = 0.5\n")
+    assert verdicts[1:] == [("ordering_lattice[s=0.5]", True, 0.0),
+                            ("ordering_interior[s=0.5]", False, 0.0)]
 
 
 @pytest.mark.parametrize("dim", [1, 2])

@@ -428,6 +428,9 @@ def _two_lag_blocks(idx, box, s):
     (2, 1.0, 25, "disk", (0.5,), (0.25, 0.75)),
     (2, 1.0, 24, "square", (0.5,), (0.25, 0.75)),
     (2, 1.0, 25, "square", (0.5,), (0.25, 0.75)),
+    (1, 1.0, 301, "interval", (-0.5, 0.5), (0.1, 0.5, 0.9)),  # 76 rows: a 12-row last block
+    (1, 1.0, 300, "interval", (-0.5, 0.5), (0.1, 0.5, 0.9)),  # 75 rows, no fixed node
+    (2, 1.0, 41, "disk", (0.8,), (0.25, 0.75)),  # 459 rows, 33 of them fixed nodes
 ])
 def test_reflection_blocks_from_one_lag_table_match_the_two_lag_construction(
         dim, halfwidth, nodes, shape, params, exponents):
@@ -499,21 +502,27 @@ def _counting_lags(monkeypatch):
     return calls
 
 
+def _row_block_heights(rows):
+    return [min(operators._ROW_BLOCK, rows - i) for i in range(0, rows, operators._ROW_BLOCK)]
+
+
 @pytest.mark.parametrize("dim, nodes, shape, params", [(1, 63, "interval", (-0.5, 0.5)),
                                                        (2, 24, "square", (0.5,)),
-                                                       (2, 25, "disk", (0.5,))])
-def test_reflection_split_and_its_lag_table_are_made_once_per_domain(monkeypatch, dim, nodes,
-                                                                     shape, params):
+                                                       (2, 25, "disk", (0.5,)),
+                                                       (1, 301, "interval", (-0.5, 0.5))])
+def test_reflection_blocks_gather_a_row_block_at_a_time_and_keep_nothing(monkeypatch, dim, nodes,
+                                                                         shape, params):
     box = make_box(dim, 1.0, nodes)
     om, twin = make_shape(box, shape, params), make_shape(box, shape, params)
     calls = _counting_lags(monkeypatch)
     first = [compare_spectra(om, s).rows["lambda_dirichlet"] for s in (0.25, 0.5, 0.75)]
-    assert len(calls) == 1 and calls[0] < om.node_count  # one table, of the rows L + F only
-    split = operators._reflection_split(om)
-    assert all(not lag.flags.writeable for pair in split[1] for lag in pair)
-    # a new domain gets its own split; the spectra do not depend on the cache
+    k, rows = operators._reflection_split(om)
+    assert 0 < k <= rows.size < om.node_count  # the rows L + F only
+    # each exponent makes a table per row block, none taller than one block, and keeps none
+    assert calls == _row_block_heights(rows.size) * 3
+    # a twin domain, built apart, gives the same spectra bit for bit
     again = [compare_spectra(twin, s).rows["lambda_dirichlet"] for s in (0.25, 0.5, 0.75)]
-    assert len(calls) == 2 and operators._reflection_split(twin) is not split
+    assert calls == _row_block_heights(rows.size) * 6
     for a, b in zip(first, again):
         assert np.array_equal(a, b)
 
@@ -543,7 +552,49 @@ def test_a_mask_the_mirror_does_not_map_onto_itself_gathers_its_whole_matrix(mon
     for s in (0.25, 0.5):
         compare_spectra(om, s)
     assert operators._reflection_split(om) is None
-    assert calls == [om.node_count] * 2  # not kept: it would raise the peak of every exponent
+    assert 2 * operators._ROW_BLOCK < om.node_count < 3 * operators._ROW_BLOCK  # the last short
+    assert calls == _row_block_heights(om.node_count) * 2
+
+
+def _traced_peak(f, *args):
+    tracemalloc.start()  # traces only what is allocated from here on
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_the_first_spectra_exponent_holds_at_most_three_point_two_blocks():
+    # the spectra-1d benchmark domain, fresh: both blocks and the solve's copy of one take three;
+    # two full-size halves and a kept whole lag table took 3.62
+    box = make_box(1, 1.0, 1535)
+    om = make_shape(box, "interval", (-0.5, 0.5))
+    block = 384 * 384 * 8
+    operators._restricted_kernel.cache_clear()  # the kernel is made inside the first exponent
+    peak = _traced_peak(compare_spectra, om, 0.5)
+    assert peak <= 3.2 * block, f"{peak / block:.2f} blocks"
+
+
+def test_reflection_blocks_of_a_disk_hold_at_most_0_85_matrices():
+    # 840 nodes, blocks of 420^2 doubles: the two blocks and one row block's temporaries;
+    # the two full-size halves beside the odd block took 1.02 |Omega|^2
+    box = make_box(2, 1.0, 40)
+    om = make_shape(box, "disk", (0.8,))
+    operators._restricted_blocks(om, 0.5)  # the kernel is kept
+    peak = _traced_peak(operators._restricted_blocks, om, 0.5)
+    assert peak <= 0.85 * om.node_count**2 * 8, f"{peak / (om.node_count**2 * 8):.2f} matrices"
+
+
+def test_a_one_block_restricted_matrix_holds_at_most_3_2_matrices():
+    # 768 nodes: the matrix and sym_matrix's two checks; the whole lag table, the gather's
+    # full-size term and sym_matrix's symmetrized copy took 4.03
+    box = make_box(2, 1.0, 40)
+    om = make_shape(box, "lshape", (1.6,))
+    assert om.node_count == 768 and operators._reflection_split(om) is None
+    operators._restricted_kernel(box, 0.5)
+    peak = _traced_peak(operators._restricted_matrix, om, 0.5)
+    assert peak <= 3.2 * om.node_count**2 * 8, f"{peak / (om.node_count**2 * 8):.2f} matrices"
 
 
 def test_a_later_spectra_exponent_holds_at_most_three_and_a_half_blocks():
@@ -552,13 +603,8 @@ def test_a_later_spectra_exponent_holds_at_most_three_and_a_half_blocks():
     box = make_box(1, 1.0, 1535)
     om = make_shape(box, "interval", (-0.5, 0.5))
     block = 384 * 384 * 8
-    compare_spectra(om, 0.5)  # the live set: the lag table and the box spectrum
-    tracemalloc.start()  # traces only what is allocated from here on
-    try:
-        compare_spectra(om, 0.55)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    compare_spectra(om, 0.5)  # the live set: the box spectrum
+    peak = _traced_peak(compare_spectra, om, 0.55)
     assert peak <= 3.5 * block, f"{peak / block:.2f} blocks"
 
 
